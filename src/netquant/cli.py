@@ -104,7 +104,6 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     "fine_tune": (False, _parse_bool),
     "seed": (0, int),
     "center_rule": ("mean", str),
-    "init": ("linspace", str),
     "hessian_samples": (0, int),
     "k_list": (None, _parse_int_list),
     "lambda_list": (None, _parse_float_list),
@@ -275,26 +274,28 @@ def _round_codebook_f32(codebook: quantizers.Codebook) -> quantizers.Codebook:
     )
 
 
+def _cluster_count(cfg: dict, knob, why: str) -> int:
+    k = int(knob if knob is not None else _require(cfg, "k", why))
+    if k < 1:
+        raise ConfigError(f"k must be at least 1; got {k}")
+    return k
+
+
 def _quantize_values(values, curvature, cfg: dict, knob=None):
     """Run the configured quantizer; returns (assignment, codebook, extras)."""
     quantizer = cfg["quantizer"]
     extras: dict = {}
     if quantizer == "uniform":
-        k = int(knob if knob is not None else _require(cfg, "k", "uniform"))
+        k = _cluster_count(cfg, knob, "uniform")
         rule = _check_enum(cfg, "center_rule", ("mean", "hessian_weighted_mean"))
         res = quantizers.uniform_quantize(values, curvature, k=k, center_rule=rule)
     elif quantizer == "kmeans":
-        k = int(knob if knob is not None else _require(cfg, "k", "kmeans"))
-        res = quantizers.kmeans_lloyd(
-            values,
-            quantizers.ClusterConfig(k=k, init=cfg["init"], seed=cfg["seed"]),
-        )
+        k = _cluster_count(cfg, knob, "kmeans")
+        res = quantizers.kmeans_lloyd(values, quantizers.ClusterConfig(k=k))
     elif quantizer == "hw-kmeans":
-        k = int(knob if knob is not None else _require(cfg, "k", "hw-kmeans"))
+        k = _cluster_count(cfg, knob, "hw-kmeans")
         res = quantizers.hw_kmeans_lloyd(
-            values,
-            curvature,
-            quantizers.ClusterConfig(k=k, init=cfg["init"], seed=cfg["seed"]),
+            values, curvature, quantizers.ClusterConfig(k=k)
         )
     elif quantizer == "ecsq":
         if cfg["target_ratio"] is not None:
@@ -306,21 +307,12 @@ def _quantize_values(values, curvature, cfg: dict, knob=None):
             extras["entropy_budget"] = budget
             if budget >= math.log2(k):
                 res = quantizers.ecsq_iterate(
-                    values,
-                    curvature,
-                    quantizers.EcsqConfig(
-                        k=k, init=cfg["init"], seed=cfg["seed"], lam=0.0
-                    ),
+                    values, curvature, quantizers.EcsqConfig(k=k, lam=0.0)
                 )
                 extras["lambda"] = 0.0
             else:
                 found = quantizers.solve_lambda(
-                    values,
-                    curvature,
-                    k=k,
-                    target_entropy=budget,
-                    init=cfg["init"],
-                    seed=cfg["seed"],
+                    values, curvature, k=k, target_entropy=budget
                 )
                 if not found.met:
                     raise InfeasibleError(
@@ -331,12 +323,10 @@ def _quantize_values(values, curvature, cfg: dict, knob=None):
                 extras["lambda"] = found.lam
         else:
             lam = float(knob if knob is not None else (cfg["lam"] or 0.0))
-            k = int(_require(cfg, "k", "ecsq with an explicit lam"))
+            k = _cluster_count(cfg, None, "ecsq with an explicit lam")
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(
-                values,
-                curvature,
-                quantizers.EcsqConfig(k=k, init=cfg["init"], seed=cfg["seed"], lam=lam),
+                values, curvature, quantizers.EcsqConfig(k=k, lam=lam)
             )
     else:
         raise ConfigError(f"unknown quantizer {quantizer!r}")
@@ -447,6 +437,10 @@ def _run_quantize_point(cfg: dict, prepared: dict, knob=None) -> dict:
 
 def _prepare_inputs(cfg: dict, need_dataset: bool) -> dict:
     """Load the model directory and derive the quantizer inputs."""
+    if not 0.0 <= cfg["prune_fraction"] < 1.0:
+        raise ConfigError(
+            f"prune_fraction must be in [0, 1); got {cfg['prune_fraction']}"
+        )
     model_dir = Path(_require(cfg, "model_dir", "this command"))
     ps, stored_cv, stored_mask = params.load_model(model_dir)
     refnet_doc = _read_refnet_doc(model_dir)
@@ -843,7 +837,6 @@ _QUANT = [
     "prune_fraction",
     "fine_tune",
     "center_rule",
-    "init",
     "hessian_samples",
     "ft_steps",
     "ft_batch_size",

@@ -2,12 +2,12 @@
 
 Four schemes share one assignment/codebook representation:
 
-* ``kmeans_lloyd`` - classic Lloyd iteration minimizing the plain sum of
+* ``kmeans_lloyd`` - the k-means partition minimizing the plain sum of
   squared errors.
-* ``hw_kmeans_lloyd`` - the same iteration under a curvature-weighted
-  distortion: each squared error is scaled by that parameter's curvature,
-  and cluster centers are curvature-weighted means. Parameters the loss is
-  sensitive to are kept closer to their original values.
+* ``hw_kmeans_lloyd`` - the same under a curvature-weighted distortion:
+  each squared error is scaled by that parameter's curvature, and cluster
+  centers are curvature-weighted means. Parameters the loss is sensitive to
+  are kept closer to their original values.
 * ``uniform_quantize`` - equal-width bins over the value range, centers by
   plain or curvature-weighted mean. One shot, no iteration.
 * ``ecsq_iterate`` - entropy-penalized clustering: each point pays its
@@ -15,11 +15,16 @@ Four schemes share one assignment/codebook representation:
   ``-log2(p_j)`` of its cluster, so the converged codebook trades
   distortion against the rate a variable-length code will achieve.
 
-All iterative solvers are deterministic (ties resolve to the lowest
-cluster index), record a non-increasing objective trace, and finish with a
-single-move stabilization pass: a converged result cannot be improved by
-reassigning any one parameter (with the affected centers re-optimized).
-Plain Lloyd fixed points do not guarantee that on their own.
+The two k-means variants are solved exactly: in one dimension an optimal
+partition is a set of contiguous runs of the sorted values, which dynamic
+programming finds without iteration or repair passes. Their trace is the
+one-element ``[objective]``.
+
+The rate-penalized solver iterates from a fixed start, is deterministic
+(ties resolve to the lowest cluster index), records a non-increasing
+objective trace, and finishes with a single-move stabilization pass: a
+converged result cannot be improved by reassigning any one parameter (with
+the affected centers re-optimized).
 
 Internally everything runs in float64 regardless of the storage precision
 of the inputs.
@@ -37,6 +42,11 @@ from .params import CurvatureDiag, ParamSet
 # Improvements smaller than this (relative to the current objective) are
 # treated as float noise by the stabilization pass.
 _MOVE_REL_TOL = 1e-12
+
+# Iteration budget and relative convergence tolerance of the rate-penalized
+# solver.
+_ECSQ_MAX_ITERS = 200
+_ECSQ_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -80,23 +90,13 @@ class Codebook:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs shared by the iterative quantizers."""
+    """Cluster count shared by the clustering quantizers."""
 
     k: int
-    init: str = "linspace"
-    max_iters: int = 200
-    rel_tol: float = 1e-7
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.init not in ("linspace", "quantile", "seeded_random"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -194,25 +194,8 @@ def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebo
 
 
 # ---------------------------------------------------------------------------
-# Shared iteration machinery
+# Shared machinery
 # ---------------------------------------------------------------------------
-
-
-def _initial_centers(v: np.ndarray, cfg: ClusterConfig) -> np.ndarray:
-    lo, hi = float(v.min()), float(v.max())
-    if cfg.init == "linspace":
-        return np.linspace(lo, hi, cfg.k)
-    if cfg.init == "quantile":
-        return np.quantile(v, (np.arange(cfg.k) + 0.5) / cfg.k)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.k > v.size:
-        raise ValueError("seeded_random init needs k <= n_params")
-    return np.sort(v[rng.choice(v.size, size=cfg.k, replace=False)])
-
-
-def _nearest(v: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = np.abs(v[:, None] - centers[None, :])
-    return np.argmin(d, axis=1).astype(np.int64)
 
 
 def _weighted_centers(
@@ -237,36 +220,6 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / float(total)
     return float(-np.sum(p * np.log2(p)))
-
-
-def _reseed_empty_clusters(
-    v: np.ndarray, h: np.ndarray, assign: np.ndarray, centers: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Move empty clusters onto the worst-fit parameters.
-
-    Each reseeded center lands on the value with the largest individual
-    weighted distortion (ties favor the lowest index), which strictly
-    reduces the objective. Gives up when no positive-distortion candidates
-    remain, e.g. fewer distinct values than clusters.
-    """
-    reseeded = False
-    for _ in range(k):
-        counts = np.bincount(assign, minlength=k)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            break
-        r = v - centers[assign]
-        dist = h * r * r
-        order = np.lexsort((np.arange(v.size), -dist))
-        candidates = [i for i in order[: empty.size] if dist[i] > 0]
-        if not candidates:
-            break
-        centers = centers.copy()
-        for slot, point in zip(empty, candidates):
-            centers[slot] = v[point]
-        assign = _nearest(v, centers)
-        reseeded = True
-    return assign, centers, reseeded
 
 
 class _MoveStats:
@@ -304,18 +257,18 @@ class _MoveStats:
         self.assign[i] = dst
 
 
-def _move_deltas(stats: _MoveStats, lam: float | None) -> np.ndarray:
+def _move_deltas(stats: _MoveStats, lam: float) -> np.ndarray:
     """Objective change for moving each point to each cluster.
 
     Distortion deltas use the standard incremental identities: removing a
     point with weight ``h`` from a cluster with weight sum ``S`` and
     post-removal mean ``c'`` changes the cluster cost by
     ``-h (v - c')^2 (S - h) / S``; adding it to a cluster with weight ``S``
-    and mean ``c`` costs ``+h (v - c)^2 S / (S + h)``. With ``lam`` set, the
-    codeword-rate change (from the two affected cluster sizes) is added in
-    unnormalized units, and empty (retired) clusters are off limits.
+    and mean ``c`` costs ``+h (v - c)^2 S / (S + h)``. The codeword-rate
+    change (from the two affected cluster sizes) is added in unnormalized
+    units, and empty (retired) clusters are off limits.
     """
-    v, h, k = stats.v, stats.h, stats.k
+    v, h = stats.v, stats.h
     assign = stats.assign
     centers = stats.centers
     S = stats.wsum
@@ -326,29 +279,22 @@ def _move_deltas(stats: _MoveStats, lam: float | None) -> np.ndarray:
         # Mean of the source cluster after removing each point.
         c_rest = (Sa * ca - h * v) / (Sa - h)
         removal = -h * (v - c_rest) ** 2 * (Sa - h) / Sa
-    singleton = stats.counts[assign] <= 1
-    removal = np.where(singleton, 0.0, removal)
+    removal = np.where(stats.counts[assign] <= 1, 0.0, removal)
 
     add = h[:, None] * (v[:, None] - centers[None, :]) ** 2
     add *= S[None, :] / (S[None, :] + h[:, None])
     delta = removal[:, None] + add
 
-    if lam is not None:
-        def f(c):
-            c = np.asarray(c, dtype=np.float64)
-            return np.where(c > 0, c * np.log2(np.maximum(c, 1)), 0.0)
+    def f(c):
+        c = np.asarray(c, dtype=np.float64)
+        return np.where(c > 0, c * np.log2(np.maximum(c, 1)), 0.0)
 
-        na = stats.counts[assign].astype(np.float64)
-        nj = stats.counts.astype(np.float64)
-        # Unnormalized rate change: -lam * delta(sum n log2 n).
-        rate = -lam * (f(na - 1) - f(na))[:, None] - lam * (
-            f(nj + 1) - f(nj)
-        )[None, :]
-        delta = delta + rate
-        delta[:, stats.counts == 0] = np.inf
-    else:
-        # Keep exactly k clusters: a singleton may not abandon its cluster.
-        delta[singleton, :] = np.inf
+    na = stats.counts[assign].astype(np.float64)
+    nj = stats.counts.astype(np.float64)
+    # Unnormalized rate change: -lam * delta(sum n log2 n).
+    rate = -lam * (f(na - 1) - f(na))[:, None] - lam * (f(nj + 1) - f(nj))[None, :]
+    delta = delta + rate
+    delta[:, stats.counts == 0] = np.inf
 
     delta[np.arange(v.size), assign] = np.inf
     return delta
@@ -359,7 +305,7 @@ def _stabilize(
     h: np.ndarray,
     assign: np.ndarray,
     k: int,
-    lam: float | None,
+    lam: float,
     obj_scale: float,
 ) -> tuple[np.ndarray, int]:
     """Apply single-point moves until none improves the objective.
@@ -396,66 +342,111 @@ def _stabilize(
     return stats.assign, moves
 
 
-def _lloyd_weighted(v: np.ndarray, h: np.ndarray, cfg: ClusterConfig) -> QuantizeResult:
-    """Weighted Lloyd iteration plus the stabilization pass."""
-    k = cfg.k
-    centers = _initial_centers(v, cfg)
-    assign = _nearest(v, centers)
-    assign, centers, _ = _reseed_empty_clusters(v, h, assign, centers, k)
-    obj = _distortion(v, h, assign, centers)
-    trace = [obj]
+def _dp_layer(
+    prev: np.ndarray, lo: int, hi: int, cost
+) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the k-means recurrence over prefix lengths ``lo..hi``.
 
-    budget = cfg.max_iters
-    while budget > 0:
-        # Alternate center updates and nearest-center assignment.
-        while budget > 0:
-            budget -= 1
-            new_centers, _ = _weighted_centers(v, h, assign, k, centers)
-            new_assign = _nearest(v, new_centers)
-            new_assign, new_centers, reseeded = _reseed_empty_clusters(
-                v, h, new_assign, new_centers, k
-            )
-            new_obj = _distortion(v, h, new_assign, new_centers)
-            if new_obj > obj:
-                break  # below float resolution; keep the previous state
-            improved = (obj - new_obj) > cfg.rel_tol * max(abs(obj), 1e-300)
-            unchanged = np.array_equal(new_assign, assign)
-            assign, centers, obj = new_assign, new_centers, new_obj
-            trace.append(obj)
-            if unchanged and not reseeded:
-                break
-            if not improved and not reseeded:
-                break
+    ``cur[i] = min over t in [lo-1, i-1] of prev[t] + cost(t, i)``, with the
+    lowest minimizing ``t`` as ``split[i]``. The k-means segment cost obeys
+    the quadrangle inequality, so ``split`` is non-decreasing in ``i``:
+    every pass solves the middle row of each open row range over its
+    candidate range, then halves both, which bounds the work per pass by
+    the number of rows plus ranges.
+    """
+    cur = np.full(prev.size, np.inf)
+    split = np.zeros(prev.size, dtype=np.int32)
+    rlo, rhi = np.array([lo]), np.array([hi])
+    tlo, thi = np.array([lo - 1]), np.array([hi - 1])
+    while rlo.size:
+        mid = (rlo + rhi) // 2
+        cnt = np.minimum(thi, mid - 1) - tlo + 1
+        starts = np.cumsum(cnt) - cnt
+        seg = np.repeat(np.arange(mid.size), cnt)
+        t = np.arange(seg.size) - np.repeat(starts - tlo, cnt)
+        val = prev[t] + cost(t, mid[seg])
+        best = np.minimum.reduceat(val, starts)
+        pos = np.where(val == best[seg], np.arange(val.size), val.size)
+        arg = t[np.minimum.reduceat(pos, starts)]
+        cur[mid], split[mid] = best, arg
+        left, right = rlo < mid, mid < rhi
+        rlo, rhi, tlo, thi = (
+            np.concatenate([rlo[left], mid[right] + 1]),
+            np.concatenate([mid[left] - 1, rhi[right]]),
+            np.concatenate([tlo[left], arg[right]]),
+            np.concatenate([arg[left], thi[right]]),
+        )
+    return cur, split
 
-        assign, moves = _stabilize(v, h, assign, k, None, trace[0])
-        if moves == 0:
-            break
-        centers, _ = _weighted_centers(v, h, assign, k, centers)
-        new_obj = _distortion(v, h, assign, centers)
-        if new_obj <= obj:
-            obj = new_obj
-            trace.append(obj)
 
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
+def _optimal_bounds(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """Run boundaries ``0 = b_0 < ... < b_k = m`` of the optimal k-partition
+    of the sorted distinct values ``x`` (weights ``w``) into contiguous runs.
+    """
+    m = x.size
+    # Centering on the weighted mean limits cancellation in the sums.
+    u = x - np.dot(w, x) / w.sum()
+    s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u))
+
+    def cost(t, i):  # weighted squared error of the run x[t:i]
+        d1 = s1[i] - s1[t]
+        return np.maximum(s2[i] - s2[t] - d1 * d1 / (s0[i] - s0[t]), 0.0)
+
+    # Layer j holds the best j-run cost of each prefix length that leaves
+    # room for the remaining k - j runs.
+    prev = np.full(m + 1, np.inf)
+    prev[1 : m - k + 2] = cost(0, np.arange(1, m - k + 2))
+    splits = []
+    for j in range(2, k + 1):
+        prev, split = _dp_layer(prev, j, m - k + j, cost)
+        splits.append(split)
+    bounds = np.empty(k + 1, dtype=np.int64)
+    bounds[0], bounds[k] = 0, m
+    for j in range(k, 1, -1):
+        bounds[j - 1] = splits[j - 2][bounds[j]]
+    return bounds
+
+
+def _exact_kmeans(v: np.ndarray, h: np.ndarray, k: int) -> QuantizeResult:
+    """Exact curvature-weighted 1-D k-means.
+
+    Duplicate values merge (their curvature summed), so at most as many
+    clusters as distinct values are live; the rest keep zero counts, with
+    centers at the largest value. Labels follow the sorted value order and
+    ties between partitions go to the lowest split. The optimum is exact up
+    to float64 rounding of the prefix sums: partitions whose objectives
+    differ by less than about ``n * eps * sum(h (v - mean)^2)`` are not
+    told apart.
+    """
+    if v.size == 0:
+        raise ValueError("cannot cluster an empty vector")
+    x, inverse = np.unique(v, return_inverse=True)
+    w = np.bincount(inverse, weights=h)
+    live = min(k, x.size)
+    runs = np.repeat(np.arange(live), np.diff(_optimal_bounds(x, w, live)))
+    assign = runs[inverse]
+    centers, _ = _weighted_centers(v, h, assign, k, np.full(k, x[-1]))
     counts = np.bincount(assign, minlength=k)
-    return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
+    trace = np.asarray([_distortion(v, h, assign, centers)])
+    return QuantizeResult(assign, Codebook(centers, counts), trace)
 
 
 def kmeans_lloyd(values, cfg: ClusterConfig) -> QuantizeResult:
-    """Cluster values into ``cfg.k`` groups minimizing the squared-error sum.
+    """Cluster values into at most ``cfg.k`` groups minimizing the
+    squared-error sum.
 
-    Ties in the assignment step go to the lowest cluster index; a cluster
-    that empties is reseeded at the worst-fit value, keeping exactly ``k``
-    live clusters whenever the data has enough distinct values. The returned
-    trace holds the objective after the initial assignment and after each
-    accepted iteration, and is non-increasing.
+    The result is the exact optimum, found by dynamic programming over the
+    sorted values; no reseeding or stabilization is involved. Cluster
+    indices follow value order. With fewer distinct values than ``k``, each
+    distinct value gets its own cluster and the remaining slots keep zero
+    counts. The trace is the one-element ``[objective]``.
     """
     v = _values64(values)
-    return _lloyd_weighted(v, np.ones_like(v), cfg)
+    return _exact_kmeans(v, np.ones_like(v), cfg.k)
 
 
 def hw_kmeans_lloyd(values, curvature, cfg: ClusterConfig) -> QuantizeResult:
-    """Curvature-weighted Lloyd clustering.
+    """Exact curvature-weighted k-means clustering.
 
     Identical to :func:`kmeans_lloyd` except that the objective weights each
     squared error by the parameter's curvature and centers are
@@ -465,7 +456,7 @@ def hw_kmeans_lloyd(values, curvature, cfg: ClusterConfig) -> QuantizeResult:
     """
     v = _values64(values)
     h = _curvature64(curvature, v.size)
-    return _lloyd_weighted(v, h, cfg)
+    return _exact_kmeans(v, h, cfg.k)
 
 
 def uniform_quantize(
@@ -514,8 +505,10 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     new cluster sizes (initially uniform). The per-iteration objective
     ``J = D/n + lam * H`` never increases; clusters that empty are retired
     for good since their codeword cost is infinite. With ``lam == 0`` the
-    entropy term vanishes and the run is exactly the curvature-weighted
-    Lloyd iteration, empty-cluster reseeding included.
+    entropy term vanishes and the result is the exact curvature-weighted
+    k-means optimum of :func:`hw_kmeans_lloyd` (trace divided by ``n``).
+    Otherwise the iteration starts from centers evenly spaced over the value
+    range.
 
     Returns the assignment, a codebook that may contain retired zero-count
     slots (see :func:`compact_codebook`), and the trace of ``J``.
@@ -525,10 +518,10 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     n, k, lam = v.size, cfg.k, cfg.lam
 
     if lam == 0.0:
-        res = _lloyd_weighted(v, h, cfg)
+        res = _exact_kmeans(v, h, k)
         return QuantizeResult(res.assignment, res.codebook, res.trace / n)
 
-    centers = _initial_centers(v, cfg)
+    centers = np.linspace(float(v.min()), float(v.max()), k)
     p = np.full(k, 1.0 / k)
 
     def assign_step(centers, p):
@@ -548,7 +541,7 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     obj = objective(assign, centers, counts)
     trace = [obj]
 
-    budget = cfg.max_iters
+    budget = _ECSQ_MAX_ITERS
     while budget > 0:
         while budget > 0:
             budget -= 1
@@ -559,7 +552,7 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
             new_obj = objective(new_assign, new_centers, new_counts)
             if new_obj > obj:
                 break
-            improved = (obj - new_obj) > cfg.rel_tol * max(abs(obj), 1e-300)
+            improved = (obj - new_obj) > _ECSQ_REL_TOL * max(abs(obj), 1e-300)
             unchanged = np.array_equal(new_assign, assign)
             assign, centers, counts, p = new_assign, new_centers, new_counts, new_p
             obj = new_obj
@@ -589,10 +582,6 @@ def solve_lambda(
     curvature,
     k: int,
     target_entropy: float,
-    init: str = "linspace",
-    seed: int = 0,
-    max_iters: int = 200,
-    rel_tol: float = 1e-7,
     entropy_slack: float = 0.05,
     max_rounds: int = 60,
 ) -> LambdaResult:
@@ -610,10 +599,7 @@ def solve_lambda(
     h = _curvature64(curvature, v.size)
 
     def run(lam: float) -> QuantizeResult:
-        cfg = EcsqConfig(
-            k=k, init=init, max_iters=max_iters, rel_tol=rel_tol, seed=seed, lam=lam
-        )
-        return ecsq_iterate(v, h, cfg)
+        return ecsq_iterate(v, h, EcsqConfig(k=k, lam=lam))
 
     budget = target_entropy + entropy_slack
     res0 = run(0.0)

@@ -82,6 +82,23 @@ class TestQuantize:
         assert run(base + ["--k", "4", "--target-ratio", "16"]) == cli.EXIT_CONFIG
         assert run(base) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--quantizer", "kmeans", "--k", "0"],
+            ["--quantizer", "hw-kmeans", "--k", "-3"],
+            ["--quantizer", "uniform", "--k", "0"],
+            ["--quantizer", "ecsq", "--k", "0", "--lam", "0.1"],
+            ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "1.5"],
+            ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "-0.1"],
+        ],
+    )
+    def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
+        out = tmp_path / "q"
+        code = run(["quantize", "--model-dir", model_dir, "--out-dir", out, *flags])
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "model.nq").exists()
+
     def test_missing_model_dir_is_io_error(self, tmp_path):
         code = run([
             "quantize", "--model-dir", tmp_path / "missing", "--out-dir",
@@ -244,6 +261,14 @@ class TestConfigFile:
         assert run([
             "quantize", "--config", cfg, "--model-dir", model_dir,
             "--out-dir", tmp_path / "q", "--k", "4",
+        ]) == cli.EXIT_CONFIG
+
+    def test_removed_init_key_rejected(self, model_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init=linspace\n")
+        assert run([
+            "quantize", "--config", cfg, "--model-dir", model_dir,
+            "--out-dir", tmp_path / "q", "--quantizer", "kmeans", "--k", "4",
         ]) == cli.EXIT_CONFIG
 
 

@@ -3,6 +3,8 @@ partition enumeration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netquant import (
     ClusterConfig,
@@ -329,6 +331,45 @@ class TestOneMoveStability:
         v = np.array([0.0, 1.0, 2.5])
         res = kmeans_lloyd(v, ClusterConfig(k=2))
         assert msqe(v, res.assignment, res.codebook) == pytest.approx(0.5)
+
+
+@st.composite
+def grid_values_with_duplicates(draw):
+    """Up to 8 values on a 0.25 grid, at least one of them repeated, plus
+    positive curvature. Distinct values are 0.25 apart, so any partition
+    that merges two of them costs at least ~3e-3, far above float64
+    rounding of the objective."""
+    n = draw(st.integers(1, 8))
+    pool = draw(
+        st.lists(st.integers(-40, 40), min_size=1, max_size=max(1, n - 1), unique=True)
+    )
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    h = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    k = draw(st.integers(1, 4))
+    return np.array(picks) / 4.0, np.array(h), k
+
+
+class TestExactOptimum:
+    """Both k-means variants reach the brute-force global optimum."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(grid_values_with_duplicates())
+    def test_matches_enumeration(self, case):
+        v, h, k = case
+        for weights, res in (
+            (np.ones(v.size), kmeans_lloyd(v, ClusterConfig(k=k))),
+            (h, hw_kmeans_lloyd(v, h, ClusterConfig(k=k))),
+        ):
+            got = weighted_cost(v, weights, res.assignment, k)
+            best, _ = global_optimum(v, weights, k)
+            # The absolute slack only covers zero-cost optima, where a
+            # weighted mean of duplicates may differ from them by an ulp.
+            assert got == pytest.approx(best, rel=1e-12, abs=1e-20)
+            assert res.trace.size == 1
+            assert res.codebook.counts.sum() == v.size
+            distinct = np.unique(v).size
+            if k > distinct:
+                assert np.count_nonzero(res.codebook.counts) == distinct
 
 
 class TestSolveLambda:
