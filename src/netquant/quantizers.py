@@ -389,8 +389,11 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u))
 
     def cost(t, i):  # weighted squared error of the run x[t:i]
-        d1 = s1[i] - s1[t]
-        return np.maximum(s2[i] - s2[t] - d1 * d1 / (s0[i] - s0[t]), 0.0)
+        # A run whose weight is lost in the rounding of s0 costs nothing
+        # the sums can resolve: call it 0 rather than dividing by 0.
+        d0, d1 = s0[i] - s0[t], s1[i] - s1[t]
+        sse = s2[i] - s2[t] - d1 * d1 / np.where(d0 > 0, d0, 1.0)
+        return np.where(d0 > 0, np.maximum(sse, 0.0), 0.0)
 
     # Layer j holds the best j-run cost of each prefix length that leaves
     # room for the remaining k - j runs.

@@ -66,8 +66,7 @@ def one_move_stable(v, h, assign, k, lam=None, rel_tol=1e-9):
 
     For the rate-penalized objective, empty clusters are retired and not a
     legal destination. For plain clustering a cluster's only member may not
-    leave (the solver keeps k live clusters), though such a move could
-    never improve anyway.
+    leave, though such a move could never improve anyway.
     """
     assign = np.asarray(assign)
     counts = np.bincount(assign, minlength=k)

@@ -1,12 +1,15 @@
 """Quantizer correctness against small hand-checked cases and brute-force
 partition enumeration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netquant import (
+    CURVATURE_FLOOR,
     ClusterConfig,
     Codebook,
     EcsqConfig,
@@ -370,6 +373,38 @@ class TestExactOptimum:
             distinct = np.unique(v).size
             if k > distinct:
                 assert np.count_nonzero(res.codebook.counts) == distinct
+
+    @staticmethod
+    def _quiet_hw_kmeans(v, h, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return hw_kmeans_lloyd(v, h, ClusterConfig(k=k))
+
+    def test_weight_below_prefix_sum_resolution(self):
+        # 1e-20 vanishes next to the running weight sum of 1, so the run
+        # holding only that value has zero weight in the prefix sums.
+        v, h = np.array([0.0, 1.0, 2.0]), np.array([1.0, 1e-20, 1.0])
+        res = self._quiet_hw_kmeans(v, h, 2)
+        best, _ = global_optimum(v, h, 2)
+        assert weighted_cost(v, h, res.assignment, 2) == pytest.approx(best, rel=1e-12)
+
+    def test_floored_curvature_at_large_weight_sum(self):
+        # Past a weight sum of 2**14, a floored curvature entry is below
+        # half an ulp of the running sum.
+        block = 20_000
+        x = np.array([0.0, 1.0, 5.0, 6.0, 10.0])
+        w = np.array([1.0, CURVATURE_FLOOR, 1.0, CURVATURE_FLOOR, 1.0])
+        reps = np.array([block, 1, block, 1, block])
+        v, h = np.repeat(x, reps), np.repeat(w, reps)
+        res = self._quiet_hw_kmeans(v, h, 3)
+        assert res.codebook.counts.sum() == v.size
+        got = weighted_cost(v, h, res.assignment, 3)
+        # Duplicates never need splitting, so the merged values give the
+        # optimum; the DP resolves it up to its documented rounding bound.
+        best, _ = global_optimum(x, w * reps, 3)
+        mean = np.dot(h, v) / h.sum()
+        slack = v.size * np.finfo(float).eps * np.dot(h, (v - mean) ** 2)
+        assert got == pytest.approx(best, abs=slack)
 
 
 class TestSolveLambda:
