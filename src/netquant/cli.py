@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     "lambda_list": (None, _parse_float_list),
     "quantizers": (None, str),
     # train-ref
-    "hidden": ("32", _parse_int_list),
+    "hidden": ([32], _parse_int_list),
     "activation": ("relu", str),
     "loss": ("softmax_cross_entropy", str),
     "steps": (500, int),
@@ -254,13 +255,6 @@ def _spec_from_doc(doc: dict) -> refnet.MlpSpec:
         raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
 
 
-def _hessian_batch(ds: refnet.Dataset, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    x, y = ds.split("hessian")
-    if cap and cap < x.shape[0]:
-        x, y = x[:cap], y[:cap]
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
@@ -301,26 +295,22 @@ def _quantize_values(values, curvature, cfg: dict, knob=None):
         if cfg["target_ratio"] is not None:
             if cfg["k"] is not None or knob is not None:
                 raise ConfigError("ecsq takes either k (with lam) or target_ratio")
-            source_bits = 32
-            budget = source_bits / cfg["target_ratio"]
-            k = int(min(64, max(2, 2 ** (math.ceil(budget) + 1))))
+            ratio = cfg["target_ratio"]
+            if not 0 < ratio < math.inf:
+                raise ConfigError(f"target_ratio must be positive and finite: {ratio}")
+            budget = 32 / ratio  # bits per parameter against float32 originals
+            k = 2 ** min(6, math.ceil(budget) + 1)
+            found = quantizers.solve_lambda(
+                values, curvature, k=k, target_entropy=budget
+            )
+            if not found.met:
+                raise InfeasibleError(
+                    f"entropy budget {budget:.4f} bits not met "
+                    f"(achieved {found.entropy:.4f})"
+                )
+            res = found.result
             extras["entropy_budget"] = budget
-            if budget >= math.log2(k):
-                res = quantizers.ecsq_iterate(
-                    values, curvature, quantizers.EcsqConfig(k=k, lam=0.0)
-                )
-                extras["lambda"] = 0.0
-            else:
-                found = quantizers.solve_lambda(
-                    values, curvature, k=k, target_entropy=budget
-                )
-                if not found.met:
-                    raise InfeasibleError(
-                        f"entropy budget {budget:.4f} bits not met "
-                        f"(achieved {found.entropy:.4f})"
-                    )
-                res = found.result
-                extras["lambda"] = found.lam
+            extras["lambda"] = found.lam
         else:
             lam = float(knob if knob is not None else (cfg["lam"] or 0.0))
             k = _cluster_count(cfg, None, "ecsq with an explicit lam")
@@ -360,134 +350,133 @@ def _resolve_curvature(
         return stored
     if spec is None or dataset is None:
         raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
-    x, y = _hessian_batch(dataset, cfg["hessian_samples"])
+    x, y = dataset.split("hessian")
+    cap = cfg["hessian_samples"]
+    if cap:
+        x, y = x[:cap], y[:cap]
     if source == "exact":
         return refnet.hessian_diag_exact(spec, values_full, x, y)
     return refnet.hessian_diag_gn(spec, values_full, x, y)
 
 
-def _run_quantize_point(cfg: dict, prepared: dict, knob=None) -> dict:
+@dataclass(frozen=True)
+class Inputs:
+    """A loaded model directory and the values its quantizer clusters.
+
+    ``values`` and ``curvature`` hold the unpruned parameters only;
+    ``positions`` maps them back into the full vector and is ``None`` when
+    nothing is pruned.
+    """
+
+    ps_full: params.ParamSet
+    spec: refnet.MlpSpec | None
+    dataset: refnet.Dataset | None
+    values: np.ndarray
+    curvature: params.CurvatureDiag
+    positions: np.ndarray | None
+
+    @property
+    def total_params(self) -> int:
+        return self.ps_full.n
+
+
+@dataclass(frozen=True)
+class Point:
+    """The outcome of one quantize -> code -> (fine-tune) -> evaluate pass.
+
+    ``encoded_preft`` is the model before fine-tuning, ``None`` without it.
+    """
+
+    encoded: coding.EncodedModel
+    encoded_preft: coding.EncodedModel | None
+    report: coding.CompressionReport
+    extras: dict
+
+
+def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None) -> Point:
     """One full quantize -> code -> (fine-tune) -> evaluate pass, in memory."""
-    spec = prepared["spec"]
-    dataset = prepared["dataset"]
-    values_q = prepared["values_q"]
-    curvature_q = prepared["curvature_q"]
-    positions = prepared["positions"]
-    total_params = prepared["total_params"]
     scheme = _check_enum(cfg, "coding", CODINGS)
-
-    assignment, codebook, extras = _quantize_values(values_q, curvature_q, cfg, knob)
+    assignment, codebook, extras = _quantize_values(
+        inputs.values, inputs.curvature, cfg, knob
+    )
     code = _build_code(scheme, codebook)
-    kwargs = {}
-    if prepared["pruned"]:
-        kwargs = {"positions": positions, "total_params": total_params}
-    encoded = coding.encode_assignments(assignment, codebook, code, **kwargs)
 
-    accuracy_pre = None
-    accuracy_post = None
-    encoded_preft = None
-    if spec is not None and dataset is not None:
-        eval_x, eval_y = dataset.split("eval")
-        w_pre = quantizers.scatter_dequantize(
-            total_params, assignment, codebook, positions if prepared["pruned"] else None
+    def encode(codebook):
+        return coding.encode_assignments(
+            assignment, codebook, code, inputs.positions, inputs.total_params
         )
-        accuracy_pre = refnet.eval_accuracy(spec, w_pre, eval_x, eval_y)
 
+    def accuracy(codebook):
+        w = quantizers.scatter_dequantize(
+            inputs.total_params, assignment, codebook, inputs.positions
+        )
+        return refnet.eval_accuracy(inputs.spec, w, *inputs.dataset.split("eval"))
+
+    encoded = encode(codebook)
+    encoded_preft = accuracy_pre = accuracy_post = None
+    if inputs.spec is not None and inputs.dataset is not None:
+        accuracy_pre = accuracy(codebook)
         if cfg["fine_tune"]:
-            encoded_preft = encoded
             tuned, _ = refnet.fine_tune_centers(
-                spec,
-                prepared["ps_full"],
+                inputs.spec,
+                inputs.ps_full,
                 assignment,
                 codebook,
-                dataset,
+                inputs.dataset,
                 refnet.FineTuneConfig(
                     steps=cfg["ft_steps"],
                     batch_size=cfg["ft_batch_size"],
                     lr=cfg["ft_lr"],
                     seed=cfg["seed"],
                 ),
-                positions=positions if prepared["pruned"] else None,
+                positions=inputs.positions,
             )
             codebook = _round_codebook_f32(tuned)
-            encoded = coding.encode_assignments(assignment, codebook, code, **kwargs)
-            w_post = quantizers.scatter_dequantize(
-                total_params,
-                assignment,
-                codebook,
-                positions if prepared["pruned"] else None,
-            )
-            accuracy_post = refnet.eval_accuracy(spec, w_post, eval_x, eval_y)
+            encoded_preft, encoded = encoded, encode(codebook)
+            accuracy_post = accuracy(codebook)
     elif cfg["fine_tune"]:
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
 
     report = coding.build_report(
         encoded, codebook.counts, code, accuracy_pre, accuracy_post
     )
-    return {
-        "assignment": assignment,
-        "codebook": codebook,
-        "code": code,
-        "encoded": encoded,
-        "encoded_preft": encoded_preft,
-        "report": report,
-        "extras": extras,
-    }
+    return Point(encoded, encoded_preft, report, extras)
 
 
-def _prepare_inputs(cfg: dict, need_dataset: bool) -> dict:
-    """Load the model directory and derive the quantizer inputs."""
-    if not 0.0 <= cfg["prune_fraction"] < 1.0:
-        raise ConfigError(
-            f"prune_fraction must be in [0, 1); got {cfg['prune_fraction']}"
-        )
-    model_dir = Path(_require(cfg, "model_dir", "this command"))
-    ps, stored_cv, stored_mask = params.load_model(model_dir)
-    refnet_doc = _read_refnet_doc(model_dir)
+def _spec_and_dataset(
+    cfg: dict, refnet_doc: dict | None
+) -> tuple[refnet.MlpSpec | None, refnet.Dataset | None]:
+    """The model's architecture, if described, and the dataset, if configured."""
     spec = _spec_from_doc(refnet_doc) if refnet_doc else None
-
     dataset = None
-    if cfg.get("dataset") is not None:
+    if cfg["dataset"] is not None:
         dataset = _load_dataset(cfg, refnet_doc)
         if spec is not None and dataset.n_features != spec.layer_widths[0]:
             raise ConfigError("dataset feature width disagrees with the model spec")
-    elif need_dataset:
-        raise ConfigError("this command requires --dataset")
+    return spec, dataset
 
+
+def _masked_values(ps: params.ParamSet, mask: params.PruneMask | None) -> np.ndarray:
+    values = ps.as_f64()
+    return values if mask is None else values * mask.kept
+
+
+def _prepare_inputs(cfg: dict) -> Inputs:
+    """Load the model directory and derive the quantizer inputs."""
     fraction = cfg["prune_fraction"]
-    if fraction:
-        mask = refnet.prune_magnitude(ps, fraction)
-    else:
-        mask = stored_mask
-    pruned = mask is not None
-
-    values_full = ps.as_f64()
-    if pruned:
-        values_full = values_full * mask.kept
-
-    curvature_full = _resolve_curvature(cfg, values_full, stored_cv, spec, dataset)
-
-    if pruned:
-        ps_masked = params.ParamSet(values_full, ps.spans, ps.source_bits)
-        ps_q, cv_q, positions = params.compact_unpruned(ps_masked, curvature_full, mask)
-        values_q = ps_q.as_f64()
-    else:
-        positions = np.arange(ps.n, dtype=np.int64)
-        values_q = values_full
-        cv_q = curvature_full
-
-    return {
-        "model_dir": model_dir,
-        "ps_full": ps,
-        "spec": spec,
-        "dataset": dataset,
-        "values_q": values_q,
-        "curvature_q": cv_q,
-        "positions": positions,
-        "total_params": ps.n,
-        "pruned": pruned,
-        "mask": mask,
-    }
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"prune_fraction must be in [0, 1); got {fraction}")
+    model_dir = Path(_require(cfg, "model_dir", "this command"))
+    ps, stored_cv, stored_mask = params.load_model(model_dir)
+    spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir))
+    mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
+    values = _masked_values(ps, mask)
+    curvature = _resolve_curvature(cfg, values, stored_cv, spec, dataset)
+    if mask is None:
+        return Inputs(ps, spec, dataset, values, curvature, None)
+    masked = params.ParamSet(values, ps.spans, ps.source_bits)
+    kept, kept_cv, positions = params.compact_unpruned(masked, curvature, mask)
+    return Inputs(ps, spec, dataset, kept.as_f64(), kept_cv, positions)
 
 
 def _write_outputs(out_dir: Path, files: dict) -> None:
@@ -500,21 +489,47 @@ def _write_outputs(out_dir: Path, files: dict) -> None:
             path.write_text(content)
 
 
-def _report_doc(cfg: dict, prepared: dict, point: dict) -> dict:
-    report = point["report"].as_dict()
+def _save_model_dir(
+    cfg: dict,
+    model_dir: Path,
+    ps: params.ParamSet,
+    curvature: params.CurvatureDiag | None,
+    mask: params.PruneMask | None,
+    refnet_doc: dict | None,
+) -> Path:
+    """Save to --out-dir (default: in place) under the manifest's model name.
+
+    A different directory also gets a copy of the model's refnet.json.
+    """
+    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
+    model_name = params.read_manifest(model_dir).model_name
+    params.save_model(
+        ps, out_dir, curvature=curvature, mask=mask, model_name=model_name
+    )
+    if refnet_doc is not None and out_dir != model_dir:
+        (out_dir / REFNET_FILE).write_text(_dumps(refnet_doc) + "\n")
+    return out_dir
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _report_doc(cfg: dict, inputs: Inputs, point: Point) -> dict:
+    pruned = inputs.positions is not None
     doc = {
         "quantizer": cfg["quantizer"],
         "coding": cfg["coding"],
         "seed": cfg["seed"],
-        "n_params_total": prepared["total_params"],
-        "pruned": prepared["pruned"],
+        "n_params_total": inputs.total_params,
+        "pruned": pruned,
         "prune_fraction": cfg["prune_fraction"],
     }
-    if prepared["pruned"]:
-        em = point["encoded"]
-        doc["ratio_overall"] = prepared["total_params"] * em.source_bits / em.total_bits
-    doc.update(point["extras"])
-    doc.update(report)
+    if pruned:
+        em = point.encoded
+        doc["ratio_overall"] = inputs.total_params * em.source_bits / em.total_bits
+    doc.update(point.extras)
+    doc.update(point.report.as_dict())
     return doc
 
 
@@ -557,20 +572,8 @@ def cmd_train_ref(args) -> int:
         },
     }
     if cfg["dataset"] == "synth":
-        doc["dataset"] = {
-            key: cfg[key]
-            for key in (
-                "synth_samples",
-                "synth_classes",
-                "synth_features",
-                "synth_noise",
-                "synth_spread",
-                "synth_scale",
-                "synth_seed",
-                "eval_frac",
-            )
-        }
-    (out_dir / REFNET_FILE).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        doc["dataset"] = {key: cfg[key] for key in _SYNTH + ["eval_frac"]}
+    (out_dir / REFNET_FILE).write_text(_dumps(doc) + "\n")
     (out_dir / "config.txt").write_text(_config_text(cfg))
     summary = {
         "n_params": model.params.n,
@@ -578,7 +581,7 @@ def cmd_train_ref(args) -> int:
         "eval_accuracy": model.eval_accuracy,
         "out_dir": str(out_dir),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_dumps(summary))
     return EXIT_OK
 
 
@@ -590,63 +593,24 @@ def cmd_prune(args) -> int:
         raise ConfigError("prune needs 0 < --prune-fraction < 1")
     ps, curvature, _ = params.load_model(model_dir)
     mask = refnet.prune_magnitude(ps, fraction)
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
-    manifest = params.read_manifest(model_dir)
-    params.save_model(
-        ps, out_dir, curvature=curvature, mask=mask, model_name=manifest.model_name
+    out_dir = _save_model_dir(
+        cfg, model_dir, ps, curvature, mask, _read_refnet_doc(model_dir)
     )
-    doc = _read_refnet_doc(model_dir)
-    if doc is not None and out_dir != model_dir:
-        (out_dir / REFNET_FILE).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(
-        json.dumps(
-            {"n_params": ps.n, "n_kept": mask.n_kept, "out_dir": str(out_dir)},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(_dumps({"n_params": ps.n, "n_kept": mask.n_kept, "out_dir": str(out_dir)}))
     return EXIT_OK
 
 
 def cmd_curvature(args) -> int:
     cfg = _resolve_config(args)
     model_dir = Path(_require(cfg, "model_dir", "curvature"))
-    source = _check_enum(cfg, "curvature", CURVATURES)
-    if source == "adam":
+    if _check_enum(cfg, "curvature", CURVATURES) == "adam":
         raise ConfigError("adam curvature is captured by train-ref, not recomputed")
     ps, _, mask = params.load_model(model_dir)
     refnet_doc = _read_refnet_doc(model_dir)
-    if source == "identity":
-        curvature = refnet.identity_curvature(ps.n)
-    else:
-        if refnet_doc is None:
-            raise ConfigError(f"curvature={source} needs {REFNET_FILE} in the model dir")
-        spec = _spec_from_doc(refnet_doc)
-        dataset = _load_dataset(cfg, refnet_doc)
-        x, y = _hessian_batch(dataset, cfg["hessian_samples"])
-        values = ps.as_f64()
-        if mask is not None:
-            values = values * mask.kept
-        if source == "exact":
-            curvature = refnet.hessian_diag_exact(spec, values, x, y)
-        else:
-            curvature = refnet.hessian_diag_gn(spec, values, x, y)
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
-    manifest = params.read_manifest(model_dir)
-    params.save_model(
-        ps, out_dir, curvature=curvature, mask=mask, model_name=manifest.model_name
-    )
-    if refnet_doc is not None and out_dir != model_dir:
-        (out_dir / REFNET_FILE).write_text(
-            json.dumps(refnet_doc, indent=2, sort_keys=True) + "\n"
-        )
-    print(
-        json.dumps(
-            {"source": curvature.source.value, "out_dir": str(out_dir)},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    spec, dataset = _spec_and_dataset(cfg, refnet_doc)
+    curvature = _resolve_curvature(cfg, _masked_values(ps, mask), None, spec, dataset)
+    out_dir = _save_model_dir(cfg, model_dir, ps, curvature, mask, refnet_doc)
+    print(_dumps({"source": curvature.source.value, "out_dir": str(out_dir)}))
     return EXIT_OK
 
 
@@ -658,19 +622,19 @@ def cmd_quantize(args) -> int:
     if cfg["quantizer"] == "ecsq":
         if (cfg["k"] is None) == (cfg["target_ratio"] is None):
             raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
-    prepared = _prepare_inputs(cfg, need_dataset=False)
-    point = _run_quantize_point(cfg, prepared)
+    inputs = _prepare_inputs(cfg)
+    point = _run_quantize_point(cfg, inputs)
 
-    doc = _report_doc(cfg, prepared, point)
+    doc = _report_doc(cfg, inputs, point)
     files = {
-        "model.nq": point["encoded"].data,
-        "report.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        "model.nq": point.encoded.data,
+        "report.json": _dumps(doc) + "\n",
         "config.txt": _config_text(cfg),
     }
-    if point["encoded_preft"] is not None:
-        files["model_preft.nq"] = point["encoded_preft"].data
+    if point.encoded_preft is not None:
+        files["model_preft.nq"] = point.encoded_preft.data
     _write_outputs(out_dir, files)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
     return EXIT_OK
 
 
@@ -694,6 +658,10 @@ def _sweep_points(cfg: dict) -> list[tuple[str, object]]:
     return points
 
 
+def _csv_number(value) -> str:
+    return "" if value is None else f"{value:.10g}"
+
+
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "sweep"))
@@ -701,15 +669,16 @@ def cmd_sweep(args) -> int:
     points = _sweep_points(cfg)
     if not points:
         raise ConfigError("sweep needs at least one point")
-    prepared = _prepare_inputs(cfg, need_dataset=False)
+    inputs = _prepare_inputs(cfg)
 
     buffer = io.StringIO()
     buffer.write(f"# {SWEEP_CSV_VERSION}\n")
-    writer = csv.DictWriter(buffer, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(
+        buffer, fieldnames=SWEEP_COLUMNS, restval="", lineterminator="\n"
+    )
     writer.writeheader()
     for index, (quantizer, knob) in enumerate(points):
-        point_cfg = dict(cfg)
-        point_cfg["quantizer"] = quantizer
+        point_cfg = dict(cfg, quantizer=quantizer)
         if quantizer == "ecsq":
             point_cfg["target_ratio"] = None
             if point_cfg["k"] is None:
@@ -718,38 +687,22 @@ def cmd_sweep(args) -> int:
             "index": index,
             "quantizer": quantizer,
             "coding": cfg["coding"],
-            "knob": f"{knob:.10g}",
+            "knob": _csv_number(knob),
             "seed": cfg["seed"],
-            "status": "ok",
         }
         try:
-            point = _run_quantize_point(point_cfg, prepared, knob=knob)
-            report = point["report"]
+            report = _run_quantize_point(point_cfg, inputs, knob=knob).report
+        except (NetQuantError, ValueError) as exc:
+            row["status"] = f"error:{type(exc).__name__}"
+        else:
             row.update(
                 k_effective=report.k_effective,
-                entropy_bits=f"{report.entropy_bits:.10g}",
-                avg_codeword_bits=f"{report.avg_codeword_bits:.10g}",
-                ratio_exact=f"{report.ratio_exact:.10g}",
-                accuracy_pre_ft=(
-                    ""
-                    if report.accuracy_pre_finetune is None
-                    else f"{report.accuracy_pre_finetune:.10g}"
-                ),
-                accuracy_post_ft=(
-                    ""
-                    if report.accuracy_post_finetune is None
-                    else f"{report.accuracy_post_finetune:.10g}"
-                ),
-            )
-        except (NetQuantError, ValueError) as exc:
-            row.update(
-                k_effective="",
-                entropy_bits="",
-                avg_codeword_bits="",
-                ratio_exact="",
-                accuracy_pre_ft="",
-                accuracy_post_ft="",
-                status=f"error:{type(exc).__name__}",
+                entropy_bits=_csv_number(report.entropy_bits),
+                avg_codeword_bits=_csv_number(report.avg_codeword_bits),
+                ratio_exact=_csv_number(report.ratio_exact),
+                accuracy_pre_ft=_csv_number(report.accuracy_pre_finetune),
+                accuracy_post_ft=_csv_number(report.accuracy_post_finetune),
+                status="ok",
             )
         writer.writerow(row)
 
@@ -763,16 +716,15 @@ def cmd_report(args) -> int:
     nq_path = Path(_require(cfg, "model_nq", "report"))
     if not nq_path.is_file():
         raise FormatError(f"no encoded model at {nq_path}")
-    decoded = coding.decode_assignments(nq_path.read_bytes())
+    data = nq_path.read_bytes()
+    decoded = coding.decode_assignments(data)
 
     accuracy = None
-    if cfg.get("dataset") is not None and cfg.get("model_dir") is not None:
-        model_dir = Path(cfg["model_dir"])
-        refnet_doc = _read_refnet_doc(model_dir)
+    if cfg["dataset"] is not None and cfg["model_dir"] is not None:
+        refnet_doc = _read_refnet_doc(Path(cfg["model_dir"]))
         if refnet_doc is None:
             raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
-        spec = _spec_from_doc(refnet_doc)
-        dataset = _load_dataset(cfg, refnet_doc)
+        spec, dataset = _spec_and_dataset(cfg, refnet_doc)
         w = quantizers.scatter_dequantize(
             decoded.total_params,
             decoded.assignment,
@@ -783,7 +735,7 @@ def cmd_report(args) -> int:
         accuracy = refnet.eval_accuracy(spec, w, eval_x, eval_y)
 
     em = coding.EncodedModel(
-        data=nq_path.read_bytes(),
+        data=data,
         scheme=decoded.code.scheme,
         k=decoded.codebook.k,
         n_params=int(decoded.assignment.size),
@@ -798,7 +750,7 @@ def cmd_report(args) -> int:
     doc["n_params_total"] = decoded.total_params
     if decoded.positions is not None:
         doc["ratio_overall"] = decoded.total_params * em.source_bits / em.total_bits
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _dumps(doc)
     print(text)
     if cfg["out"]:
         Path(cfg["out"]).write_text(text + "\n")

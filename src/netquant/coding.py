@@ -88,11 +88,16 @@ def _canonical_codewords(lengths) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class PrefixCode:
-    """A prefix-free binary code, one codeword per cluster."""
+    """A canonical prefix code, one codeword per cluster.
+
+    The codewords follow from the lengths (see :func:`_canonical_codewords`),
+    which also rejects lengths that violate the Kraft inequality; canonical
+    codewords of Kraft-valid lengths are prefix-free by construction.
+    """
 
     lengths: tuple[int, ...]
-    codewords: tuple[str, ...] = field(default=())
     scheme: str = "huffman"
+    codewords: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -101,22 +106,11 @@ class PrefixCode:
         if not lengths:
             raise ValueError("empty code")
         object.__setattr__(self, "lengths", lengths)
-        if not self.codewords:
-            object.__setattr__(self, "codewords", _canonical_codewords(lengths))
-        else:
-            object.__setattr__(self, "codewords", tuple(self.codewords))
-            if tuple(len(c) for c in self.codewords) != lengths:
-                raise ValueError("codeword lengths disagree with the length table")
+        object.__setattr__(self, "codewords", _canonical_codewords(lengths))
         if self.scheme == "fixed":
             width = max(1, math.ceil(math.log2(len(lengths)))) if len(lengths) > 1 else 1
             if any(l != width for l in lengths):
                 raise ValueError("fixed scheme requires equal ceil(log2 k) lengths")
-        if self.kraft_sum() > 1.0 + 1e-12:
-            raise ValueError("Kraft inequality violated")
-        for i, a in enumerate(self.codewords):
-            for j, b in enumerate(self.codewords):
-                if i != j and b.startswith(a):
-                    raise ValueError("code is not prefix free")
 
     @property
     def k(self) -> int:
@@ -375,6 +369,8 @@ def _decode_symbols(reader: _BitReader, code: PrefixCode, n: int) -> np.ndarray:
     bits = reader.bits
     pos = reader.pos
     end = bits.size
+    if n * min(code.lengths) > end - pos:
+        raise FormatError(f"{n} codewords cannot fit in the {end - pos} bits left")
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
         value = 0
@@ -592,7 +588,9 @@ def decode_assignments(encoded) -> DecodedModel:
     """Exact inverse of :func:`encode_assignments`.
 
     Accepts an :class:`EncodedModel` or raw bytes. Raises
-    :class:`FormatError` on truncation, bad magic, or a corrupt code table.
+    :class:`FormatError` on truncation, bad magic, a corrupt code table, or
+    counts and positions that the model they describe cannot have, so a
+    decoded model always dequantizes.
     """
     data = encoded.data if isinstance(encoded, EncodedModel) else bytes(encoded)
     reader = _BitReader(data)
@@ -610,9 +608,14 @@ def decode_assignments(encoded) -> DecodedModel:
         raise FormatError("header declares zero clusters")
     n = reader.read_uint(32)
     total_params = reader.read_uint(32)
+    if not has_index and n != total_params:
+        raise FormatError(f"{n} parameters encoded of {total_params} without an index")
     header_bits = reader.pos
 
-    centers = np.frombuffer(reader.read_bytes(4 * k), dtype="<f4").astype(np.float64)
+    centers = np.frombuffer(reader.read_bytes(4 * k), dtype="<f4")
+    if not np.all(np.isfinite(centers)):
+        raise FormatError("non-finite cluster center")
+    centers = centers.astype(np.float64)
     center_end = reader.pos
     lengths = tuple(reader.read_uint(8) for _ in range(k))
     if any(l < 1 for l in lengths):
@@ -639,6 +642,8 @@ def decode_assignments(encoded) -> DecodedModel:
         n_symbols = reader.read_uint(32)
         if n_positions != n:
             raise FormatError("index section length disagrees with the payload")
+        if 40 * n_symbols > reader.bits.size - reader.pos:
+            raise FormatError(f"{n_symbols} gap symbols cannot fit in the stream")
         symbols = np.array(
             [reader.read_uint(32) for _ in range(n_symbols)], dtype=np.int64
         )
@@ -648,7 +653,11 @@ def decode_assignments(encoded) -> DecodedModel:
         except ValueError as exc:
             raise FormatError(f"invalid index code table: {exc}") from exc
         gaps = symbols[_decode_symbols(reader, sym_code, n_positions)]
+        if np.any(gaps[1:] <= 0):
+            raise FormatError("index gaps after the first must be positive")
         positions = np.cumsum(gaps)
+        if positions.size and positions[-1] >= total_params:
+            raise FormatError(f"position {positions[-1]} is past {total_params} params")
         index_bits = reader.pos - payload_end
 
     if reader.bits.size - reader.pos >= 8:

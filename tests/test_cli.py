@@ -38,6 +38,15 @@ class TestTrainRef:
         doc = json.loads((model_dir / "refnet.json").read_text())
         assert doc["layer_widths"] == [6, 16, 3]
 
+    def test_default_hidden_width(self, tmp_path):
+        out = tmp_path / "m"
+        i = TRAIN_ARGS.index("--hidden")
+        args = TRAIN_ARGS[:i] + TRAIN_ARGS[i + 2 :]
+        assert run(["train-ref", "--out-dir", out, *args, "--steps", "5"]) == 0
+        doc = json.loads((out / "refnet.json").read_text())
+        assert doc["layer_widths"] == [6, 32, 3]
+        assert load_model(out)[0].n == 6 * 32 + 32 + 32 * 3 + 3
+
 
 class TestQuantize:
     def test_fixed_k8_avg_bits_exactly_three(self, model_dir, tmp_path):
@@ -91,6 +100,8 @@ class TestQuantize:
             ["--quantizer", "ecsq", "--k", "0", "--lam", "0.1"],
             ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "1.5"],
             ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "-0.1"],
+            ["--quantizer", "ecsq", "--target-ratio", "0"],
+            ["--quantizer", "ecsq", "--target-ratio", "-4"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -281,6 +292,35 @@ class TestCurvatureCommand:
         ]) == 0
         _, cv, _ = load_model(out)
         assert cv.source.value == "gauss_newton"
+
+    def test_pruned_dir_matches_quantize_curvature(self, model_dir, tmp_path):
+        pruned, out = tmp_path / "pruned", tmp_path / "gn"
+        assert run([
+            "prune", "--model-dir", model_dir, "--out-dir", pruned,
+            "--prune-fraction", "0.5",
+        ]) == 0
+        assert run([
+            "curvature", "--model-dir", pruned, "--out-dir", out,
+            "--curvature", "gauss-newton", "--dataset", "synth",
+        ]) == 0
+        ps, cv, mask = load_model(out)
+        _, _, pruned_mask = load_model(pruned)
+        assert np.array_equal(mask.kept, pruned_mask.kept)
+        refnet_json = (model_dir / "refnet.json").read_bytes()
+        assert (out / "refnet.json").read_bytes() == refnet_json
+
+        args = cli._build_parser().parse_args([
+            "quantize", "--model-dir", str(pruned), "--out-dir", str(tmp_path / "q"),
+            "--curvature", "gauss-newton", "--dataset", "synth",
+        ])
+        cfg = cli._resolve_config(args)
+        inputs = cli._prepare_inputs(cfg)
+        full = cli._resolve_curvature(
+            cfg, cli._masked_values(ps, mask), None, inputs.spec, inputs.dataset
+        )
+        assert cv.source == full.source
+        assert np.array_equal(cv.values, full.values)
+        assert np.array_equal(cv.values[inputs.positions], inputs.curvature.values)
 
     def test_adam_recompute_rejected(self, model_dir, tmp_path):
         assert run([

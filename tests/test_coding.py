@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netquant import (
     Codebook,
@@ -18,6 +20,7 @@ from netquant import (
     entropy_bits,
     fixed_length_code,
     index_diff_code,
+    scatter_dequantize,
 )
 from netquant.coding import build_report, huffman_lengths
 
@@ -263,6 +266,55 @@ class TestEncodeDecode:
         cb = Codebook([0.0, 1.0], [2, 2])
         with pytest.raises(ValueError):
             encode_assignments([0, 0, 0, 1], cb, fixed_length_code(2))
+
+
+@st.composite
+def small_encoded_models(draw):
+    """The bytes of a random model with n <= 200 and k <= 8, pruned or not."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assignment = rng.permutation(
+        np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    )
+    cb = Codebook(
+        rng.normal(size=k).astype(np.float32).astype(np.float64),
+        np.bincount(assignment, minlength=k),
+    )
+    code = fixed_length_code(k) if draw(st.booleans()) else build_huffman(cb)
+    if not draw(st.booleans()):
+        return encode_assignments(assignment, cb, code).data
+    total = n + draw(st.integers(0, 3 * n))
+    positions = np.sort(rng.choice(total, size=n, replace=False))
+    return encode_assignments(
+        assignment, cb, code, positions=positions, total_params=total
+    ).data
+
+
+class TestCorruptStreams:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(small_encoded_models(), st.data())
+    def test_flipped_bit_or_truncation(self, data, draws):
+        """A damaged stream decodes to a usable model or raises FormatError."""
+        if draws.draw(st.booleans(), label="flip"):
+            bit = draws.draw(st.integers(0, 8 * len(data) - 1), label="bit")
+            damaged = bytearray(data)
+            damaged[bit // 8] ^= 0x80 >> (bit % 8)
+        else:
+            damaged = data[: draws.draw(st.integers(0, len(data) - 1), label="cut")]
+        try:
+            dec = decode_assignments(bytes(damaged))
+        except FormatError:
+            return
+        if dec.total_params <= 1 << 20:
+            scatter_dequantize(dec.total_params, dec.assignment, dec.codebook, dec.positions)
+        else:
+            # A flip high in the header's total count declares a valid but
+            # huge pruned model; dequantizing it would allocate gigabytes, so
+            # check the bounds scatter_dequantize relies on instead.
+            assert dec.positions is not None
+            assert dec.positions.size == dec.assignment.size
+            assert dec.positions[-1] < dec.total_params
 
 
 class TestAccountingIdentity:
