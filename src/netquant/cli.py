@@ -339,6 +339,9 @@ def _resolve_curvature(
 ) -> params.CurvatureDiag:
     """Curvature for the full (pre-compaction) parameter vector."""
     source = _check_enum(cfg, "curvature", CURVATURES)
+    cap = cfg["hessian_samples"]
+    if cap < 0:
+        raise ConfigError(f"hessian_samples must be at least 0, got {cap}")
     if source == "identity":
         return refnet.identity_curvature(values_full.size)
     if source == "adam":
@@ -351,7 +354,6 @@ def _resolve_curvature(
     if spec is None or dataset is None:
         raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
     x, y = dataset.split("hessian")
-    cap = cfg["hessian_samples"]
     if cap:
         x, y = x[:cap], y[:cap]
     if source == "exact":
@@ -725,6 +727,11 @@ def cmd_report(args) -> int:
         if refnet_doc is None:
             raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
         spec, dataset = _spec_and_dataset(cfg, refnet_doc)
+        if decoded.total_params != spec.param_count():
+            raise ConfigError(
+                f"{nq_path} encodes {decoded.total_params} parameters, "
+                f"the net in {cfg['model_dir']} has {spec.param_count()}"
+            )
         w = quantizers.scatter_dequantize(
             decoded.total_params,
             decoded.assignment,

@@ -36,7 +36,9 @@ padded to a byte boundary only at the very end):
 
 Codes are canonical (codewords ordered by length, then cluster index), so a
 decoder rebuilds them from the length table alone; the stored codewords are
-verified against the canonical reconstruction on decode.
+verified against the canonical reconstruction on decode. Codeword lengths
+are 1..62 bits, so a left-aligned codeword fits an int64; the encoder
+refuses longer codes and the decoder rejects such a table as corrupt.
 """
 
 from __future__ import annotations
@@ -314,33 +316,37 @@ def compression_ratio_entropy(
 # ---------------------------------------------------------------------------
 
 
-def _uint_bits(value: int, nbits: int) -> np.ndarray:
-    if value < 0 or value >> nbits:
-        raise ValueError(f"{value} does not fit in {nbits} bits")
-    return np.array(
-        [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)], dtype=np.uint8
-    )
+def _pack(values, widths) -> np.ndarray:
+    """The low ``widths[i]`` bits of each ``values[i]``, most significant first.
+
+    Returns one uint8 per bit; a scalar width applies to every value.
+    Raises ValueError for a value that does not fit its width.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    if np.any(values < 0) or np.any(values >> widths):
+        raise ValueError("value does not fit in its bit width")
+    shift = np.repeat(np.cumsum(widths) - 1, widths)
+    shift -= np.arange(shift.size)
+    bits = np.repeat(values, widths)
+    bits >>= shift
+    del shift
+    bits &= 1
+    return bits.astype(np.uint8)
 
 
-def _bytes_bits(data: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
-def _codeword_payload_bits(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate one codeword per symbol occurrence, vectorized."""
-    if codes.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    total = int(lengths.sum())
-    owner = np.repeat(np.arange(codes.size), lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    within = np.arange(total) - np.repeat(offsets, lengths)
-    shift = lengths[owner] - 1 - within
-    return ((codes[owner] >> shift) & 1).astype(np.uint8)
+def _code_values(code: PrefixCode) -> np.ndarray:
+    """The codewords of ``code`` as integers, one per cluster."""
+    if max(code.lengths) > 62:
+        raise ValueError("codeword longer than 62 bits is not supported")
+    return np.array([int(c, 2) for c in code.codewords], dtype=np.int64)
 
 
 class _BitReader:
+    """Reads fields and codewords off a byte string, most significant bit first."""
+
     def __init__(self, data: bytes):
-        self.bits = _bytes_bits(data)
+        self.bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         self.pos = 0
 
     def take(self, n: int) -> np.ndarray:
@@ -350,46 +356,69 @@ class _BitReader:
         self.pos += n
         return out
 
-    def read_uint(self, n: int) -> int:
-        bits = self.take(n)
-        value = 0
-        for b in bits:
-            value = (value << 1) | int(b)
-        return value
+    def uints(self, count: int, width: int) -> np.ndarray:
+        """``count`` unsigned ``width``-bit fields as int64."""
+        fields = self.take(count * width).reshape(count, width)
+        return fields @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
 
-    def read_bytes(self, n: int) -> bytes:
-        return np.packbits(self.take(8 * n)).tobytes()
+    def uint(self, width: int) -> int:
+        return int(self.uints(1, width)[0])
+
+    def symbols(self, code: PrefixCode, n: int) -> np.ndarray:
+        """Decode ``n`` codewords of the canonical ``code`` into cluster indices.
+
+        Left-aligned to ``top`` (the longest length) bits, canonical
+        codewords fill ``[0, ends[-1])`` back to back in rank order, so the
+        ``top``-bit window at a bit position names its codeword by a sorted
+        search over the cumulative ``ends``; rank ``k`` means no codeword.
+        Windows are computed for every position at once, and only the hop
+        from one codeword to the next runs once per symbol.
+        """
+        lengths = np.asarray(code.lengths, dtype=np.int64)
+        left = self.bits.size - self.pos
+        if n * int(lengths.min()) > left:
+            raise FormatError(f"{n} codewords cannot fit in the {left} bits left")
+        top = int(lengths.max())
+        order = np.argsort(lengths, kind="stable")
+        ends = np.cumsum(1 << (top - lengths[order]))
+        span = min(left, n * top)
+        window = np.zeros(span, dtype=np.int64)
+        for j in range(top):
+            window <<= 1
+            tail = self.bits[self.pos + j : self.pos + j + span]
+            window[: tail.size] |= tail
+        rank = np.searchsorted(ends, window, side="right")
+        del window
+        hop = np.append(lengths[order], 0).astype(np.uint8)[rank]
+        starts = np.empty(n, dtype=np.int64)
+        out, hops = memoryview(starts), memoryview(hop)
+        p = 0
+        try:
+            for i in range(n):
+                step = hops[p]
+                if not step:
+                    raise FormatError("invalid codeword in bitstream")
+                out[i] = p
+                p += step
+        except IndexError:
+            raise FormatError("bitstream truncated inside a codeword") from None
+        if p > left:
+            raise FormatError("bitstream truncated inside a codeword")
+        self.pos += p
+        return order[rank[starts]]
 
 
-def _decode_symbols(reader: _BitReader, code: PrefixCode, n: int) -> np.ndarray:
-    table = {
-        (len(cw), int(cw, 2)): idx for idx, cw in enumerate(code.codewords)
-    }
-    max_len = max(code.lengths)
-    bits = reader.bits
-    pos = reader.pos
-    end = bits.size
-    if n * min(code.lengths) > end - pos:
-        raise FormatError(f"{n} codewords cannot fit in the {end - pos} bits left")
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        value = 0
-        length = 0
-        sym = None
-        while length < max_len:
-            if pos >= end:
-                raise FormatError("bitstream truncated inside a codeword")
-            value = (value << 1) | int(bits[pos])
-            pos += 1
-            length += 1
-            sym = table.get((length, value))
-            if sym is not None:
-                break
-        if sym is None:
-            raise FormatError("invalid codeword in bitstream")
-        out[i] = sym
-    reader.pos = pos
-    return out
+def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> PrefixCode:
+    """Read a table of ``count`` one-byte codeword lengths into a code."""
+    lengths = reader.uints(count, 8)
+    if not count:
+        raise FormatError(f"empty {what} table")
+    if lengths.min() < 1 or lengths.max() > 62:
+        raise FormatError(f"{what} table has a codeword length outside 1..62")
+    try:
+        return PrefixCode(tuple(lengths.tolist()), scheme=scheme)
+    except ValueError as exc:
+        raise FormatError(f"invalid {what} table: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +456,6 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
     payload_bits = int(np.asarray(code.lengths)[sym_idx].sum())
     total_bits = 64 + symbols.size * 40 + payload_bits
     return IndexDiffCode(diffs, symbols, code, total_bits)
-
-
-def _index_section_bits(idx: IndexDiffCode) -> np.ndarray:
-    parts = [
-        _uint_bits(int(idx.diffs.size), 32),
-        _uint_bits(int(idx.symbols.size), 32),
-    ]
-    for s in idx.symbols:
-        parts.append(_uint_bits(int(s), 32))
-    for l in idx.code.lengths:
-        parts.append(_uint_bits(int(l), 8))
-    codes = np.array([int(c, 2) for c in idx.code.codewords], dtype=np.int64)
-    lengths = np.array(idx.code.lengths, dtype=np.int64)
-    _, sym_idx = np.unique(idx.diffs, return_inverse=True)
-    parts.append(_codeword_payload_bits(codes[sym_idx], lengths[sym_idx]))
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -527,52 +540,35 @@ def encode_assignments(
         idx = None
         total_params = a.size if total_params is None else total_params
 
-    header = [
-        _bytes_bits(MAGIC),
-        _uint_bits(_SCHEMES[code.scheme], 8),
-        _uint_bits(1 if idx is not None else 0, 8),
-        _uint_bits(source_bits, 8),
-        _uint_bits(k, 32),
-        _uint_bits(a.size, 32),
-        _uint_bits(int(total_params), 32),
-    ]
-    header_bits = int(sum(part.size for part in header))
-
-    centers32 = codebook.centers.astype("<f4")
-    center_bits = _bytes_bits(centers32.tobytes())
-
-    length_bits_parts = [_uint_bits(int(l), 8) for l in code.lengths]
-    length_bits = (
-        np.concatenate(length_bits_parts) if length_bits_parts else np.zeros(0, np.uint8)
-    )
-
-    if max(code.lengths) > 62:
-        raise ValueError("codeword longer than 62 bits is not supported")
-    codes_int = np.array([int(c, 2) for c in code.codewords], dtype=np.int64)
-    lengths_arr = np.array(code.lengths, dtype=np.int64)
-    table_bits = _codeword_payload_bits(codes_int, lengths_arr)
-    payload_bits = _codeword_payload_bits(codes_int[a], lengths_arr[a])
-
-    sections = header + [center_bits, length_bits, table_bits, payload_bits]
-    index_bits_count = 0
-    if idx is not None:
-        section = _index_section_bits(idx)
-        index_bits_count = int(section.size)
-        sections.append(section)
-
-    all_bits = np.concatenate(sections)
-    data = np.packbits(all_bits).tobytes()
-    padding = 8 * len(data) - int(all_bits.size)
-
-    breakdown = {
-        "header": header_bits,
-        "length_table": int(length_bits.size),
-        "centers": int(center_bits.size),
-        "codeword_table": int(table_bits.size),
-        "payload": int(payload_bits.size),
-        "index_section": index_bits_count,
-        "padding": padding,
+    codes, lengths = _code_values(code), np.asarray(code.lengths, dtype=np.int64)
+    sections = {
+        "header": (
+            [int.from_bytes(MAGIC, "big"), _SCHEMES[code.scheme], idx is not None,
+             source_bits, k, a.size, total_params],
+            [32, 8, 8, 8, 32, 32, 32],
+        ),  # fmt: skip
+        # each float32 center is its four little-endian bytes as one field
+        "centers": (codebook.centers.astype("<f4").view(">u4"), 32),
+        "length_table": (lengths, 8),
+        "codeword_table": (codes, lengths),
+        "payload": (codes[a], lengths[a]),
+        "index_section": ((), ()),
     }
+    if idx is not None:
+        gap_codes = _code_values(idx.code)
+        gap_lengths = np.asarray(idx.code.lengths, dtype=np.int64)
+        gaps = np.searchsorted(idx.symbols, idx.diffs)
+        m = idx.symbols.size
+        sections["index_section"] = (
+            np.concatenate([[idx.diffs.size, m], idx.symbols, gap_lengths, gap_codes[gaps]]),
+            np.concatenate([[32, 32], np.full(m, 32), np.full(m, 8), gap_lengths[gaps]]),
+        )
+
+    packed = {name: _pack(*section) for name, section in sections.items()}
+    bits = np.concatenate(list(packed.values()))
+    data = np.packbits(bits).tobytes()
+    breakdown = {name: int(part.size) for name, part in packed.items()}
+    breakdown["padding"] = 8 * len(data) - int(bits.size)
     return EncodedModel(
         data=data,
         scheme=code.scheme,
@@ -594,65 +590,48 @@ def decode_assignments(encoded) -> DecodedModel:
     """
     data = encoded.data if isinstance(encoded, EncodedModel) else bytes(encoded)
     reader = _BitReader(data)
-    if reader.read_bytes(4) != MAGIC:
+    if reader.uint(32) != int.from_bytes(MAGIC, "big"):
         raise FormatError("bad magic; not an encoded model")
-    scheme_id = reader.read_uint(8)
+    scheme_id = reader.uint(8)
     if scheme_id not in _SCHEME_NAMES:
         raise FormatError(f"unknown coding scheme id {scheme_id}")
-    has_index = reader.read_uint(8)
-    source_bits = reader.read_uint(8)
+    has_index = reader.uint(8)
+    source_bits = reader.uint(8)
     if source_bits != 32:
         raise FormatError(f"unsupported center precision {source_bits}")
-    k = reader.read_uint(32)
+    k = reader.uint(32)
     if k == 0:
         raise FormatError("header declares zero clusters")
-    n = reader.read_uint(32)
-    total_params = reader.read_uint(32)
+    n = reader.uint(32)
+    total_params = reader.uint(32)
     if not has_index and n != total_params:
         raise FormatError(f"{n} parameters encoded of {total_params} without an index")
     header_bits = reader.pos
 
-    centers = np.frombuffer(reader.read_bytes(4 * k), dtype="<f4")
+    centers = reader.uints(k, 32).astype(">u4").view("<f4")
     if not np.all(np.isfinite(centers)):
         raise FormatError("non-finite cluster center")
     centers = centers.astype(np.float64)
     center_end = reader.pos
-    lengths = tuple(reader.read_uint(8) for _ in range(k))
-    if any(l < 1 for l in lengths):
-        raise FormatError("zero-length codeword in table")
+    code = _read_code(reader, k, _SCHEME_NAMES[scheme_id], "code")
     length_end = reader.pos
-
-    try:
-        code = PrefixCode(lengths, scheme=_SCHEME_NAMES[scheme_id])
-    except ValueError as exc:
-        raise FormatError(f"invalid code table: {exc}") from exc
-    for cw in code.codewords:
-        stored = reader.take(len(cw))
-        if any(int(b) != int(c) for b, c in zip(stored, cw)):
-            raise FormatError("stored codeword disagrees with canonical code")
+    if not np.array_equal(reader.take(sum(code.lengths)), _pack(_code_values(code), code.lengths)):
+        raise FormatError("stored codeword disagrees with canonical code")
     table_end = reader.pos
 
-    assignment = _decode_symbols(reader, code, n)
+    assignment = reader.symbols(code, n)
     payload_end = reader.pos
 
     positions = None
     index_bits = 0
     if has_index:
-        n_positions = reader.read_uint(32)
-        n_symbols = reader.read_uint(32)
+        n_positions = reader.uint(32)
+        n_symbols = reader.uint(32)
         if n_positions != n:
             raise FormatError("index section length disagrees with the payload")
-        if 40 * n_symbols > reader.bits.size - reader.pos:
-            raise FormatError(f"{n_symbols} gap symbols cannot fit in the stream")
-        symbols = np.array(
-            [reader.read_uint(32) for _ in range(n_symbols)], dtype=np.int64
-        )
-        sym_lengths = tuple(reader.read_uint(8) for _ in range(n_symbols))
-        try:
-            sym_code = PrefixCode(sym_lengths, scheme="huffman")
-        except ValueError as exc:
-            raise FormatError(f"invalid index code table: {exc}") from exc
-        gaps = symbols[_decode_symbols(reader, sym_code, n_positions)]
+        symbols = reader.uints(n_symbols, 32)
+        sym_code = _read_code(reader, n_symbols, "huffman", "index code")
+        gaps = symbols[reader.symbols(sym_code, n_positions)]
         if np.any(gaps[1:] <= 0):
             raise FormatError("index gaps after the first must be positive")
         positions = np.cumsum(gaps)

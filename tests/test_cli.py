@@ -102,6 +102,8 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "-0.1"],
             ["--quantizer", "ecsq", "--target-ratio", "0"],
             ["--quantizer", "ecsq", "--target-ratio", "-4"],
+            ["--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton",
+             "--dataset", "synth", "--hessian-samples", "-5"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -246,6 +248,23 @@ class TestReport:
         doc = json.loads(rpt.read_text())
         report = json.loads((out / "report.json").read_text())
         assert doc["accuracy"] == pytest.approx(report["accuracy_pre_finetune"])
+
+    def test_model_dir_of_another_size_is_config_error(self, model_dir, tmp_path):
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "4",
+        ]) == 0
+        other = tmp_path / "other"
+        i = TRAIN_ARGS.index("--hidden")
+        args = TRAIN_ARGS[:i] + ["--hidden", "8"] + TRAIN_ARGS[i + 2 :]
+        assert run(["train-ref", "--out-dir", other, *args, "--steps", "5"]) == 0
+        rpt = tmp_path / "r.json"
+        assert run([
+            "report", "--model-nq", out / "model.nq",
+            "--model-dir", other, "--dataset", "synth", "--out", rpt,
+        ]) == cli.EXIT_CONFIG
+        assert not rpt.exists()
 
     def test_undecodable_file_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.nq"

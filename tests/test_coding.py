@@ -249,6 +249,22 @@ class TestEncodeDecode:
         with pytest.raises(FormatError):
             decode_assignments(em.data[:-1])
 
+    def test_every_truncation_rejected(self):
+        """A cut always loses real bits, even inside the last codeword."""
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            assignment, cb = random_instance(rng, n_max=200)
+            n = assignment.size
+            positions = np.sort(rng.choice(2 * n, size=n, replace=False))
+            code = build_huffman(cb)
+            for em in (
+                encode_assignments(assignment, cb, code),
+                encode_assignments(assignment, cb, code, positions=positions, total_params=2 * n),
+            ):
+                for cut in range(len(em.data)):
+                    with pytest.raises(FormatError):
+                        decode_assignments(em.data[:cut])
+
     def test_bad_magic_rejected(self):
         with pytest.raises(FormatError):
             decode_assignments(b"XXXX" + b"\x00" * 40)
@@ -261,6 +277,39 @@ class TestEncodeDecode:
         data[7:11] = (0).to_bytes(4, "big")  # k field
         with pytest.raises(FormatError):
             decode_assignments(bytes(data))
+
+    @pytest.mark.parametrize("length", [0, 63, 200, 255])
+    def test_length_outside_1_to_62_rejected(self, length):
+        assignment = np.repeat([0, 1], [300, 100])
+        cb = Codebook([0.0, 1.0], [300, 100])
+        em = encode_assignments(assignment, cb, build_huffman(cb))
+        data = bytearray(em.data)
+        data[19 + 8] = length  # first length byte: 152 header bits, two centers
+        with pytest.raises(FormatError):
+            decode_assignments(bytes(data))
+
+    def test_roundtrip_long_codewords(self):
+        """Fibonacci counts give Huffman codewords up to k - 1 bits long."""
+        fib = [1, 1]
+        while len(fib) < 22:
+            fib.append(fib[-1] + fib[-2])
+        rng = np.random.default_rng(16)
+        assignment = rng.permutation(np.repeat(np.arange(22), fib))
+        cb = Codebook(np.arange(22.0), np.array(fib))
+        code = build_huffman(cb)
+        assert max(code.lengths) == 21
+        n = assignment.size
+        positions = np.sort(rng.choice(3 * n, size=n, replace=False))
+        for em in (
+            encode_assignments(assignment, cb, code),
+            encode_assignments(assignment, cb, code, positions=positions, total_params=3 * n),
+        ):
+            dec = decode_assignments(em.data)
+            assert np.array_equal(dec.assignment, assignment)
+            assert dec.code.lengths == code.lengths
+            assert sum(em.breakdown.values()) == 8 * len(em.data)
+            assert dec.breakdown == em.breakdown
+        assert np.array_equal(dec.positions, positions)
 
     def test_counts_must_match_assignment(self):
         cb = Codebook([0.0, 1.0], [2, 2])
