@@ -174,6 +174,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 cfg[key] = parse(flag_value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"flag --{key.replace('_', '-')}: {exc}") from exc
+    for key in ("batch_size", "ft_batch_size"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1; got {cfg[key]}")
     return cfg
 
 
@@ -210,16 +213,19 @@ def _check_enum(cfg: dict, key: str, allowed: tuple) -> str:
 
 
 def _synth_dataset(cfg: dict) -> refnet.Dataset:
-    return refnet.make_blobs(
-        n_samples=cfg["synth_samples"],
-        n_classes=cfg["synth_classes"],
-        n_features=cfg["synth_features"],
-        seed=cfg["synth_seed"],
-        center_spread=cfg["synth_spread"],
-        noise=cfg["synth_noise"],
-        input_scale=cfg["synth_scale"],
-        eval_frac=cfg["eval_frac"],
-    )
+    try:
+        return refnet.make_blobs(
+            n_samples=cfg["synth_samples"],
+            n_classes=cfg["synth_classes"],
+            n_features=cfg["synth_features"],
+            seed=cfg["synth_seed"],
+            center_spread=cfg["synth_spread"],
+            noise=cfg["synth_noise"],
+            input_scale=cfg["synth_scale"],
+            eval_frac=cfg["eval_frac"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"synthetic dataset: {exc}") from exc
 
 
 def _load_dataset(cfg: dict, refnet_doc: dict | None) -> refnet.Dataset:
@@ -313,6 +319,8 @@ def _quantize_values(values, curvature, cfg: dict, knob=None):
             extras["lambda"] = found.lam
         else:
             lam = float(knob if knob is not None else (cfg["lam"] or 0.0))
+            if not 0 <= lam < math.inf:
+                raise ConfigError(f"lam must be nonnegative and finite; got {lam}")
             k = _cluster_count(cfg, None, "ecsq with an explicit lam")
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(
@@ -547,7 +555,10 @@ def cmd_train_ref(args) -> int:
     _check_enum(cfg, "activation", refnet.ACTIVATIONS)
     _check_enum(cfg, "loss", refnet.LOSSES)
     widths = (dataset.n_features, *cfg["hidden"], dataset.n_classes)
-    spec = refnet.MlpSpec(widths, cfg["activation"], cfg["loss"])
+    try:
+        spec = refnet.MlpSpec(widths, cfg["activation"], cfg["loss"])
+    except ValueError as exc:
+        raise ConfigError(f"layer widths {list(widths)}: {exc}") from exc
     model = refnet.train_adam(
         spec,
         dataset,

@@ -57,6 +57,8 @@ from .quantizers import Codebook
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEMES.items()}
+# Bit positions whose codeword windows are decoded at once (16 B each).
+_DECODE_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,8 @@ class _BitReader:
         codewords fill ``[0, ends[-1])`` back to back in rank order, so the
         ``top``-bit window at a bit position names its codeword by a sorted
         search over the cumulative ``ends``; rank ``k`` means no codeword.
-        Windows are computed for every position at once, and only the hop
-        from one codeword to the next runs once per symbol.
+        Windows are computed for ``_DECODE_BLOCK`` positions at a time, and
+        only the hop from one codeword to the next runs once per symbol.
         """
         lengths = np.asarray(code.lengths, dtype=np.int64)
         left = self.bits.size - self.pos
@@ -381,31 +383,36 @@ class _BitReader:
         top = int(lengths.max())
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(1 << (top - lengths[order]))
-        span = min(left, n * top)
-        window = np.zeros(span, dtype=np.int64)
-        for j in range(top):
-            window <<= 1
-            tail = self.bits[self.pos + j : self.pos + j + span]
-            window[: tail.size] |= tail
-        rank = np.searchsorted(ends, window, side="right")
-        del window
-        hop = np.append(lengths[order], 0).astype(np.uint8)[rank]
-        starts = np.empty(n, dtype=np.int64)
-        out, hops = memoryview(starts), memoryview(hop)
-        p = 0
-        try:
-            for i in range(n):
-                step = hops[p]
+        hop_of_rank = np.append(lengths[order], 0).astype(np.uint8)
+        found = np.empty(n, dtype=np.int64)  # offsets into a block, then ranks
+        out = memoryview(found)
+        i = p = 0
+        while i < n:
+            if p >= left:
+                raise FormatError("bitstream truncated inside a codeword")
+            span = min(left - p, (n - i) * top, _DECODE_BLOCK)
+            window = np.zeros(span, dtype=np.int64)
+            for j in range(top):
+                window <<= 1
+                tail = self.bits[self.pos + p + j : self.pos + p + j + span]
+                window[: tail.size] |= tail
+            rank = np.searchsorted(ends, window, side="right")
+            del window
+            hops = memoryview(hop_of_rank[rank])
+            first, q = i, 0
+            while i < n and q < span:
+                step = hops[q]
                 if not step:
                     raise FormatError("invalid codeword in bitstream")
-                out[i] = p
-                p += step
-        except IndexError:
-            raise FormatError("bitstream truncated inside a codeword") from None
+                out[i] = q
+                q += step
+                i += 1
+            found[first:i] = rank[found[first:i]]
+            p += q
         if p > left:
             raise FormatError("bitstream truncated inside a codeword")
         self.pos += p
-        return order[rank[starts]]
+        return order[found]
 
 
 def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> PrefixCode:

@@ -2,9 +2,9 @@
 
 Provides everything the compression pipeline needs from a "real" model at
 desk scale: deterministic Adam training on synthetic or CSV data, analytic
-gradients, two per-parameter curvature backends (exact second derivatives
-by central differences of the gradient, and a fast one-pass Gauss-Newton
-style approximation), the free curvature proxy from Adam's second moments,
+gradients, two per-parameter curvature backends (the exact Hessian diagonal
+from one back-propagated pass, and a fast one-pass Gauss-Newton style
+approximation), the free curvature proxy from Adam's second moments,
 magnitude pruning, shared-center fine-tuning, and accuracy evaluation of
 both plain and quantized parameter vectors.
 
@@ -198,10 +198,7 @@ def make_blobs(
     inputs = centers[labels] + rng.normal(0.0, noise, size=(n_samples, n_features))
     inputs *= np.broadcast_to(np.asarray(input_scale, dtype=np.float64), (n_features,))
 
-    order = rng.permutation(n_samples)
-    n_eval = max(1, int(round(eval_frac * n_samples)))
-    splits = {"train": np.sort(order[n_eval:]), "eval": np.sort(order[:n_eval])}
-    return Dataset(inputs, labels, splits)
+    return Dataset(inputs, labels, _train_eval_splits(rng, n_samples, eval_frac))
 
 
 def load_csv(path, eval_frac: float = 0.3, seed: int = 0) -> Dataset:
@@ -215,11 +212,15 @@ def load_csv(path, eval_frac: float = 0.3, seed: int = 0) -> Dataset:
         labels = labels_f.astype(np.int64)
     else:
         raise ValueError("labels must be nonnegative integers in the first column")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(raw.shape[0])
-    n_eval = max(1, int(round(eval_frac * raw.shape[0])))
-    splits = {"train": np.sort(order[n_eval:]), "eval": np.sort(order[:n_eval])}
+    splits = _train_eval_splits(np.random.default_rng(seed), raw.shape[0], eval_frac)
     return Dataset(inputs, labels, splits)
+
+
+def _train_eval_splits(rng, n: int, eval_frac: float) -> dict:
+    """A random ``eval_frac`` of ``n`` samples (at least one) for evaluation."""
+    order = rng.permutation(n)
+    n_eval = max(1, int(round(eval_frac * n)))
+    return {"train": np.sort(order[n_eval:]), "eval": np.sort(order[:n_eval])}
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +256,9 @@ def _act_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
+def _forward(spec: MlpSpec, w: np.ndarray, inputs):
     layers = _unpack(spec, w)
-    acts = [x]
+    acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
     pre = []
     for l, (W, b) in enumerate(layers):
         z = acts[-1] @ W + b
@@ -266,12 +267,10 @@ def _forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
     return layers, pre, acts
 
 
-def _targets(spec: MlpSpec, labels: np.ndarray, width: int) -> np.ndarray:
-    if labels.ndim == 2:
-        return labels
-    onehot = np.zeros((labels.size, width))
-    onehot[np.arange(labels.size), labels] = 1.0
-    return onehot
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def _loss_and_delta(spec: MlpSpec, logits: np.ndarray, labels: np.ndarray):
@@ -281,14 +280,13 @@ def _loss_and_delta(spec: MlpSpec, logits: np.ndarray, labels: np.ndarray):
         if labels.ndim != 1:
             raise ValueError("cross entropy needs integer class labels")
         shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logz - shifted[np.arange(batch), labels]))
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        delta = probs.copy()
+        delta = np.exp(shifted)
+        total = delta.sum(axis=1, keepdims=True)
+        loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(batch), labels]))
+        delta /= total
         delta[np.arange(batch), labels] -= 1.0
         return loss, delta / batch
-    targets = _targets(spec, labels, logits.shape[1])
+    targets = np.eye(logits.shape[1])[labels] if labels.ndim == 1 else labels
     resid = logits - targets
     loss = float(0.5 * np.sum(resid * resid) / batch)
     return loss, resid / batch
@@ -301,8 +299,7 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     ``0.5 * ||output - target||^2`` averaged over the batch.
     """
     w = _params64(spec, params)
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    layers, pre, acts = _forward(spec, w, x)
+    layers, pre, acts = _forward(spec, w, inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
 
     grad = np.zeros_like(w)
@@ -326,19 +323,30 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
         assignment, codebook = params
         params = scatter_dequantize(len(assignment), assignment, codebook)
     w = _params64(spec, params)
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError("accuracy needs integer class labels")
     if y.size == 0:
         raise ValueError("empty evaluation split")
-    _, _, acts = _forward(spec, w, x)
+    _, _, acts = _forward(spec, w, inputs)
     return float(np.mean(np.argmax(acts[-1], axis=1) == y))
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+
+def _batches(rng, n: int, batch_size: int, steps: int):
+    """Steps ``1..steps`` and their batches, cut from permutations of ``n``."""
+    order = rng.permutation(n)
+    cursor = 0
+    for t in range(1, steps + 1):
+        if cursor + batch_size > order.size:
+            order = rng.permutation(n)
+            cursor = 0
+        yield t, order[cursor : cursor + batch_size]
+        cursor += batch_size
 
 
 @dataclass(frozen=True)
@@ -402,15 +410,7 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
     rng = np.random.default_rng(cfg.seed + 1)
 
     train_x, train_y = ds.split("train")
-    order = rng.permutation(train_x.shape[0])
-    cursor = 0
-    for t in range(1, cfg.steps + 1):
-        if cursor + cfg.batch_size > order.size:
-            order = rng.permutation(train_x.shape[0])
-            cursor = 0
-        batch = order[cursor : cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-
+    for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
         loss, grad = forward_loss(spec, w, train_x[batch], train_y[batch])
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at step {t}")
@@ -432,32 +432,60 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
 # Curvature backends
 # ---------------------------------------------------------------------------
 
+# Bytes of float64 factor one block of samples may hold in hessian_diag_exact.
+_FACTOR_BYTES = 64 << 20
 
-def hessian_diag_exact(
-    spec: MlpSpec, params, inputs, labels, step: float = 1e-4
-) -> CurvatureDiag:
-    """Second derivative of the mean loss w.r.t. each parameter.
 
-    Central finite differences of the analytic gradient, one coordinate at
-    a time (two gradient passes per parameter), with a relative step. Raw
-    negative values, possible away from a minimum, are clamped to the
-    curvature floor; the clamp count is logged.
+def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
+    """Second derivative of the mean loss w.r.t. each parameter, exactly.
+
+    One backward pass carries a factor ``F`` with column signs ``s``, ``F
+    diag(s) F^T = P P^T - N N^T``, of each sample's loss Hessian w.r.t. a
+    layer's pre-activations: ``(diag(sqrt p) - p sqrt(p)^T) / sqrt(batch)``
+    for softmax cross entropy, ``I / sqrt(batch)`` for squared error, plus
+    one column per tanh unit for ``tanh''(z) dL/da``. A weight gets its
+    squared input times the diagonal at the unit it feeds, a bias that
+    diagonal. Negative entries (tanh nets away from a minimum) are clamped
+    to the curvature floor, and the clamp count is logged.
     """
-    w = _params64(spec, params).copy()
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    w = _params64(spec, params)
     y = np.asarray(labels)
-    h = np.empty_like(w)
-    for i in range(w.size):
-        delta = step * (1.0 + abs(w[i]))
-        orig = w[i]
-        w[i] = orig + delta
-        gp = forward_loss(spec, w, x, y)[1][i]
-        w[i] = orig - delta
-        gm = forward_loss(spec, w, x, y)[1][i]
-        w[i] = orig
-        h[i] = (gp - gm) / (2.0 * delta)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("non-finite second derivative")
+    h = np.zeros_like(w)
+    hlayers = _unpack(spec, h)
+    # Samples per block, so the factor (units x samples x columns) fits.
+    classes = spec.layer_widths[-1]
+    cols = classes + (spec.activation == "tanh") * sum(spec.layer_widths[1:-1])
+    block = max(1, _FACTOR_BYTES // (8 * max(spec.layer_widths[1:]) * cols))
+    for start in range(0, len(inputs), block):
+        layers, pre, acts = _forward(spec, w, inputs[start : start + block])
+        _, delta = _loss_and_delta(spec, acts[-1], y[start : start + block])
+        n = len(delta)
+        delta *= n / len(inputs)
+        eye = np.eye(classes)[:, None, :]
+        if spec.loss == "softmax_cross_entropy":
+            probs = _softmax(acts[-1])
+            factor = (eye - probs.T[:, :, None]) * np.sqrt(probs / len(inputs))
+        else:
+            factor = eye * np.full((n, 1), 1.0 / np.sqrt(len(inputs)))
+        signs = np.ones((n, classes))
+        for l in range(len(layers) - 1, -1, -1):
+            diag = np.einsum("jnc,jnc,nc->nj", factor, factor, signs)
+            hW, hb = hlayers[l]
+            hW += (acts[l] * acts[l]).T @ diag
+            hb += diag.sum(axis=0)
+            if l == 0:
+                break
+            W = layers[l][0]
+            slope = _act_grad(spec, pre[l - 1], acts[l])
+            factor = (W @ factor.reshape(W.shape[1], -1)).reshape(W.shape[0], n, -1)
+            factor *= slope.T[:, :, None]
+            grad = delta @ W.T
+            if spec.activation == "tanh":
+                curv = -2.0 * acts[l] * slope * grad
+                root = np.sqrt(np.abs(curv)).T[:, :, None] * np.eye(len(W))[:, None, :]
+                factor = np.concatenate([factor, root], axis=2)
+                signs = np.concatenate([signs, np.sign(curv)], axis=1)
+            delta = grad * slope
     clamped = int(np.count_nonzero(h < CURVATURE_FLOOR))
     if clamped:
         log.warning("clamped %d non-positive curvature entries", clamped)
@@ -474,19 +502,14 @@ def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     squared-error loss.
     """
     w = _params64(spec, params)
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    layers, pre, acts = _forward(spec, w, x)
-    batch = x.shape[0]
+    layers, pre, acts = _forward(spec, w, inputs)
+    batch = acts[0].shape[0]
 
-    logits = acts[-1]
     if spec.loss == "softmax_cross_entropy":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = _softmax(acts[-1])
         s = probs * (1.0 - probs) / batch
     else:
-        s = np.full_like(logits, 1.0 / batch)
+        s = np.full_like(acts[-1], 1.0 / batch)
 
     h = np.zeros_like(w)
     hlayers = _unpack(spec, h)
@@ -563,14 +586,9 @@ def fine_tune_centers(
     accuracy of the fine-tuned model.
     """
     a = np.ascontiguousarray(assignment, dtype=np.int64)
-    if positions is None:
-        if a.size != ps.n:
-            raise ValueError("assignment length disagrees with the parameter set")
-        pos = np.arange(ps.n, dtype=np.int64)
-    else:
-        pos = np.ascontiguousarray(positions, dtype=np.int64)
-        if pos.size != a.size:
-            raise ValueError("positions length disagrees with the assignment")
+    pos = np.arange(ps.n) if positions is None else np.asarray(positions, np.int64)
+    if pos.size != a.size:
+        raise ValueError("assignment length disagrees with the parameter positions")
     if codebook.n_params != a.size:
         raise ValueError("codebook counts disagree with the assignment")
 
@@ -578,15 +596,7 @@ def fine_tune_centers(
     k = codebook.k
     rng = np.random.default_rng(cfg.seed)
     train_x, train_y = ds.split("train")
-    order = rng.permutation(train_x.shape[0])
-    cursor = 0
-    for t in range(1, cfg.steps + 1):
-        if cursor + cfg.batch_size > order.size:
-            order = rng.permutation(train_x.shape[0])
-            cursor = 0
-        batch = order[cursor : cursor + cfg.batch_size]
-        cursor += cfg.batch_size
-
+    for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
         w_full = np.zeros(ps.n)
         w_full[pos] = centers[a]
         loss, grad = forward_loss(spec, w_full, train_x[batch], train_y[batch])

@@ -6,7 +6,7 @@ library's incremental bookkeeping, so agreement is meaningful.
 
 import numpy as np
 
-from netquant import Codebook
+from netquant import Codebook, forward_loss
 from netquant.coding import entropy_bits
 
 
@@ -99,3 +99,24 @@ def rounded32(codebook: Codebook) -> Codebook:
     return Codebook(
         codebook.centers.astype(np.float32).astype(np.float64), codebook.counts
     )
+
+
+def hessian_diag_fd(spec, w, x, y):
+    """Raw diagonal of the loss Hessian by central differences of the
+    analytic gradient, one coordinate at a time (two gradient passes per
+    parameter) with a relative step; no floor. The step, 1e-5, keeps the
+    truncation error below 1e-6 relative on the nets the tests draw (1e-4
+    does not)."""
+    step = 1e-5
+    w = np.array(w, dtype=np.float64)
+    h = np.empty_like(w)
+    for i in range(w.size):
+        delta = step * (1.0 + abs(w[i]))
+        orig = w[i]
+        w[i] = orig + delta
+        gp = forward_loss(spec, w, x, y)[1][i]
+        w[i] = orig - delta
+        gm = forward_loss(spec, w, x, y)[1][i]
+        w[i] = orig
+        h[i] = (gp - gm) / (2.0 * delta)
+    return h

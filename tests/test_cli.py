@@ -47,6 +47,20 @@ class TestTrainRef:
         assert doc["layer_widths"] == [6, 32, 3]
         assert load_model(out)[0].n == 6 * 32 + 32 + 32 * 3 + 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hidden", "0"],
+            ["--synth-samples", "2", "--synth-classes", "4"],
+            ["--batch-size", "0"],
+        ],
+    )
+    def test_bad_option_value_is_config_error(self, tmp_path, flags):
+        out = tmp_path / "m"
+        code = run(["train-ref", "--out-dir", out, *TRAIN_ARGS, *flags])
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "refnet.json").exists()
+
 
 class TestQuantize:
     def test_fixed_k8_avg_bits_exactly_three(self, model_dir, tmp_path):
@@ -104,6 +118,11 @@ class TestQuantize:
             ["--quantizer", "ecsq", "--target-ratio", "-4"],
             ["--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton",
              "--dataset", "synth", "--hessian-samples", "-5"],
+            ["--quantizer", "ecsq", "--k", "8", "--lam", "-1"],
+            ["--quantizer", "ecsq", "--k", "8", "--lam", "nan"],
+            ["--quantizer", "ecsq", "--k", "8", "--lam", "inf"],
+            ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
+             "--fine-tune", "true", "--ft-batch-size", "0"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):

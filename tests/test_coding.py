@@ -22,6 +22,7 @@ from netquant import (
     index_diff_code,
     scatter_dequantize,
 )
+from netquant import coding
 from netquant.coding import build_report, huffman_lengths
 
 
@@ -309,6 +310,30 @@ class TestEncodeDecode:
             assert dec.code.lengths == code.lengths
             assert sum(em.breakdown.values()) == 8 * len(em.data)
             assert dec.breakdown == em.breakdown
+        assert np.array_equal(dec.positions, positions)
+
+    @pytest.mark.parametrize("block", [1, 5, 64, None])
+    def test_roundtrip_across_decode_blocks(self, monkeypatch, block):
+        """Codewords 1..11 bits long straddle the decoder's block boundaries."""
+        if block is not None:
+            monkeypatch.setattr(coding, "_DECODE_BLOCK", block)
+        counts = (1 if block else 20) * np.array([1, *(2 ** np.arange(11))])
+        rng = np.random.default_rng(17)
+        assignment = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        cb = Codebook(np.arange(float(counts.size)), counts)
+        code = build_huffman(cb)
+        assert sorted(set(code.lengths)) == list(range(1, 12))
+        n = assignment.size
+        positions = np.sort(rng.choice(2 * n, size=n, replace=False))
+        for em in (
+            encode_assignments(assignment, cb, code),
+            encode_assignments(assignment, cb, code, positions=positions, total_params=2 * n),
+        ):
+            assert em.breakdown["payload"] > coding._DECODE_BLOCK
+            dec = decode_assignments(em.data)
+            assert np.array_equal(dec.assignment, assignment)
+            with pytest.raises(FormatError, match="truncated"):
+                decode_assignments(em.data[:-3])
         assert np.array_equal(dec.positions, positions)
 
     def test_counts_must_match_assignment(self):

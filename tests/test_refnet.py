@@ -4,7 +4,10 @@ contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from netquant import refnet
 from netquant import (
     ClusterConfig,
     Codebook,
@@ -29,7 +32,8 @@ from netquant import (
     prune_magnitude,
     train_adam,
 )
-from netquant.params import DivergenceError
+from netquant.params import CURVATURE_FLOOR, DivergenceError
+from oracles import hessian_diag_fd
 
 
 def fd_gradient(spec, w, x, y, step=1e-5):
@@ -169,6 +173,56 @@ class TestExactHessian:
         once = hessian_diag_exact(spec, w, x, y).as_f64()
         twice = hessian_diag_exact(spec, w, np.tile(x, (2, 1)), np.tile(y, 2)).as_f64()
         assert np.allclose(once, twice, rtol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        activation=st.sampled_from(refnet.ACTIVATIONS),
+        loss=st.sampled_from(refnet.LOSSES),
+        widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        n=st.integers(1, 6),
+    )
+    def test_matches_finite_differences(self, seed, activation, loss, widths, n):
+        """1-3 layers; relu nets are kept a margin away from their kinks,
+        where central differences straddle a slope change."""
+        spec = MlpSpec(tuple(widths), activation=activation, loss=loss)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(n, widths[0]))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, widths[-1], n)
+        else:
+            y = rng.normal(size=(n, widths[-1]))
+        if activation == "relu":
+            _, pre, _ = refnet._forward(spec, w, x)
+            assume(all(np.abs(z).min() > 1e-3 for z in pre[:-1]))
+        reference = np.maximum(hessian_diag_fd(spec, w, x, y), CURVATURE_FLOOR)
+        got = hessian_diag_exact(spec, w, x, y).as_f64()
+        # atol covers the oracle's own rounding, about eps * |gradient| / step
+        np.testing.assert_allclose(got, reference, rtol=1e-6, atol=1e-9)
+
+    def test_unit_off_for_every_sample_gets_the_floor(self):
+        rng = np.random.default_rng(13)
+        spec = MlpSpec((3, 4, 2))
+        w = rng.normal(size=spec.param_count())
+        w[12 + 1] = -100.0  # bias of hidden unit 1: never on
+        x = rng.normal(size=(20, 3))
+        h = hessian_diag_exact(spec, w, x, rng.integers(0, 2, 20)).values
+        dead = [1, 5, 9, 13, 16 + 2, 16 + 3]  # its in-weights, bias, out-weights
+        assert np.all(h[dead] == np.float32(CURVATURE_FLOOR))
+        assert np.all(np.delete(h, dead) > CURVATURE_FLOOR)
+
+    @pytest.mark.parametrize("activation", refnet.ACTIVATIONS)
+    def test_sample_blocks_match_one_block(self, monkeypatch, activation):
+        rng = np.random.default_rng(14)
+        spec = MlpSpec((4, 6, 5, 3), activation=activation)
+        w = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(50, 4))
+        y = rng.integers(0, 3, 50)
+        whole = hessian_diag_exact(spec, w, x, y).values
+        monkeypatch.setattr(refnet, "_FACTOR_BYTES", 2016)  # 3 to 14 samples a block
+        blocked = hessian_diag_exact(spec, w, x, y).values
+        assert np.array_equal(blocked, whole)
 
 
 class TestGaussNewton:
