@@ -174,9 +174,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 cfg[key] = parse(flag_value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"flag --{key.replace('_', '-')}: {exc}") from exc
-    for key in ("batch_size", "ft_batch_size"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1; got {cfg[key]}")
+    lowest = {"batch_size": 1, "ft_batch_size": 1, "steps": 0, "ft_steps": 0}
+    for key, low in lowest.items():
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}; got {cfg[key]}")
     return cfg
 
 
@@ -239,7 +240,10 @@ def _load_dataset(cfg: dict, refnet_doc: dict | None) -> refnet.Dataset:
     path = Path(name)
     if not path.is_file():
         raise ConfigError(f"dataset file not found: {path}")
-    return refnet.load_csv(path, eval_frac=cfg["eval_frac"], seed=cfg["synth_seed"])
+    try:
+        return refnet.load_csv(path, eval_frac=cfg["eval_frac"], seed=cfg["synth_seed"])
+    except ValueError as exc:
+        raise ConfigError(f"bad dataset {path}: {exc}") from exc
 
 
 def _read_refnet_doc(model_dir: Path) -> dict | None:

@@ -22,9 +22,12 @@ one-element ``[objective]``.
 
 The rate-penalized solver iterates from a fixed start, is deterministic
 (ties resolve to the lowest cluster index), records a non-increasing
-objective trace, and finishes with a single-move stabilization pass: a
+objective trace, and finishes with single-point transfers (Hartigan &
+Wong 1979): each queued move is re-checked against the live cluster sums
+and applied only if it still improves, until a scan applies none. A
 converged result cannot be improved by reassigning any one parameter (with
-the affected centers re-optimized).
+the affected centers re-optimized). Its n x k score tables are built in
+row blocks of bounded size.
 
 Internally everything runs in float64 regardless of the storage precision
 of the inputs.
@@ -232,18 +235,10 @@ class _MoveStats:
     def __init__(self, v, h, assign, k):
         self.v = v
         self.h = h
-        self.k = k
         self.assign = assign.copy()
         self.wsum = np.bincount(assign, weights=h, minlength=k)
         self.wval = np.bincount(assign, weights=h * v, minlength=k)
         self.counts = np.bincount(assign, minlength=k).astype(np.int64)
-
-    @property
-    def centers(self) -> np.ndarray:
-        c = np.zeros(self.k)
-        nz = self.wsum > 0
-        c[nz] = self.wval[nz] / self.wsum[nz]
-        return c
 
     def apply(self, i: int, dst: int) -> None:
         src = self.assign[i]
@@ -257,8 +252,9 @@ class _MoveStats:
         self.assign[i] = dst
 
 
-def _move_deltas(stats: _MoveStats, lam: float) -> np.ndarray:
-    """Objective change for moving each point to each cluster.
+def _move_deltas(stats: _MoveStats, lam: float, i, dst) -> np.ndarray:
+    """Objective change for moving points ``i`` to clusters ``dst``
+    (broadcast against each other), from the live cluster sums.
 
     Distortion deltas use the standard incremental identities: removing a
     point with weight ``h`` from a cluster with weight sum ``S`` and
@@ -266,38 +262,48 @@ def _move_deltas(stats: _MoveStats, lam: float) -> np.ndarray:
     ``-h (v - c')^2 (S - h) / S``; adding it to a cluster with weight ``S``
     and mean ``c`` costs ``+h (v - c)^2 S / (S + h)``. The codeword-rate
     change (from the two affected cluster sizes) is added in unnormalized
-    units, and empty (retired) clusters are off limits.
+    units. Empty (retired) clusters and a point's own cluster are off
+    limits: their delta is ``inf``.
     """
-    v, h = stats.v, stats.h
-    assign = stats.assign
-    centers = stats.centers
-    S = stats.wsum
-    Sa = S[assign]
-    ca = centers[assign]
+    v, h, src = stats.v[i], stats.h[i], stats.assign[i]
+    S, W, counts = stats.wsum, stats.wval, stats.counts
+    Ss, Sd = S[src], S[dst]
 
     with np.errstate(invalid="ignore", divide="ignore"):
         # Mean of the source cluster after removing each point.
-        c_rest = (Sa * ca - h * v) / (Sa - h)
-        removal = -h * (v - c_rest) ** 2 * (Sa - h) / Sa
-    removal = np.where(stats.counts[assign] <= 1, 0.0, removal)
+        c_rest = (W[src] - h * v) / (Ss - h)
+        removal = -h * (v - c_rest) ** 2 * (Ss - h) / Ss
+        add = h * (v - W[dst] / Sd) ** 2 * (Sd / (Sd + h))
+    removal = np.where(counts[src] <= 1, 0.0, removal)
 
-    add = h[:, None] * (v[:, None] - centers[None, :]) ** 2
-    add *= S[None, :] / (S[None, :] + h[:, None])
-    delta = removal[:, None] + add
+    def f(c):  # c log2 c for the nonnegative counts c, with 0 log2 0 = 0
+        return c * np.log2(np.maximum(c, 1))
 
-    def f(c):
-        c = np.asarray(c, dtype=np.float64)
-        return np.where(c > 0, c * np.log2(np.maximum(c, 1)), 0.0)
-
-    na = stats.counts[assign].astype(np.float64)
-    nj = stats.counts.astype(np.float64)
+    ns, nd = counts[src], counts[dst]
     # Unnormalized rate change: -lam * delta(sum n log2 n).
-    rate = -lam * (f(na - 1) - f(na))[:, None] - lam * (f(nj + 1) - f(nj))[None, :]
-    delta = delta + rate
-    delta[:, stats.counts == 0] = np.inf
+    rate = -lam * (f(ns - 1) - f(ns)) - lam * (f(nd + 1) - f(nd))
+    delta = removal + add + rate
+    return np.where((nd == 0) | (dst == src), np.inf, delta)
 
-    delta[np.arange(v.size), assign] = np.inf
-    return delta
+
+# Bytes of float64 score per row block of an n x k table. Blocks this size
+# stay in cache: 32 MiB blocks made ecsq_iterate at n = 3e4, k = 16 about
+# 1.7x slower on a 2-CPU VM.
+_BLOCK_BYTES = 512 << 10
+
+
+def _row_argmin(n: int, k: int, score) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row argmin and minimum of the ``n x k`` table that ``score(rows)``
+    returns one row block at a time, ``rows`` a column of row indices."""
+    step = max(1, _BLOCK_BYTES // (8 * k))
+    arg = np.empty(n, dtype=np.int64)
+    low = np.empty(n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        table = score(rows[:, None])
+        arg[rows] = np.argmin(table, axis=1)
+        low[rows] = table[np.arange(rows.size), arg[rows]]
+    return arg, low
 
 
 def _stabilize(
@@ -308,38 +314,32 @@ def _stabilize(
     lam: float,
     obj_scale: float,
 ) -> tuple[np.ndarray, int]:
-    """Apply single-point moves until none improves the objective.
+    """Apply single-point transfers until none improves the objective.
 
-    Each scan computes every point's best move, then applies them best
-    first, skipping any move that touches a cluster already changed in
-    this scan; skipped deltas would be stale, applied ones are exact, so
-    the objective strictly decreases by their sum. Returns the (possibly
-    updated) assignment and the number of moves made.
+    Each scan finds every point's best move, then walks those moves best
+    first and applies one only if its delta, recomputed against the live
+    cluster sums, still improves (Hartigan's transfer step). Applied deltas
+    are exact, so the objective strictly decreases by their sum; the pass
+    ends after a scan that applies nothing. Returns the (possibly updated)
+    assignment and the number of moves made.
     """
     stats = _MoveStats(v, h, assign, k)
     tol = _MOVE_REL_TOL * max(abs(obj_scale), 1.0)
+    clusters = np.arange(k)
     moves = 0
-    for _ in range(v.size):
-        delta = _move_deltas(stats, lam)
-        best_dst = np.argmin(delta, axis=1)
-        best_delta = delta[np.arange(v.size), best_dst]
+    while True:
+        best_dst, best_delta = _row_argmin(
+            v.size, k, lambda rows: _move_deltas(stats, lam, rows, clusters)
+        )
         candidates = np.flatnonzero(best_delta < -tol)
-        if candidates.size == 0:
-            break
         order = candidates[np.argsort(best_delta[candidates], kind="stable")]
-        dirty = np.zeros(k, dtype=bool)
-        applied = 0
+        before = moves
         for i in order:
-            src, dst = stats.assign[i], best_dst[i]
-            if dirty[src] or dirty[dst]:
-                continue
-            stats.apply(i, dst)
-            dirty[src] = dirty[dst] = True
-            applied += 1
-        if applied == 0:
-            break
-        moves += applied
-    return stats.assign, moves
+            if _move_deltas(stats, lam, i, best_dst[i]) < -tol:
+                stats.apply(i, best_dst[i])
+                moves += 1
+        if moves == before:
+            return stats.assign, moves
 
 
 def _dp_layer(
@@ -525,22 +525,21 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
         return QuantizeResult(res.assignment, res.codebook, res.trace / n)
 
     centers = np.linspace(float(v.min()), float(v.max()), k)
-    p = np.full(k, 1.0 / k)
 
     def assign_step(centers, p):
-        cost = h[:, None] * (v[:, None] - centers[None, :]) ** 2
         penalty = np.where(p > 0, -lam * np.log2(np.maximum(p, 1e-300)), np.inf)
-        return np.argmin(cost + penalty[None, :], axis=1).astype(np.int64)
+        return _row_argmin(
+            n, k, lambda rows: h[rows] * (v[rows] - centers) ** 2 + penalty
+        )[0]
 
     def objective(assign, centers, counts):
         return _distortion(v, h, assign, centers) / n + lam * _entropy_from_counts(
             counts
         )
 
-    assign = assign_step(centers, p)
+    assign = assign_step(centers, np.full(k, 1.0 / k))
     centers, _ = _weighted_centers(v, h, assign, k, centers)
     counts = np.bincount(assign, minlength=k)
-    p = counts / n
     obj = objective(assign, centers, counts)
     trace = [obj]
 
@@ -548,16 +547,15 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     while budget > 0:
         while budget > 0:
             budget -= 1
-            new_assign = assign_step(centers, p)
+            new_assign = assign_step(centers, counts / n)
             new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
             new_counts = np.bincount(new_assign, minlength=k)
-            new_p = new_counts / n
             new_obj = objective(new_assign, new_centers, new_counts)
             if new_obj > obj:
                 break
             improved = (obj - new_obj) > _ECSQ_REL_TOL * max(abs(obj), 1e-300)
             unchanged = np.array_equal(new_assign, assign)
-            assign, centers, counts, p = new_assign, new_centers, new_counts, new_p
+            assign, centers, counts = new_assign, new_centers, new_counts
             obj = new_obj
             trace.append(obj)
             if unchanged or not improved:
@@ -569,14 +567,11 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
         assign = new_assign
         centers, _ = _weighted_centers(v, h, assign, k, centers)
         counts = np.bincount(assign, minlength=k)
-        p = counts / n
         new_obj = objective(assign, centers, counts)
         if new_obj <= obj:
             obj = new_obj
             trace.append(obj)
 
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
-    counts = np.bincount(assign, minlength=k)
     return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
 
 

@@ -53,11 +53,25 @@ class TestTrainRef:
             ["--hidden", "0"],
             ["--synth-samples", "2", "--synth-classes", "4"],
             ["--batch-size", "0"],
+            ["--steps", "-3"],
         ],
     )
     def test_bad_option_value_is_config_error(self, tmp_path, flags):
         out = tmp_path / "m"
         code = run(["train-ref", "--out-dir", out, *TRAIN_ARGS, *flags])
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "refnet.json").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5,0.2,0.3\n0,0.1,0.4\n", "1,abc,0.3\n0,0.1,0.4\n", "1\n0\n", "1,0.2\n0\n"],
+        ids=["fractional-label", "non-numeric-feature", "one-column", "ragged"],
+    )
+    def test_malformed_csv_is_config_error(self, tmp_path, text):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        out = tmp_path / "m"
+        code = run(["train-ref", "--out-dir", out, "--dataset", data, "--steps", "5"])
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
 
@@ -123,6 +137,8 @@ class TestQuantize:
             ["--quantizer", "ecsq", "--k", "8", "--lam", "inf"],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--ft-batch-size", "0"],
+            ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
+             "--fine-tune", "true", "--ft-steps", "-5"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):

@@ -1,6 +1,7 @@
 """Quantizer correctness against small hand-checked cases and brute-force
 partition enumeration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from netquant import (
     hw_kmeans_lloyd,
     kmeans_lloyd,
     msqe,
+    quantizers,
     scatter_dequantize,
     solve_lambda,
     uniform_quantize,
@@ -334,6 +336,51 @@ class TestOneMoveStability:
         v = np.array([0.0, 1.0, 2.5])
         res = kmeans_lloyd(v, ClusterConfig(k=2))
         assert msqe(v, res.assignment, res.codebook) == pytest.approx(0.5)
+
+
+def heavy_tailed(n):
+    """Student-t weights with log-normal curvature, like a trained net's."""
+    rng = np.random.default_rng(0)
+    return rng.standard_t(4, n) * 0.05, rng.lognormal(0.0, 1.0, n)
+
+
+class TestBoundedBlocks:
+    """ECSQ builds its n x k score tables in row blocks."""
+
+    def test_peak_memory_below_one_table(self):
+        n, k = 20_000, 64
+        v, h = heavy_tailed(n)
+        tracemalloc.start()
+        try:
+            ecsq_iterate(v, h, EcsqConfig(k=k, lam=1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8
+
+    @pytest.mark.parametrize(
+        "k, lam, live", [(6, 1e-4, 6), (16, 1e-3, 8)], ids=["all-live", "retired"]
+    )
+    def test_results_independent_of_block_size(self, monkeypatch, k, lam, live):
+        v, h = heavy_tailed(300)
+        cfg = EcsqConfig(k=k, lam=lam)
+        moves = []
+        stabilize = quantizers._stabilize
+
+        def counted(*args):
+            assign, made = stabilize(*args)
+            moves.append(made)
+            return assign, made
+
+        monkeypatch.setattr(quantizers, "_stabilize", counted)
+        whole = ecsq_iterate(v, h, cfg)
+        assert sum(moves) > 0  # the polish ran and moved points
+        monkeypatch.setattr(quantizers, "_BLOCK_BYTES", 3 * 8 * k)  # 3 rows a block
+        blocked = ecsq_iterate(v, h, cfg)
+        assert np.count_nonzero(whole.codebook.counts) == live
+        assert np.array_equal(whole.assignment, blocked.assignment)
+        assert np.array_equal(whole.codebook.centers, blocked.codebook.centers)
+        assert np.array_equal(whole.trace, blocked.trace)
 
 
 @st.composite
