@@ -178,6 +178,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for key, low in lowest.items():
         if cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}; got {cfg[key]}")
+    for key in ("lr", "ft_lr"):
+        if not 0 < cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be positive and finite; got {cfg[key]}")
+    if not 0 < cfg["eval_frac"] < 1:
+        raise ConfigError(f"eval_frac must be in (0, 1); got {cfg['eval_frac']}")
     return cfg
 
 

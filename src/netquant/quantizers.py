@@ -51,6 +51,13 @@ _MOVE_REL_TOL = 1e-12
 _ECSQ_MAX_ITERS = 200
 _ECSQ_REL_TOL = 1e-7
 
+# The lambda search accepts entropies within this many bits of the budget;
+# it bisects log2(lam / lam_max) over [_LAMBDA_MIN_EXP, 0] in at most
+# _LAMBDA_MAX_ROUNDS solves.
+_LAMBDA_SLACK = 0.05
+_LAMBDA_MIN_EXP = -64.0
+_LAMBDA_MAX_ROUNDS = 60
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -575,21 +582,17 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
 
 
-def solve_lambda(
-    values,
-    curvature,
-    k: int,
-    target_entropy: float,
-    entropy_slack: float = 0.05,
-    max_rounds: int = 60,
-) -> LambdaResult:
+def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResult:
     """Find the smallest entropy penalty meeting a codeword-rate budget.
 
-    Bisects ``lam`` over ``[0, lam_max]``, exploiting the downward trend of
-    the achieved entropy as the penalty grows. Returns the lowest-distortion
-    solution whose entropy is at most ``target_entropy + entropy_slack``
-    bits; if even the collapse bound fails the budget, the endpoint solution
-    comes back flagged ``met=False``.
+    Bisects the exponent ``t = log2(lam / lam_max)`` over ``[-64, 0]``,
+    exploiting the downward trend of the achieved entropy as the penalty
+    grows; ``t = -64`` stands for the ``lam = 0`` solve. Each probe is a
+    fresh ``ecsq_iterate`` at ``lam_max * 2**t``, so the result at a given
+    ``lam`` never depends on the search path. Returns the lowest-distortion
+    solution whose entropy is at most ``target_entropy + 0.05`` bits; if
+    even the collapse bound fails the budget, the endpoint solution comes
+    back flagged ``met=False``.
     """
     if target_entropy <= 0:
         raise ValueError("target entropy must be positive")
@@ -599,7 +602,7 @@ def solve_lambda(
     def run(lam: float) -> QuantizeResult:
         return ecsq_iterate(v, h, EcsqConfig(k=k, lam=lam))
 
-    budget = target_entropy + entropy_slack
+    budget = target_entropy + _LAMBDA_SLACK
     res0 = run(0.0)
     h0 = _entropy_from_counts(res0.codebook.counts)
     if h0 <= budget:
@@ -612,18 +615,21 @@ def solve_lambda(
     if h_hi > budget:
         return LambdaResult(lam_max, res_hi, False, h_hi)
 
-    lo, hi = 0.0, lam_max
+    # The first six midpoints are whole exponents, the grid that halving
+    # lam_max walks.
+    t_lo, t_hi = _LAMBDA_MIN_EXP, 0.0
     best_lam, best_res, best_h = lam_max, res_hi, h_hi
-    for _ in range(max_rounds):
-        if best_h >= target_entropy - entropy_slack:
+    for _ in range(_LAMBDA_MAX_ROUNDS):
+        if best_h >= target_entropy - _LAMBDA_SLACK:
             break  # close enough to the budget from below
-        if (hi - lo) <= 1e-9 * max(hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
+        if 2.0 ** (t_lo - t_hi) >= 1.0 - 1e-9:
+            break  # the lam bracket is narrower than 1e-9 relative
+        t_mid = 0.5 * (t_lo + t_hi)
+        mid = lam_max * 2.0**t_mid
         res = run(mid)
         h_mid = _entropy_from_counts(res.codebook.counts)
         if h_mid <= budget:
-            hi, best_lam, best_res, best_h = mid, mid, res, h_mid
+            t_hi, best_lam, best_res, best_h = t_mid, mid, res, h_mid
         else:
-            lo = mid
+            t_lo = t_mid
     return LambdaResult(best_lam, best_res, True, best_h)

@@ -54,6 +54,14 @@ class TestTrainRef:
             ["--synth-samples", "2", "--synth-classes", "4"],
             ["--batch-size", "0"],
             ["--steps", "-3"],
+            ["--lr=-0.01"],
+            ["--lr", "0"],
+            ["--lr", "nan"],
+            ["--lr", "inf"],
+            ["--eval-frac=-0.5"],
+            ["--eval-frac", "0"],
+            ["--eval-frac", "1"],
+            ["--eval-frac", "1.5"],
         ],
     )
     def test_bad_option_value_is_config_error(self, tmp_path, flags):
@@ -139,6 +147,10 @@ class TestQuantize:
              "--fine-tune", "true", "--ft-batch-size", "0"],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--ft-steps", "-5"],
+            ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
+             "--fine-tune", "true", "--ft-lr=-1e-5"],
+            ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
+             "--fine-tune", "true", "--ft-lr", "nan"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):

@@ -485,3 +485,57 @@ class TestSolveLambda:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             solve_lambda([1.0, 2.0], [1.0, 1.0], k=2, target_entropy=0.0)
+
+
+def spiked(scale):
+    """heavy_tailed(2000) with one point weighted ``scale`` times the
+    heaviest. lam_max grows with max(h) while the lam meeting a 2-bit
+    budget at k=8 hardly moves, so each doubling of ``scale`` moves the
+    budget window one exponent lower: near lam_max * 2**-25 at 128 and
+    lam_max * 2**-50 at 2**32."""
+    v, h = heavy_tailed(2000)
+    h[0] = scale * h.max()
+    return v, h
+
+
+class TestLambdaSearch:
+    """solve_lambda bisects log2(lam / lam_max) with fresh solves."""
+
+    def test_call_count(self, monkeypatch):
+        v, h = spiked(128.0)
+        lams = []
+
+        def counted(values, curvature, cfg):
+            lams.append(cfg.lam)
+            return ecsq_iterate(values, curvature, cfg)
+
+        monkeypatch.setattr(quantizers, "ecsq_iterate", counted)
+        found = solve_lambda(v, h, k=8, target_entropy=2.0)
+        assert found.met
+        # Halving lam_max linearly takes 29 solves to reach this window.
+        assert len(lams) <= 16
+
+    def test_reaches_deep_budget_window(self):
+        v, h = spiked(2.0**32)
+        found = solve_lambda(v, h, k=8, target_entropy=2.0)
+        lam_max = 10.0 * h.max() * (v.max() - v.min()) ** 2
+        assert found.met
+        assert 2.0 - 0.05 <= found.entropy <= 2.0 + 0.05
+        assert np.log2(found.lam / lam_max) < -45
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(20, 200),
+        st.integers(2, 8),
+        st.floats(0.3, 2.5),
+    )
+    def test_result_is_the_fresh_solve_at_its_lam(self, seed, n, k, target):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_t(4, n) * 0.05
+        h = rng.lognormal(0.0, 1.0, n)
+        found = solve_lambda(v, h, k=k, target_entropy=target)
+        fresh = ecsq_iterate(v, h, EcsqConfig(k=k, lam=found.lam))
+        assert np.array_equal(found.result.assignment, fresh.assignment)
+        assert np.array_equal(found.result.codebook.centers, fresh.codebook.centers)
+        assert np.array_equal(found.result.codebook.counts, fresh.codebook.counts)
