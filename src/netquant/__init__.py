@@ -37,6 +37,7 @@ from .quantizers import (
     hw_distortion,
     hw_kmeans_lloyd,
     kmeans_lloyd,
+    kmeans_sweep,
     msqe,
     scatter_dequantize,
     solve_lambda,

@@ -54,6 +54,8 @@ SWEEP_COLUMNS = [
 ]
 
 QUANTIZERS = ("kmeans", "hw-kmeans", "uniform", "ecsq")
+KMEANS_QUANTIZERS = ("kmeans", "hw-kmeans")
+CENTER_RULES = ("mean", "hessian_weighted_mean")
 CURVATURES = ("exact", "gauss-newton", "adam", "identity")
 CODINGS = ("fixed", "huffman")
 REFNET_FILE = "refnet.json"
@@ -290,22 +292,31 @@ def _cluster_count(cfg: dict, knob, why: str) -> int:
     return k
 
 
-def _quantize_values(values, curvature, cfg: dict, knob=None):
-    """Run the configured quantizer; returns (assignment, codebook, extras)."""
+def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
+    """k -> exact ``quantizer`` result for each k in ``ks``, from one DP."""
+    weights = curvature if quantizer == "hw-kmeans" else None
+    return dict(zip(ks, quantizers.kmeans_sweep(values, weights, ks)))
+
+
+def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
+    """Run the configured quantizer; returns (assignment, codebook, extras).
+
+    ``solved`` holds a k-means quantizer's results by k, or the error its
+    solve raised, when the caller has solved for several k at once.
+    """
     quantizer = cfg["quantizer"]
     extras: dict = {}
     if quantizer == "uniform":
         k = _cluster_count(cfg, knob, "uniform")
-        rule = _check_enum(cfg, "center_rule", ("mean", "hessian_weighted_mean"))
+        rule = _check_enum(cfg, "center_rule", CENTER_RULES)
         res = quantizers.uniform_quantize(values, curvature, k=k, center_rule=rule)
-    elif quantizer == "kmeans":
-        k = _cluster_count(cfg, knob, "kmeans")
-        res = quantizers.kmeans_lloyd(values, quantizers.ClusterConfig(k=k))
-    elif quantizer == "hw-kmeans":
-        k = _cluster_count(cfg, knob, "hw-kmeans")
-        res = quantizers.hw_kmeans_lloyd(
-            values, curvature, quantizers.ClusterConfig(k=k)
-        )
+    elif quantizer in KMEANS_QUANTIZERS:
+        k = _cluster_count(cfg, knob, quantizer)
+        if solved is None:
+            solved = _solve_kmeans(values, curvature, quantizer, [k])
+        if isinstance(solved, Exception):
+            raise solved
+        res = solved[k]
     elif quantizer == "ecsq":
         if cfg["target_ratio"] is not None:
             if cfg["k"] is not None or knob is not None:
@@ -412,11 +423,11 @@ class Point:
     extras: dict
 
 
-def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None) -> Point:
+def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Point:
     """One full quantize -> code -> (fine-tune) -> evaluate pass, in memory."""
     scheme = _check_enum(cfg, "coding", CODINGS)
     assignment, codebook, extras = _quantize_values(
-        inputs.values, inputs.curvature, cfg, knob
+        inputs.values, inputs.curvature, cfg, knob, solved
     )
     code = _build_code(scheme, codebook)
 
@@ -453,8 +464,6 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None) -> Point:
             codebook = _round_codebook_f32(tuned)
             encoded_preft, encoded = encoded, encode(codebook)
             accuracy_post = accuracy(codebook)
-    elif cfg["fine_tune"]:
-        raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
 
     report = coding.build_report(
         encoded, codebook.counts, code, accuracy_pre, accuracy_post
@@ -488,6 +497,8 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     model_dir = Path(_require(cfg, "model_dir", "this command"))
     ps, stored_cv, stored_mask = params.load_model(model_dir)
     spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir))
+    if cfg["fine_tune"] and (spec is None or dataset is None):
+        raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
     values = _masked_values(ps, mask)
     curvature = _resolve_curvature(cfg, values, stored_cv, spec, dataset)
@@ -691,7 +702,27 @@ def cmd_sweep(args) -> int:
     points = _sweep_points(cfg)
     if not points:
         raise ConfigError("sweep needs at least one point")
+    # Options that every point of a quantizer shares fail the whole sweep.
+    swept = {quantizer for quantizer, _ in points}
+    if "uniform" in swept:
+        _check_enum(cfg, "center_rule", CENTER_RULES)
+    if "ecsq" in swept and cfg["k"] is not None:
+        _cluster_count(cfg, None, "ecsq")
     inputs = _prepare_inputs(cfg)
+
+    # One DP per k-means quantizer serves all of its rows; a k below 1
+    # still fails only its own row.
+    solved = {}
+    for quantizer in KMEANS_QUANTIZERS:
+        ks = [k for q, k in points if q == quantizer and k >= 1]
+        if not ks:
+            continue
+        try:
+            solved[quantizer] = _solve_kmeans(
+                inputs.values, inputs.curvature, quantizer, ks
+            )
+        except (NetQuantError, ValueError) as exc:
+            solved[quantizer] = exc
 
     buffer = io.StringIO()
     buffer.write(f"# {SWEEP_CSV_VERSION}\n")
@@ -713,7 +744,9 @@ def cmd_sweep(args) -> int:
             "seed": cfg["seed"],
         }
         try:
-            report = _run_quantize_point(point_cfg, inputs, knob=knob).report
+            report = _run_quantize_point(
+                point_cfg, inputs, knob, solved.get(quantizer)
+            ).report
         except (NetQuantError, ValueError) as exc:
             row["status"] = f"error:{type(exc).__name__}"
         else:

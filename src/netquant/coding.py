@@ -38,7 +38,8 @@ Codes are canonical (codewords ordered by length, then cluster index), so a
 decoder rebuilds them from the length table alone; the stored codewords are
 verified against the canonical reconstruction on decode. Codeword lengths
 are 1..62 bits, so a left-aligned codeword fits an int64; the encoder
-refuses longer codes and the decoder rejects such a table as corrupt.
+refuses longer codes and the decoder rejects such a table as corrupt. A
+Huffman code for fewer than 2**32 parameters never exceeds 45 bits.
 """
 
 from __future__ import annotations
@@ -159,6 +160,11 @@ def huffman_lengths(counts) -> list[int]:
             lengths[i] += 1
         heapq.heappush(heap, (c1 + c2, tiebreak, members))
         tiebreak += 1
+    # A codeword of length L needs a total count of at least F(L + 2), the
+    # Fibonacci number (Buro, IPL 1993). The n field is 32 bits and
+    # 2**32 < F(48), so a code for counts the format can hold stays within
+    # 45 bits, well inside the 62-bit codeword limit.
+    assert sum(counts) >= 1 << 32 or max(lengths) <= 45
     return lengths
 
 

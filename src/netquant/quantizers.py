@@ -18,7 +18,9 @@ Four schemes share one assignment/codebook representation:
 The two k-means variants are solved exactly: in one dimension an optimal
 partition is a set of contiguous runs of the sorted values, which dynamic
 programming finds without iteration or repair passes. Their trace is the
-one-element ``[objective]``.
+one-element ``[objective]``. Layer j of that DP holds the optimal j-run cost
+of every prefix, so ``kmeans_sweep`` answers a whole list of cluster counts
+from the layers of the largest one.
 
 The rate-penalized solver iterates from a fixed start, is deterministic
 (ties resolve to the lowest cluster index), records a non-increasing
@@ -386,9 +388,10 @@ def _dp_layer(
     return cur, split
 
 
-def _optimal_bounds(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
     """Run boundaries ``0 = b_0 < ... < b_k = m`` of the optimal k-partition
-    of the sorted distinct values ``x`` (weights ``w``) into contiguous runs.
+    of the sorted distinct values ``x`` (weights ``w``) into contiguous runs,
+    for each ``k`` in ``ks`` (each in ``1..m``), from one pass of the DP.
     """
     m = x.size
     # Centering on the weighted mean limits cancellation in the sums.
@@ -403,22 +406,28 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
         return np.where(d0 > 0, np.maximum(sse, 0.0), 0.0)
 
     # Layer j holds the best j-run cost of each prefix length that leaves
-    # room for the remaining k - j runs.
+    # room for k_j - j more runs, k_j the smallest requested k >= j; that
+    # covers every requested k >= j, and with one k it is exactly that k's
+    # range. Each k then backtracks through the same splits.
     prev = np.full(m + 1, np.inf)
-    prev[1 : m - k + 2] = cost(0, np.arange(1, m - k + 2))
+    prev[1 : m - min(ks) + 2] = cost(0, np.arange(1, m - min(ks) + 2))
     splits = []
-    for j in range(2, k + 1):
-        prev, split = _dp_layer(prev, j, m - k + j, cost)
+    for j in range(2, max(ks) + 1):
+        k_j = min(k for k in ks if k >= j)
+        prev, split = _dp_layer(prev, j, m - k_j + j, cost)
         splits.append(split)
-    bounds = np.empty(k + 1, dtype=np.int64)
-    bounds[0], bounds[k] = 0, m
-    for j in range(k, 1, -1):
-        bounds[j - 1] = splits[j - 2][bounds[j]]
-    return bounds
+    out = {}
+    for k in set(ks):
+        bounds = np.empty(k + 1, dtype=np.int64)
+        bounds[0], bounds[k] = 0, m
+        for j in range(k, 1, -1):
+            bounds[j - 1] = splits[j - 2][bounds[j]]
+        out[k] = bounds
+    return out
 
 
-def _exact_kmeans(v: np.ndarray, h: np.ndarray, k: int) -> QuantizeResult:
-    """Exact curvature-weighted 1-D k-means.
+def _exact_kmeans(v: np.ndarray, h: np.ndarray, ks) -> list[QuantizeResult]:
+    """Exact curvature-weighted 1-D k-means, one result per entry of ``ks``.
 
     Duplicate values merge (their curvature summed), so at most as many
     clusters as distinct values are live; the rest keep zero counts, with
@@ -432,13 +441,35 @@ def _exact_kmeans(v: np.ndarray, h: np.ndarray, k: int) -> QuantizeResult:
         raise ValueError("cannot cluster an empty vector")
     x, inverse = np.unique(v, return_inverse=True)
     w = np.bincount(inverse, weights=h)
-    live = min(k, x.size)
-    runs = np.repeat(np.arange(live), np.diff(_optimal_bounds(x, w, live)))
-    assign = runs[inverse]
-    centers, _ = _weighted_centers(v, h, assign, k, np.full(k, x[-1]))
-    counts = np.bincount(assign, minlength=k)
-    trace = np.asarray([_distortion(v, h, assign, centers)])
-    return QuantizeResult(assign, Codebook(centers, counts), trace)
+    bounds = _optimal_bounds(x, w, [min(k, x.size) for k in ks])
+    results = []
+    for k in ks:
+        live = min(k, x.size)
+        runs = np.repeat(np.arange(live), np.diff(bounds[live]))
+        assign = runs[inverse]
+        centers, _ = _weighted_centers(v, h, assign, k, np.full(k, x[-1]))
+        counts = np.bincount(assign, minlength=k)
+        trace = np.asarray([_distortion(v, h, assign, centers)])
+        results.append(QuantizeResult(assign, Codebook(centers, counts), trace))
+    return results
+
+
+def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
+    """Exact k-means for every cluster count in ``ks``, from one DP.
+
+    With ``curvature`` None each result is :func:`kmeans_lloyd` at that
+    ``k``, otherwise :func:`hw_kmeans_lloyd`, bit for bit; results come back
+    in the order of ``ks``, which may be unsorted and repeat entries. The DP
+    runs ``max(ks)`` layers once, whatever the length of the list.
+    """
+    ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("need at least one cluster count")
+    if min(ks) < 1:
+        raise ValueError("k must be at least 1")
+    v = _values64(values)
+    h = np.ones_like(v) if curvature is None else _curvature64(curvature, v.size)
+    return _exact_kmeans(v, h, ks)
 
 
 def kmeans_lloyd(values, cfg: ClusterConfig) -> QuantizeResult:
@@ -451,8 +482,7 @@ def kmeans_lloyd(values, cfg: ClusterConfig) -> QuantizeResult:
     distinct value gets its own cluster and the remaining slots keep zero
     counts. The trace is the one-element ``[objective]``.
     """
-    v = _values64(values)
-    return _exact_kmeans(v, np.ones_like(v), cfg.k)
+    return kmeans_sweep(values, None, [cfg.k])[0]
 
 
 def hw_kmeans_lloyd(values, curvature, cfg: ClusterConfig) -> QuantizeResult:
@@ -464,9 +494,7 @@ def hw_kmeans_lloyd(values, curvature, cfg: ClusterConfig) -> QuantizeResult:
     toward themselves. With constant curvature the assignments match plain
     k-means exactly.
     """
-    v = _values64(values)
-    h = _curvature64(curvature, v.size)
-    return _exact_kmeans(v, h, cfg.k)
+    return kmeans_sweep(values, curvature, [cfg.k])[0]
 
 
 def uniform_quantize(
@@ -528,7 +556,7 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     n, k, lam = v.size, cfg.k, cfg.lam
 
     if lam == 0.0:
-        res = _exact_kmeans(v, h, k)
+        res = _exact_kmeans(v, h, [k])[0]
         return QuantizeResult(res.assignment, res.codebook, res.trace / n)
 
     centers = np.linspace(float(v.min()), float(v.max()), k)

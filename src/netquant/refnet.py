@@ -445,8 +445,10 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     for softmax cross entropy, ``I / sqrt(batch)`` for squared error, plus
     one column per tanh unit for ``tanh''(z) dL/da``. A weight gets its
     squared input times the diagonal at the unit it feeds, a bias that
-    diagonal. Negative entries (tanh nets away from a minimum) are clamped
-    to the curvature floor, and the clamp count is logged.
+    diagonal. Entries below the curvature floor are raised to it, and how
+    many were exact zeros (e.g. weights of a ReLU unit no sample turns on),
+    negative (tanh nets away from a minimum) or positive but below the
+    floor is logged.
     """
     w = _params64(spec, params)
     y = np.asarray(labels)
@@ -486,9 +488,14 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
                 factor = np.concatenate([factor, root], axis=2)
                 signs = np.concatenate([signs, np.sign(curv)], axis=1)
             delta = grad * slope
-    clamped = int(np.count_nonzero(h < CURVATURE_FLOOR))
-    if clamped:
-        log.warning("clamped %d non-positive curvature entries", clamped)
+    low = h[h < CURVATURE_FLOOR]
+    if low.size:
+        zero, negative = np.count_nonzero(low == 0), np.count_nonzero(low < 0)
+        log.warning(
+            "clamped %d curvature entries to the floor: %d zero, %d negative, "
+            "%d positive below the floor",
+            low.size, zero, negative, low.size - zero - negative,
+        )
     return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR), CurvatureSource.EXACT_HESSIAN)
 
 
@@ -548,15 +555,22 @@ def identity_curvature(n: int) -> CurvatureDiag:
 def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
     """Mark the ``floor(fraction * n)`` smallest-magnitude parameters pruned.
 
-    Magnitude ties are broken by pruning the lower index first.
+    Magnitude ties are broken by pruning the lower index first. Linear
+    time: a partition finds the threshold magnitude, everything below it
+    is pruned, then the lowest-index ties at it up to the count.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
     n = ps.n
     n_prune = int(fraction * n)
-    order = np.argsort(np.abs(ps.as_f64()), kind="stable")
     kept = np.ones(n, dtype=bool)
-    kept[order[:n_prune]] = False
+    if n_prune:
+        mag = np.abs(ps.as_f64())
+        threshold = np.partition(mag, n_prune - 1)[n_prune - 1]
+        below = mag < threshold
+        kept[below] = False
+        ties = np.flatnonzero(mag == threshold)
+        kept[ties[: n_prune - np.count_nonzero(below)]] = False
     return PruneMask(kept)
 
 

@@ -94,6 +94,15 @@ def one_move_stable(v, h, assign, k, lam=None, rel_tol=1e-9):
     return True
 
 
+def prune_mask_by_sort(values, fraction: float) -> np.ndarray:
+    """Kept mask that prunes the ``int(fraction * n)`` smallest magnitudes,
+    ties to the lower index, from a stable sort of every magnitude."""
+    mag = np.abs(np.asarray(values, dtype=np.float64))
+    kept = np.ones(mag.size, dtype=bool)
+    kept[np.argsort(mag, kind="stable")[: int(fraction * mag.size)]] = False
+    return kept
+
+
 def rounded32(codebook: Codebook) -> Codebook:
     """Centers at storage precision, the model the bitstream describes."""
     return Codebook(

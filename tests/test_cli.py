@@ -1,11 +1,12 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from netquant import cli, decode_assignments, load_model
+from netquant import cli, decode_assignments, kmeans_sweep, load_model
 
 TRAIN_ARGS = [
     "--dataset", "synth",
@@ -151,6 +152,7 @@ class TestQuantize:
              "--fine-tune", "true", "--ft-lr=-1e-5"],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--ft-lr", "nan"],
+            ["--quantizer", "uniform", "--k", "4", "--center-rule", "foo"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -252,6 +254,69 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[2:]
         assert rows[0].split(",")[-1].startswith("error:")
         assert rows[1].split(",")[-1] == "ok"
+
+
+    def test_kmeans_rows_match_quantize(self, model_dir, tmp_path):
+        ks = [8, 3, 500, 3, 1]  # unsorted, repeated, above the distinct count
+        common = ["--model-dir", model_dir, "--curvature", "adam", "--coding", "huffman"]
+        assert run([
+            "sweep", *common, "--out-dir", tmp_path / "s",
+            "--quantizers", "kmeans,hw-kmeans", "--k-list", ",".join(map(str, ks)),
+        ]) == 0
+        text = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(text))
+        assert [(r["quantizer"], int(r["knob"])) for r in rows] == [
+            (q, k) for q in ("kmeans", "hw-kmeans") for k in ks
+        ]
+        for row in rows:
+            out = tmp_path / f"q-{row['quantizer']}-{row['knob']}"
+            assert run([
+                "quantize", *common, "--out-dir", out,
+                "--quantizer", row["quantizer"], "--k", row["knob"],
+            ]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert row["status"] == "ok"
+            assert int(row["k_effective"]) == report["k_effective"]
+            for key in ("ratio_exact", "entropy_bits"):
+                assert row[key] == cli._csv_number(report[key])
+
+    def test_solver_error_marks_every_row_of_its_quantizer(
+        self, model_dir, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def failing_for_hw(values, curvature, ks):
+            calls.append(list(ks))
+            if curvature is not None:
+                raise ValueError("solver failed")
+            return kmeans_sweep(values, curvature, ks)
+
+        monkeypatch.setattr(cli.quantizers, "kmeans_sweep", failing_for_hw)
+        out = tmp_path / "s"
+        assert run([
+            "sweep", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizers", "kmeans,hw-kmeans", "--k-list", "0,4,8",
+        ]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[-1] for r in rows] == [
+            "error:ConfigError", "ok", "ok",
+            "error:ConfigError", "error:ValueError", "error:ValueError",
+        ]  # fmt: skip
+        assert calls == [[4, 8], [4, 8]]  # one solve per quantizer
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--quantizers", "uniform", "--k-list", "4", "--center-rule", "foo"],
+            ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", "0"],
+            ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
+        ],
+    )
+    def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
+        out = tmp_path / "s"
+        code = run(["sweep", "--model-dir", model_dir, "--out-dir", out, *flags])
+        assert code == cli.EXIT_CONFIG
+        assert not (out / "sweep.csv").exists()
 
 
 class TestReport:

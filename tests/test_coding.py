@@ -111,6 +111,18 @@ class TestHuffman:
             code = build_huffman(counts)
             assert code.avg_bits(counts) == pytest.approx(optimal_avg_bits(counts))
 
+    def test_fibonacci_counts_below_2_32_stay_within_45_bits(self):
+        """F(1), ..., F(45) sum to F(47) - 1 < 2**32, and one more term would
+        not fit; they force a chain-shaped tree, 44 deep when ties go to
+        leaves as here."""
+        fib = [1, 1]
+        while len(fib) < 45:
+            fib.append(fib[-1] + fib[-2])
+        assert sum(fib) < 2**32 < sum(fib) + fib[-1] + fib[-2]
+        for counts in (fib, fib[::-1], [1, *fib[:-1]]):
+            assert max(huffman_lengths(counts)) <= 45
+        assert max(huffman_lengths(fib)) == 44
+
     def test_deterministic(self):
         counts = np.array([5, 5, 5, 5, 2])
         assert build_huffman(counts).codewords == build_huffman(counts).codewords

@@ -20,6 +20,7 @@ from netquant import (
     hw_distortion,
     hw_kmeans_lloyd,
     kmeans_lloyd,
+    kmeans_sweep,
     msqe,
     quantizers,
     scatter_dequantize,
@@ -452,6 +453,61 @@ class TestExactOptimum:
         mean = np.dot(h, v) / h.sum()
         slack = v.size * np.finfo(float).eps * np.dot(h, (v - mean) ** 2)
         assert got == pytest.approx(best, abs=slack)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Values on a 0.25 grid with repeats, positive weights, and a k-list
+    that may be unsorted, repeat entries and exceed the distinct count.
+    Up to 10 values use at most 6 distinct ones, small enough for the
+    brute-force oracle."""
+    n = draw(st.integers(1, 40))
+    pool = draw(
+        st.lists(
+            st.integers(-40, 40), min_size=1, max_size=6 if n <= 10 else 20, unique=True
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    h = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    ks = draw(st.lists(st.integers(1, len(pool) + 3), min_size=1, max_size=6))
+    return np.array(picks) / 4.0, np.array(h), ks
+
+
+class TestKmeansSweep:
+    """One DP answers a k-list exactly as separate single-k solves do."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(sweep_cases())
+    def test_each_k_equals_the_single_k_solve(self, case):
+        v, h, ks = case
+        for weights, curvature, single in (
+            (np.ones(v.size), None, lambda k: kmeans_lloyd(v, ClusterConfig(k=k))),
+            (h, h, lambda k: hw_kmeans_lloyd(v, h, ClusterConfig(k=k))),
+        ):
+            results = kmeans_sweep(v, curvature, ks)
+            assert len(results) == len(ks)
+            for k, res in zip(ks, results):
+                one = single(k)
+                assert np.array_equal(res.assignment, one.assignment)
+                assert np.array_equal(res.codebook.centers, one.codebook.centers)
+                assert np.array_equal(res.codebook.counts, one.codebook.counts)
+                assert np.array_equal(res.trace, one.trace)
+                assert res.codebook.k == k
+                if v.size <= 10:
+                    # Some optimum never splits equal values, so the
+                    # enumeration over the distinct values with merged
+                    # weights has the optimal cost of the full problem.
+                    x, inverse = np.unique(v, return_inverse=True)
+                    merged = np.bincount(inverse, weights=weights)
+                    best, _ = global_optimum(x, merged, k)
+                    got = weighted_cost(v, weights, res.assignment, k)
+                    assert got == pytest.approx(best, rel=1e-12, abs=1e-20)
+
+    def test_rejects_empty_list_and_k_below_one(self):
+        with pytest.raises(ValueError):
+            kmeans_sweep([1.0, 2.0], None, [])
+        with pytest.raises(ValueError):
+            kmeans_sweep([1.0, 2.0], None, [2, 0])
 
 
 class TestSolveLambda:

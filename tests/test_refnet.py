@@ -33,7 +33,7 @@ from netquant import (
     train_adam,
 )
 from netquant.params import CURVATURE_FLOOR, DivergenceError
-from oracles import hessian_diag_fd
+from oracles import hessian_diag_fd, prune_mask_by_sort
 
 
 def fd_gradient(spec, w, x, y, step=1e-5):
@@ -212,6 +212,35 @@ class TestExactHessian:
         assert np.all(h[dead] == np.float32(CURVATURE_FLOOR))
         assert np.all(np.delete(h, dead) > CURVATURE_FLOOR)
 
+    def test_clamp_log_counts_zero_negative_and_tiny(self, caplog):
+        rng = np.random.default_rng(13)
+        spec = MlpSpec((3, 4, 2))
+        w = rng.normal(size=spec.param_count())
+        w[12 + 1] = -100.0  # bias of hidden unit 1: never on, six exact zeros
+        x = rng.normal(size=(20, 3))
+        x[:, 0] *= 1e-8  # the three live weights from input 0 fall below the floor
+        with caplog.at_level("WARNING", logger="netquant.refnet"):
+            hessian_diag_exact(spec, w, x, rng.integers(0, 2, 20))
+        assert caplog.messages == [
+            "clamped 9 curvature entries to the floor: "
+            "6 zero, 0 negative, 3 positive below the floor"
+        ]
+        # A tanh net away from a minimum: every entry is at least 5e-3 from
+        # zero, so the oracle's signs are certain.
+        rng = np.random.default_rng(13)
+        tanh = MlpSpec((3, 4, 2), activation="tanh")
+        w = rng.normal(size=tanh.param_count())
+        x, y = rng.normal(size=(20, 3)), rng.integers(0, 2, 20)
+        negative = int(np.count_nonzero(hessian_diag_fd(tanh, w, x, y) < 0))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="netquant.refnet"):
+            hessian_diag_exact(tanh, w, x, y)
+        assert negative > 0
+        assert caplog.messages == [
+            f"clamped {negative} curvature entries to the floor: "
+            f"0 zero, {negative} negative, 0 positive below the floor"
+        ]
+
     @pytest.mark.parametrize("activation", refnet.ACTIVATIONS)
     def test_sample_blocks_match_one_block(self, monkeypatch, activation):
         rng = np.random.default_rng(14)
@@ -288,6 +317,16 @@ class TestPruning:
         ps = ParamSet.from_flat([1.0, 1.0, 1.0, 1.0])
         mask = prune_magnitude(ps, 0.25)
         assert np.array_equal(mask.kept, [False, True, True, True])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=300),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    )
+    def test_matches_stable_sort_oracle(self, ints, fraction):
+        ps = ParamSet.from_flat(np.array(ints) / 8.0)  # many magnitude ties
+        mask = prune_magnitude(ps, fraction)
+        assert np.array_equal(mask.kept, prune_mask_by_sort(ps.as_f64(), fraction))
 
     def test_popcount_matches_fraction(self):
         rng = np.random.default_rng(8)
