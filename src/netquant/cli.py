@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -287,15 +288,27 @@ def _round_codebook_f32(codebook: quantizers.Codebook) -> quantizers.Codebook:
 
 def _cluster_count(cfg: dict, knob, why: str) -> int:
     k = int(knob if knob is not None else _require(cfg, "k", why))
-    if k < 1:
-        raise ConfigError(f"k must be at least 1; got {k}")
+    if not 1 <= k < 2**63:
+        raise ConfigError(f"k must be at least 1 and below 2**63; got {k}")
     return k
 
 
 def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
-    """k -> exact ``quantizer`` result for each k in ``ks``, from one DP."""
+    """k -> exact ``quantizer`` result for each k in ``ks``, from one DP.
+
+    A k at or above the number of values already gives each distinct value
+    its own cluster, so the DP runs with k capped there.
+    """
     weights = curvature if quantizer == "hw-kmeans" else None
-    return dict(zip(ks, quantizers.kmeans_sweep(values, weights, ks)))
+    capped = [min(k, values.size) for k in ks]
+    return dict(zip(ks, quantizers.kmeans_sweep(values, weights, capped)))
+
+
+def _ecsq_count(cfg: dict, n_values: int) -> int:
+    k = _cluster_count(cfg, None, "ecsq with an explicit lam")
+    if k > n_values:
+        raise ConfigError(f"ecsq k={k} exceeds the {n_values} values to cluster")
+    return k
 
 
 def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
@@ -341,7 +354,7 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
             lam = float(knob if knob is not None else (cfg["lam"] or 0.0))
             if not 0 <= lam < math.inf:
                 raise ConfigError(f"lam must be nonnegative and finite; got {lam}")
-            k = _cluster_count(cfg, None, "ecsq with an explicit lam")
+            k = _ecsq_count(cfg, values.size)
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(
                 values, curvature, quantizers.EcsqConfig(k=k, lam=lam)
@@ -509,14 +522,22 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     return Inputs(ps, spec, dataset, kept.as_f64(), kept_cv, positions)
 
 
+def _write_atomic(path: Path, content: bytes | str) -> None:
+    """Write ``path`` under a temporary name beside it, then rename it into
+    place, so a crash never leaves a truncated file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(content.encode() if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_outputs(out_dir: Path, files: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        path = out_dir / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
+        _write_atomic(out_dir / name, content)
 
 
 def _save_model_dir(
@@ -706,9 +727,9 @@ def cmd_sweep(args) -> int:
     swept = {quantizer for quantizer, _ in points}
     if "uniform" in swept:
         _check_enum(cfg, "center_rule", CENTER_RULES)
-    if "ecsq" in swept and cfg["k"] is not None:
-        _cluster_count(cfg, None, "ecsq")
     inputs = _prepare_inputs(cfg)
+    if "ecsq" in swept and cfg["k"] is not None:
+        _ecsq_count(cfg, inputs.values.size)
 
     # One DP per k-means quantizer serves all of its rows; a k below 1
     # still fails only its own row.
@@ -813,7 +834,7 @@ def cmd_report(args) -> int:
     text = _dumps(doc)
     print(text)
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text + "\n")
+        _write_atomic(Path(cfg["out"]), text + "\n")
     return EXIT_OK
 
 

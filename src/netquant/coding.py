@@ -40,6 +40,13 @@ verified against the canonical reconstruction on decode. Codeword lengths
 are 1..62 bits, so a left-aligned codeword fits an int64; the encoder
 refuses longer codes and the decoder rejects such a table as corrupt. A
 Huffman code for fewer than 2**32 parameters never exceeds 45 bits.
+
+Both directions hold the stream at one uint8 per bit and work on it in
+blocks. The encoder expands ``_PACK_BLOCK`` fields at a time into that
+array (16 bytes of int64 temporaries per bit of the block) before
+``np.packbits``; the decoder reads codewords ``_DECODE_BLOCK`` bit
+positions at a time (see :meth:`_BitReader.symbols`). So the temporaries
+of either stay bounded however large the model is.
 """
 
 from __future__ import annotations
@@ -58,8 +65,10 @@ from .quantizers import Codebook
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEMES.items()}
-# Bit positions whose codeword windows are decoded at once (16 B each).
+# Bit positions whose codeword windows are decoded at once (about 40 B each).
 _DECODE_BLOCK = 1 << 16
+# Fields packed at once; each output bit takes 16 B of int64 temporaries.
+_PACK_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +337,26 @@ def _pack(values, widths) -> np.ndarray:
     """The low ``widths[i]`` bits of each ``values[i]``, most significant first.
 
     Returns one uint8 per bit; a scalar width applies to every value.
-    Raises ValueError for a value that does not fit its width.
+    Raises ValueError for a value that does not fit its width. Fields go
+    through in blocks of ``_PACK_BLOCK``, so the int64 per-bit temporaries
+    stay bounded however long the section is.
     """
     values = np.asarray(values, dtype=np.int64)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
-    if np.any(values < 0) or np.any(values >> widths):
-        raise ValueError("value does not fit in its bit width")
-    shift = np.repeat(np.cumsum(widths) - 1, widths)
-    shift -= np.arange(shift.size)
-    bits = np.repeat(values, widths)
-    bits >>= shift
-    del shift
-    bits &= 1
-    return bits.astype(np.uint8)
+    out = np.empty(int(widths.sum()), dtype=np.uint8)
+    o = 0
+    for s in range(0, values.size, _PACK_BLOCK):
+        v, w = values[s : s + _PACK_BLOCK], widths[s : s + _PACK_BLOCK]
+        if np.any(v < 0) or np.any(v >> w):
+            raise ValueError("value does not fit in its bit width")
+        shift = np.repeat(np.cumsum(w) - 1, w)
+        shift -= np.arange(shift.size)
+        bits = np.repeat(v, w)
+        bits >>= shift
+        bits &= 1
+        out[o : o + bits.size] = bits
+        o += bits.size
+    return out
 
 
 def _code_values(code: PrefixCode) -> np.ndarray:
@@ -379,8 +395,13 @@ class _BitReader:
         codewords fill ``[0, ends[-1])`` back to back in rank order, so the
         ``top``-bit window at a bit position names its codeword by a sorted
         search over the cumulative ``ends``; rank ``k`` means no codeword.
-        Windows are computed for ``_DECODE_BLOCK`` positions at a time, and
-        only the hop from one codeword to the next runs once per symbol.
+        For ``_DECODE_BLOCK`` positions at a time this gives each position's
+        next start, ``q + len`` of its codeword; a position with no codeword,
+        and every position past the block, is a fixed point. Squaring that
+        table four times gives 16-codeword jumps, so the walk along the
+        codeword chain takes one Python step per 16 codewords and gathers
+        fill in the starts between. A fixed point inside the block is an
+        invalid codeword; a chain that runs past the bits left is truncated.
         """
         lengths = np.asarray(code.lengths, dtype=np.int64)
         left = self.bits.size - self.pos
@@ -389,14 +410,14 @@ class _BitReader:
         top = int(lengths.max())
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(1 << (top - lengths[order]))
-        hop_of_rank = np.append(lengths[order], 0).astype(np.uint8)
-        found = np.empty(n, dtype=np.int64)  # offsets into a block, then ranks
-        out = memoryview(found)
+        hop_of_rank = np.append(lengths[order], 0).astype(np.int32)
+        found = np.empty(n, dtype=np.int64)
         i = p = 0
         while i < n:
             if p >= left:
                 raise FormatError("bitstream truncated inside a codeword")
-            span = min(left - p, (n - i) * top, _DECODE_BLOCK)
+            need = n - i
+            span = min(left - p, need * top, _DECODE_BLOCK)
             window = np.zeros(span, dtype=np.int64)
             for j in range(top):
                 window <<= 1
@@ -404,21 +425,34 @@ class _BitReader:
                 window[: tail.size] |= tail
             rank = np.searchsorted(ends, window, side="right")
             del window
-            hops = memoryview(hop_of_rank[rank])
-            first, q = i, 0
-            while i < n and q < span:
-                step = hops[q]
-                if not step:
-                    raise FormatError("invalid codeword in bitstream")
-                out[i] = q
-                q += step
-                i += 1
-            found[first:i] = rank[found[first:i]]
-            p += q
+            nxt = np.arange(span + top, dtype=np.int32)
+            nxt[:span] += hop_of_rank[rank]
+            jump = nxt
+            for _ in range(4):  # 2, 4, 8, then 16 codewords per jump
+                jump = jump[jump]
+            jumps = memoryview(jump)
+            heads, h = [], 0
+            while h < span and 16 * len(heads) < need:
+                heads.append(h)
+                if jumps[h] == h:
+                    break
+                h = jumps[h]
+            starts = np.empty((len(heads), 16), dtype=np.int32)
+            starts[:, 0] = heads
+            for j in range(1, 16):
+                starts[:, j] = nxt[starts[:, j - 1]]
+            starts = starts.ravel()
+            stuck = np.flatnonzero(nxt[starts] == starts)
+            c = min(int(stuck[0]) if stuck.size else starts.size, need)
+            if c < need and c < starts.size and starts[c] < span:
+                raise FormatError("invalid codeword in bitstream")
+            found[i : i + c] = order[rank[starts[:c]]]
+            i += c
+            p += int(nxt[starts[c - 1]])
         if p > left:
             raise FormatError("bitstream truncated inside a codeword")
         self.pos += p
-        return order[found]
+        return found
 
 
 def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> PrefixCode:

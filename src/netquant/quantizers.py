@@ -394,6 +394,12 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
     for each ``k`` in ``ks`` (each in ``1..m``), from one pass of the DP.
     """
     m = x.size
+    # The only m-partition puts each value in its own run; the DP would
+    # need m layers to find it, so it runs for the smaller k only.
+    out = {m: np.arange(m + 1)} if m in ks else {}
+    ks = [k for k in ks if k < m]
+    if not ks:
+        return out
     # Centering on the weighted mean limits cancellation in the sums.
     u = x - np.dot(w, x) / w.sum()
     s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u))
@@ -416,7 +422,6 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
         k_j = min(k for k in ks if k >= j)
         prev, split = _dp_layer(prev, j, m - k_j + j, cost)
         splits.append(split)
-    out = {}
     for k in set(ks):
         bounds = np.empty(k + 1, dtype=np.int64)
         bounds[0], bounds[k] = 0, m
@@ -522,11 +527,14 @@ def uniform_quantize(
     lo, hi = float(v.min()), float(v.max())
     if hi == lo or k == 1:
         assign = np.zeros(v.size, dtype=np.int64)
-        k_bins = 1
     else:
         width = (hi - lo) / k
-        assign = np.minimum((v - lo) // width, k - 1).astype(np.int64)
-        k_bins = k
+        bins = np.minimum((v - lo) // width, k - 1)
+        if k > v.size:
+            # Most bins are empty; number the occupied ones only.
+            bins = np.unique(bins, return_inverse=True)[1]
+        assign = bins.astype(np.int64)
+    k_bins = int(assign.max()) + 1
 
     centers, _ = _weighted_centers(v, h, assign, k_bins, np.zeros(k_bins))
     counts = np.bincount(assign, minlength=k_bins)

@@ -6,7 +6,7 @@ library's incremental bookkeeping, so agreement is meaningful.
 
 import numpy as np
 
-from netquant import Codebook, forward_loss
+from netquant import Codebook, FormatError, forward_loss
 from netquant.coding import entropy_bits
 
 
@@ -129,3 +129,46 @@ def hessian_diag_fd(spec, w, x, y):
         w[i] = orig
         h[i] = (gp - gm) / (2.0 * delta)
     return h
+
+
+def pack_bits_oneshot(values, widths) -> np.ndarray:
+    """The low ``widths[i]`` bits of each ``values[i]``, most significant
+    first, one uint8 per bit, with every field expanded at once into
+    whole-section int64 arrays (16 bytes per output bit). Raises ValueError
+    for a value that does not fit its width."""
+    values = np.asarray(values, dtype=np.int64)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    if np.any(values < 0) or np.any(values >> widths):
+        raise ValueError("value does not fit in its bit width")
+    shift = np.repeat(np.cumsum(widths) - 1, widths)
+    shift -= np.arange(shift.size)
+    bits = np.repeat(values, widths)
+    bits >>= shift
+    bits &= 1
+    return bits.astype(np.uint8)
+
+
+def canonical_decode(bits, pos: int, lengths, n: int):
+    """Decode ``n`` symbols of the canonical code with ``lengths`` from the
+    bit sequence ``bits`` starting at ``pos``, one bit at a time until the
+    prefix read is a codeword. Returns ``(symbols, end position)``; raises
+    FormatError when the bits run out or no codeword matches."""
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    table, value, prev = {}, -1, lengths[order[0]]
+    for i in order:  # consecutive values, shifted left as the length grows
+        value = (value + 1) << (lengths[i] - prev)
+        prev = lengths[i]
+        table[(lengths[i], value)] = i
+    symbols = []
+    for _ in range(n):
+        length = value = 0
+        while (length, value) not in table:
+            if length == max(lengths):
+                raise FormatError("invalid codeword")
+            if pos >= len(bits):
+                raise FormatError("truncated")
+            value = 2 * value + int(bits[pos])
+            length += 1
+            pos += 1
+        symbols.append(table[(length, value)])
+    return symbols, pos

@@ -153,6 +153,8 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--ft-lr", "nan"],
             ["--quantizer", "uniform", "--k", "4", "--center-rule", "foo"],
+            ["--quantizer", "ecsq", "--k", str(2**62), "--lam", "0.1"],
+            ["--quantizer", "uniform", "--k", str(2**64)],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -160,6 +162,23 @@ class TestQuantize:
         code = run(["quantize", "--model-dir", model_dir, "--out-dir", out, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "model.nq").exists()
+
+    @pytest.mark.parametrize("quantizer", ["uniform", "kmeans", "hw-kmeans"])
+    def test_huge_k_allocates_per_value_not_per_cluster(
+        self, model_dir, tmp_path, quantizer
+    ):
+        """A k far above the parameter count leaves every value its own
+        cluster at most; nothing is sized by k itself."""
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", quantizer, "--k", str(2**62),
+        ]) == 0
+        report = json.loads((out / "report.json").read_text())
+        n = load_model(model_dir)[0].n
+        assert 1 < report["k_effective"] <= n
+        decoded = decode_assignments((out / "model.nq").read_bytes())
+        assert decoded.codebook.k == report["k_effective"]
 
     def test_missing_model_dir_is_io_error(self, tmp_path):
         code = run([
@@ -280,6 +299,23 @@ class TestSweep:
             for key in ("ratio_exact", "entropy_bits"):
                 assert row[key] == cli._csv_number(report[key])
 
+    def test_huge_k_rows_match_k_equal_to_n(self, model_dir, tmp_path):
+        n = load_model(model_dir)[0].n
+        rows = {}
+        for k in (2**62, n):
+            out = tmp_path / f"s{k}"
+            assert run([
+                "sweep", "--model-dir", model_dir, "--out-dir", out,
+                "--quantizers", "kmeans,hw-kmeans,uniform", "--k-list", str(k),
+            ]) == 0
+            text = (out / "sweep.csv").read_text().splitlines()[1:]
+            rows[k] = [
+                {key: r[key] for key in ("quantizer", "status", "k_effective", "ratio_exact")}
+                for r in csv.DictReader(text)
+            ]
+        assert [r["status"] for r in rows[2**62]] == ["ok"] * 3
+        assert rows[2**62][:2] == rows[n][:2]  # k-means: each value its own cluster
+
     def test_solver_error_marks_every_row_of_its_quantizer(
         self, model_dir, tmp_path, monkeypatch
     ):
@@ -310,6 +346,7 @@ class TestSweep:
             ["--quantizers", "uniform", "--k-list", "4", "--center-rule", "foo"],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", "0"],
             ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
+            ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -382,6 +419,29 @@ class TestReport:
         bad = tmp_path / "bad.nq"
         bad.write_bytes(b"not a model")
         assert run(["report", "--model-nq", bad]) == cli.EXIT_IO
+
+
+class TestAtomicOutputs:
+    def test_failed_replace_keeps_old_file_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "q"
+        cli._write_outputs(out, {"model.nq": b"old model", "report.json": "old\n"})
+        replaced = []
+
+        def replace_then_fail(src, dst):
+            if replaced:
+                raise OSError("disk full")
+            replaced.append(dst)
+            return os_replace(src, dst)
+
+        os_replace = cli.os.replace
+        monkeypatch.setattr(cli.os, "replace", replace_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_outputs(out, {"model.nq": b"new model", "report.json": "new\n"})
+        assert (out / "model.nq").read_bytes() == b"new model"
+        assert (out / "report.json").read_text() == "old\n"
+        assert sorted(p.name for p in out.iterdir()) == ["model.nq", "report.json"]
 
 
 class TestConfigFile:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from netquant import (
 )
 from netquant import coding
 from netquant.coding import build_report, huffman_lengths
+from oracles import canonical_decode, pack_bits_oneshot
 
 
 def kraft_is_exactly(lengths, target: float) -> bool:
@@ -401,6 +403,98 @@ class TestCorruptStreams:
             assert dec.positions is not None
             assert dec.positions.size == dec.assignment.size
             assert dec.positions[-1] < dec.total_params
+
+
+@st.composite
+def length_tables(draw):
+    """Kraft-valid codeword lengths: complete Huffman codes, Fibonacci counts
+    (codewords up to 45 bits and beyond), or incomplete codes."""
+    kind = draw(st.sampled_from(["huffman", "fibonacci", "incomplete"]))
+    if kind == "huffman":
+        return huffman_lengths(draw(st.lists(st.integers(1, 1000), min_size=1, max_size=20)))
+    if kind == "fibonacci":
+        fib = [1, 1]
+        while len(fib) < 47:
+            fib.append(fib[-1] + fib[-2])
+        return huffman_lengths(fib[: draw(st.integers(2, 47))])
+    k = draw(st.integers(1, 40))
+    shortest = max(1, (k - 1).bit_length())  # k codewords of >= ceil(log2 k) bits
+    return draw(st.lists(st.integers(shortest, shortest + 8), min_size=k, max_size=k))
+
+
+class TestDecoderOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(length_tables(), st.data())
+    def test_matches_bit_at_a_time_decoder(self, lengths, draws):
+        """Same symbols and end position as the scalar decoder, or both
+        raise FormatError, across block boundaries and damaged streams."""
+        rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = draws.draw(st.integers(1, 150), label="n")
+        code = PrefixCode(tuple(lengths))
+        symbols = rng.integers(0, code.k, n)
+        offset = int(rng.integers(0, 16))
+        payload = [int(b) for s in symbols for b in code.codewords[s]]
+        bits = np.concatenate(
+            [rng.integers(0, 2, offset), payload, rng.integers(0, 2, int(rng.integers(0, 40)))]
+        ).astype(np.uint8)
+        damage = draws.draw(st.sampled_from(["none", "flip", "cut"]), label="damage")
+        if damage == "flip":
+            bits[draws.draw(st.integers(0, bits.size - 1), label="bit")] ^= 1
+        elif damage == "cut":
+            bits = bits[: draws.draw(st.integers(0, bits.size - 1), label="cut")]
+        data = np.packbits(bits).tobytes()
+        padded = np.unpackbits(np.frombuffer(data, np.uint8))
+        block = draws.draw(st.sampled_from([1, 5, 64]), label="block")
+        try:
+            expected = canonical_decode(padded, offset, lengths, n)
+        except FormatError:
+            expected = None
+        reader = coding._BitReader(data)
+        with mock.patch.object(coding, "_DECODE_BLOCK", block):
+            if expected is None:
+                with pytest.raises(FormatError):
+                    reader.take(offset)
+                    reader.symbols(code, n)
+                return
+            reader.take(offset)
+            got = reader.symbols(code, n)
+        assert got.tolist() == expected[0]
+        assert reader.pos == expected[1]
+        if damage == "none":
+            assert got.tolist() == symbols.tolist()
+
+
+class TestPackerOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_one_shot_packer(self, draws):
+        """Same bits, or the same ValueError, as packing every field at once."""
+        scalar = draws.draw(st.booleans(), label="scalar width")
+        count = draws.draw(st.integers(0, 40), label="fields")
+        if scalar:
+            widths = draws.draw(st.integers(1, 62), label="width")
+            per_field = [widths] * count
+        else:
+            widths = per_field = draws.draw(
+                st.lists(st.integers(1, 62), min_size=count, max_size=count), label="widths"
+            )
+        values = [draws.draw(st.integers(0, 2**w - 1)) for w in per_field]
+        if count and draws.draw(st.booleans(), label="spoil"):
+            i = draws.draw(st.integers(0, count - 1), label="field")
+            values[i] = draws.draw(st.sampled_from([-1, 2 ** per_field[i]]), label="bad")
+        try:
+            expected = pack_bits_oneshot(values, widths)
+        except ValueError as exc:
+            expected = exc
+        block = draws.draw(st.sampled_from([1, 3, 7, 64]), label="block")
+        with mock.patch.object(coding, "_PACK_BLOCK", block):
+            if isinstance(expected, ValueError):
+                with pytest.raises(ValueError, match=str(expected)):
+                    coding._pack(values, widths)
+            else:
+                got = coding._pack(values, widths)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, expected)
 
 
 class TestAccountingIdentity:

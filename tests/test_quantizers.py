@@ -503,6 +503,20 @@ class TestKmeansSweep:
                     got = weighted_cost(v, weights, res.assignment, k)
                     assert got == pytest.approx(best, rel=1e-12, abs=1e-20)
 
+    def test_k_at_the_distinct_count_runs_no_dp_layer(self, monkeypatch):
+        """Each distinct value its own cluster needs no DP, whose memory
+        grows with k times the distinct count."""
+        v = np.repeat(np.random.default_rng(5).normal(size=3000), 2)
+
+        def no_layers(*args):
+            raise AssertionError("DP layer run for k = m")
+
+        monkeypatch.setattr(quantizers, "_dp_layer", no_layers)
+        for k in (3000, 4000):
+            res = kmeans_sweep(v, None, [k])[0]
+            assert np.array_equal(res.codebook.counts[:3000], np.full(3000, 2))
+            assert res.trace[0] == 0.0
+
     def test_rejects_empty_list_and_k_below_one(self):
         with pytest.raises(ValueError):
             kmeans_sweep([1.0, 2.0], None, [])
