@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -494,6 +493,11 @@ def _spec_and_dataset(
         dataset = _load_dataset(cfg, refnet_doc)
         if spec is not None and dataset.n_features != spec.layer_widths[0]:
             raise ConfigError("dataset feature width disagrees with the model spec")
+        if spec is not None and dataset.n_classes > spec.layer_widths[-1]:
+            raise ConfigError(
+                f"dataset needs {dataset.n_classes} outputs, the model has "
+                f"{spec.layer_widths[-1]}"
+            )
     return spec, dataset
 
 
@@ -522,22 +526,9 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     return Inputs(ps, spec, dataset, kept.as_f64(), kept_cv, positions)
 
 
-def _write_atomic(path: Path, content: bytes | str) -> None:
-    """Write ``path`` under a temporary name beside it, then rename it into
-    place, so a crash never leaves a truncated file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(content.encode() if isinstance(content, str) else content)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_outputs(out_dir: Path, files: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        _write_atomic(out_dir / name, content)
+    params.write_files(out_dir, files)
 
 
 def _save_model_dir(
@@ -558,7 +549,7 @@ def _save_model_dir(
         ps, out_dir, curvature=curvature, mask=mask, model_name=model_name
     )
     if refnet_doc is not None and out_dir != model_dir:
-        (out_dir / REFNET_FILE).write_text(_dumps(refnet_doc) + "\n")
+        params.write_files(out_dir, {REFNET_FILE: _dumps(refnet_doc) + "\n"})
     return out_dir
 
 
@@ -627,8 +618,9 @@ def cmd_train_ref(args) -> int:
     }
     if cfg["dataset"] == "synth":
         doc["dataset"] = {key: cfg[key] for key in _SYNTH + ["eval_frac"]}
-    (out_dir / REFNET_FILE).write_text(_dumps(doc) + "\n")
-    (out_dir / "config.txt").write_text(_config_text(cfg))
+    params.write_files(
+        out_dir, {REFNET_FILE: _dumps(doc) + "\n", "config.txt": _config_text(cfg)}
+    )
     summary = {
         "n_params": model.params.n,
         "final_loss": model.final_loss,
@@ -834,7 +826,8 @@ def cmd_report(args) -> int:
     text = _dumps(doc)
     print(text)
     if cfg["out"]:
-        _write_atomic(Path(cfg["out"]), text + "\n")
+        out = Path(cfg["out"])
+        params.write_files(out.parent, {out.name: text + "\n"})
     return EXIT_OK
 
 

@@ -51,7 +51,6 @@ of either stay bounded however large the model is.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,7 +147,15 @@ class PrefixCode:
 
 
 def huffman_lengths(counts) -> list[int]:
-    """Optimal integer codeword lengths for the given positive counts."""
+    """Optimal integer codeword lengths for the given positive counts.
+
+    Huffman's merges by the two-queue method: leaves sorted by (count,
+    index), then internal nodes in the order they are made, which is also
+    the order of their weights. Each merge takes the lighter queue front,
+    a leaf on ties, which is the (count, node id) order of a heap over
+    leaves numbered before internal nodes. Lengths are depths, found from
+    parent pointers.
+    """
     counts = [int(c) for c in counts]
     if not counts:
         raise ValueError("empty count vector")
@@ -157,18 +164,26 @@ def huffman_lengths(counts) -> list[int]:
     k = len(counts)
     if k == 1:
         return [1]
+    order = sorted(range(k), key=counts.__getitem__)
+    weight = [counts[i] for i in order] + [0] * (k - 1)
+    parent = [0] * (2 * k - 1)
+    leaf, inner = 0, k
+    for node in range(k, 2 * k - 1):
+        for _ in range(2):
+            if leaf < k and (inner == node or weight[leaf] <= weight[inner]):
+                child, leaf = leaf, leaf + 1
+            else:
+                child, inner = inner, inner + 1
+            weight[node] += weight[child]
+            parent[child] = node
+    # Every parent is numbered above its children, so one pass down from
+    # the root (node 2k - 2, depth 0) gives every depth.
+    depth = [0] * (2 * k - 1)
+    for node in range(2 * k - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
     lengths = [0] * k
-    heap = [(c, i, [i]) for i, c in enumerate(counts)]
-    heapq.heapify(heap)
-    tiebreak = k
-    while len(heap) > 1:
-        c1, _, m1 = heapq.heappop(heap)
-        c2, _, m2 = heapq.heappop(heap)
-        members = m1 + m2
-        for i in members:
-            lengths[i] += 1
-        heapq.heappush(heap, (c1 + c2, tiebreak, members))
-        tiebreak += 1
+    for rank, i in enumerate(order):
+        lengths[i] = depth[rank]
     # A codeword of length L needs a total count of at least F(L + 2), the
     # Fibonacci number (Buro, IPL 1993). The n field is 32 bits and
     # 2**32 < F(48), so a code for counts the format can hold stays within

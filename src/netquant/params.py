@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -237,6 +238,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_files(directory, files: dict) -> None:
+    """Write ``files`` (name -> bytes or str) into ``directory`` without
+    ever leaving a partly written file under a real name.
+
+    Every file goes to a temporary name beside its target first, then each
+    is renamed into place in the order given. If a step fails, no
+    temporary is left behind: files renamed before the failure keep their
+    new contents and the rest their old ones.
+    """
+    directory = Path(directory)
+    temps = [directory / f".{name}.{os.getpid()}.tmp" for name in files]
+    try:
+        for tmp, content in zip(temps, files.values()):
+            tmp.write_bytes(content.encode() if isinstance(content, str) else content)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, directory / name)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def save_model(
     ps: ParamSet,
     path,
@@ -248,6 +270,9 @@ def save_model(
 
     Payloads are raw arrays (little-endian float32 for values and curvature,
     one 0/1 byte per parameter for the mask) so the round trip is bit exact.
+    They are written with :func:`write_files` and the manifest is renamed
+    into place last; if any step fails, the payloads the old manifest
+    lists are restored, so the directory still loads as it was.
     """
     if curvature is not None and curvature.n != ps.n:
         raise ValueError(f"curvature length {curvature.n} != n_params {ps.n}")
@@ -273,9 +298,27 @@ def save_model(
         checksums={name: _sha256(data) for name, data in payloads.items()},
         curvature_source=curvature.source.value if curvature is not None else None,
     )
-    for name, data in payloads.items():
-        (path / name).write_bytes(data)
-    (path / MANIFEST_FILE).write_text(manifest.to_json())
+    # Hard links keep the old payloads until the new manifest is in place.
+    backups = {
+        name: path / f".{name}.{os.getpid()}.old"
+        for name in payloads
+        if (path / name).exists()
+    }
+    try:
+        for name, backup in backups.items():
+            backup.unlink(missing_ok=True)
+            os.link(path / name, backup)
+        write_files(path, {**payloads, MANIFEST_FILE: manifest.to_json()})
+    except BaseException:
+        for name in payloads:
+            if name not in backups:
+                (path / name).unlink(missing_ok=True)
+            elif backups[name].exists():
+                os.replace(backups[name], path / name)
+        raise
+    finally:
+        for backup in backups.values():
+            backup.unlink(missing_ok=True)
     return manifest
 
 

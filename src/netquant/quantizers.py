@@ -22,14 +22,18 @@ one-element ``[objective]``. Layer j of that DP holds the optimal j-run cost
 of every prefix, so ``kmeans_sweep`` answers a whole list of cluster counts
 from the layers of the largest one.
 
-The rate-penalized solver iterates from a fixed start, is deterministic
-(ties resolve to the lowest cluster index), records a non-increasing
-objective trace, and finishes with single-point transfers (Hartigan &
-Wong 1979): each queued move is re-checked against the live cluster sums
-and applied only if it still improves, until a scan applies none. A
-converged result cannot be improved by reassigning any one parameter (with
-the affected centers re-optimized). Its n x k score tables are built in
-row blocks of bounded size.
+The rate-penalized solver runs two phases from a fixed start: a Lloyd
+phase, then one polish by single-point transfers (Hartigan & Wong 1979),
+in which each queued move is re-checked against the live cluster sums and
+applied only if it still improves, until a scan applies none. The result
+cannot be improved by reassigning any one parameter (with the affected
+centers re-optimized); since such a transfer gains at least as much as
+the matching Lloyd reassignment, the Lloyd phase only speeds the polish
+up. The polish tolerance is relative to the objective, so rescaling the
+values, curvature and ``lam`` together leaves the assignment unchanged up
+to float rounding. The solver is deterministic (ties resolve to the lowest
+cluster index) and records a non-increasing objective trace. Its n x k
+score tables are built in row blocks of bounded size.
 
 Internally everything runs in float64 regardless of the storage precision
 of the inputs.
@@ -44,14 +48,12 @@ import numpy as np
 
 from .params import CurvatureDiag, ParamSet
 
-# Improvements smaller than this (relative to the current objective) are
-# treated as float noise by the stabilization pass.
+# Improvements smaller than this (relative to the solve's starting
+# objective) are treated as float noise by the stabilization pass.
 _MOVE_REL_TOL = 1e-12
 
-# Iteration budget and relative convergence tolerance of the rate-penalized
-# solver.
+# Iteration budget of the rate-penalized solver's Lloyd phase.
 _ECSQ_MAX_ITERS = 200
-_ECSQ_REL_TOL = 1e-7
 
 # The lambda search accepts entropies within this many bits of the budget;
 # it bisects log2(lam / lam_max) over [_LAMBDA_MIN_EXP, 0] in at most
@@ -329,11 +331,14 @@ def _stabilize(
     first and applies one only if its delta, recomputed against the live
     cluster sums, still improves (Hartigan's transfer step). Applied deltas
     are exact, so the objective strictly decreases by their sum; the pass
-    ends after a scan that applies nothing. Returns the (possibly updated)
-    assignment and the number of moves made.
+    ends after a scan that applies nothing. A move counts as an improvement
+    if it lowers the unnormalized objective by more than ``_MOVE_REL_TOL``
+    times ``|obj_scale|``, with no absolute floor, so the same moves pass
+    at every scale of the values and curvature. Returns the (possibly
+    updated) assignment and the number of moves made.
     """
     stats = _MoveStats(v, h, assign, k)
-    tol = _MOVE_REL_TOL * max(abs(obj_scale), 1.0)
+    tol = _MOVE_REL_TOL * abs(obj_scale)
     clusters = np.arange(k)
     moves = 0
     while True:
@@ -545,19 +550,21 @@ def uniform_quantize(
 def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     """Entropy-penalized clustering for rate-aware codebooks.
 
-    Alternates three steps: assign each point to the cluster minimizing
+    With ``lam == 0`` the entropy term vanishes and the result is the exact
+    curvature-weighted k-means optimum of :func:`hw_kmeans_lloyd` (trace
+    divided by ``n``). Otherwise, from centers evenly spaced over the value
+    range and uniform proportions, a Lloyd phase alternates three steps:
+    assign each point to the cluster minimizing
     ``h_i (v_i - c_j)^2 - lam * log2(p_j)``, recompute centers as
     curvature-weighted means, and refresh the proportions ``p_j`` from the
-    new cluster sizes (initially uniform). The per-iteration objective
-    ``J = D/n + lam * H`` never increases; clusters that empty are retired
-    for good since their codeword cost is infinite. With ``lam == 0`` the
-    entropy term vanishes and the result is the exact curvature-weighted
-    k-means optimum of :func:`hw_kmeans_lloyd` (trace divided by ``n``).
-    Otherwise the iteration starts from centers evenly spaced over the value
-    range.
+    new cluster sizes. It stops when the assignment repeats or
+    ``J = D/n + lam * H`` would rise. One polish by single-point transfers
+    then makes the result one-move stable. Clusters that empty are retired
+    for good since their codeword cost is infinite.
 
     Returns the assignment, a codebook that may contain retired zero-count
-    slots (see :func:`compact_codebook`), and the trace of ``J``.
+    slots (see :func:`compact_codebook`), and the non-increasing trace of
+    ``J``: the first assignment, each Lloyd step, then the polished result.
     """
     v = _values64(values)
     h = _curvature64(curvature, v.size)
@@ -583,37 +590,24 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     assign = assign_step(centers, np.full(k, 1.0 / k))
     centers, _ = _weighted_centers(v, h, assign, k, centers)
     counts = np.bincount(assign, minlength=k)
-    obj = objective(assign, centers, counts)
-    trace = [obj]
+    trace = [objective(assign, centers, counts)]
 
-    budget = _ECSQ_MAX_ITERS
-    while budget > 0:
-        while budget > 0:
-            budget -= 1
-            new_assign = assign_step(centers, counts / n)
-            new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
-            new_counts = np.bincount(new_assign, minlength=k)
-            new_obj = objective(new_assign, new_centers, new_counts)
-            if new_obj > obj:
-                break
-            improved = (obj - new_obj) > _ECSQ_REL_TOL * max(abs(obj), 1e-300)
-            unchanged = np.array_equal(new_assign, assign)
-            assign, centers, counts = new_assign, new_centers, new_counts
-            obj = new_obj
-            trace.append(obj)
-            if unchanged or not improved:
-                break
-
-        new_assign, moves = _stabilize(v, h, assign, k, lam, trace[0] * n)
-        if moves == 0:
+    for _ in range(_ECSQ_MAX_ITERS):
+        new_assign = assign_step(centers, counts / n)
+        if np.array_equal(new_assign, assign):
             break
-        assign = new_assign
-        centers, _ = _weighted_centers(v, h, assign, k, centers)
-        counts = np.bincount(assign, minlength=k)
-        new_obj = objective(assign, centers, counts)
-        if new_obj <= obj:
-            obj = new_obj
-            trace.append(obj)
+        new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
+        new_counts = np.bincount(new_assign, minlength=k)
+        new_obj = objective(new_assign, new_centers, new_counts)
+        if new_obj > trace[-1]:
+            break
+        assign, centers, counts = new_assign, new_centers, new_counts
+        trace.append(new_obj)
+
+    assign = _stabilize(v, h, assign, k, lam, trace[0] * n)[0]
+    centers, _ = _weighted_centers(v, h, assign, k, centers)
+    counts = np.bincount(assign, minlength=k)
+    trace.append(objective(assign, centers, counts))
 
     return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
 

@@ -4,6 +4,8 @@ Everything here recomputes objectives from scratch, independent of the
 library's incremental bookkeeping, so agreement is meaningful.
 """
 
+import heapq
+
 import numpy as np
 
 from netquant import Codebook, FormatError, forward_loss
@@ -75,7 +77,7 @@ def one_move_stable(v, h, assign, k, lam=None, rel_tol=1e-9):
         if lam is None
         else lagrangian_cost(v, h, assign, k, lam)
     )
-    tol = rel_tol * max(abs(base), 1.0)
+    tol = rel_tol * abs(base)
     for i in range(v.size):
         for j in range(k):
             if j == assign[i]:
@@ -172,3 +174,24 @@ def canonical_decode(bits, pos: int, lengths, n: int):
             pos += 1
         symbols.append(table[(length, value)])
     return symbols, pos
+
+
+def huffman_lengths_heap(counts) -> list[int]:
+    """Huffman codeword lengths from a heap of (count, node id, members),
+    leaves numbered 0..k-1 and merged nodes after them; each merge deepens
+    every member of both subtrees by one."""
+    counts = [int(c) for c in counts]
+    if len(counts) == 1:
+        return [1]
+    lengths = [0] * len(counts)
+    heap = [(c, i, [i]) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    tiebreak = len(counts)
+    while len(heap) > 1:
+        c1, _, m1 = heapq.heappop(heap)
+        c2, _, m2 = heapq.heappop(heap)
+        for i in m1 + m2:
+            lengths[i] += 1
+        heapq.heappush(heap, (c1 + c2, tiebreak, m1 + m2))
+        tiebreak += 1
+    return lengths

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from netquant import cli, decode_assignments, kmeans_sweep, load_model
+from netquant import cli, decode_assignments, kmeans_sweep, load_model, params
 
 TRAIN_ARGS = [
     "--dataset", "synth",
@@ -162,6 +162,29 @@ class TestQuantize:
         code = run(["quantize", "--model-dir", model_dir, "--out-dir", out, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "model.nq").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["quantize", "--quantizer", "kmeans", "--k", "4"],
+            ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "exact"],
+            ["quantize", "--quantizer", "kmeans", "--k", "4", "--fine-tune", "true"],
+            ["sweep", "--quantizers", "kmeans", "--k-list", "4"],
+            ["curvature", "--curvature", "exact"],
+        ],
+        ids=["quantize", "exact-curvature", "fine-tune", "sweep", "curvature"],
+    )
+    def test_labels_beyond_model_outputs_are_config_error(
+        self, model_dir, tmp_path, args
+    ):
+        data = tmp_path / "wide.csv"  # labels 0..3 for a 3-class net
+        rng = np.random.default_rng(0)
+        np.savetxt(data, [[c, *rng.normal(size=6)] for c in range(4) for _ in range(5)],
+                   delimiter=",")  # fmt: skip
+        out = tmp_path / "out"
+        code = run([*args, "--model-dir", model_dir, "--dataset", data, "--out-dir", out])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("quantizer", ["uniform", "kmeans", "hw-kmeans"])
     def test_huge_k_allocates_per_value_not_per_cluster(
@@ -435,8 +458,8 @@ class TestAtomicOutputs:
             replaced.append(dst)
             return os_replace(src, dst)
 
-        os_replace = cli.os.replace
-        monkeypatch.setattr(cli.os, "replace", replace_then_fail)
+        os_replace = params.os.replace
+        monkeypatch.setattr(params.os, "replace", replace_then_fail)
         with pytest.raises(OSError, match="disk full"):
             cli._write_outputs(out, {"model.nq": b"new model", "report.json": "new\n"})
         assert (out / "model.nq").read_bytes() == b"new model"

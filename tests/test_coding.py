@@ -25,7 +25,7 @@ from netquant import (
 )
 from netquant import coding
 from netquant.coding import build_report, huffman_lengths
-from oracles import canonical_decode, pack_bits_oneshot
+from oracles import canonical_decode, huffman_lengths_heap, pack_bits_oneshot
 
 
 def kraft_is_exactly(lengths, target: float) -> bool:
@@ -124,6 +124,16 @@ class TestHuffman:
         for counts in (fib, fib[::-1], [1, *fib[:-1]]):
             assert max(huffman_lengths(counts)) <= 45
         assert max(huffman_lengths(fib)) == 44
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 4), min_size=1, max_size=200),
+            st.lists(st.integers(1, 10**12), min_size=1, max_size=60),
+        )
+    )
+    def test_matches_heap_oracle_ties_included(self, counts):
+        assert huffman_lengths(counts) == huffman_lengths_heap(counts)
 
     def test_deterministic(self):
         counts = np.array([5, 5, 5, 5, 2])

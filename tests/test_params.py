@@ -11,6 +11,7 @@ from netquant import (
     Span,
     compact_unpruned,
     load_model,
+    params,
     save_model,
 )
 from netquant.params import CURVATURE_FLOOR, MANIFEST_FILE, PARAMS_FILE
@@ -53,6 +54,48 @@ def test_roundtrip_random_property(tmp_path):
         save_model(ps, d)
         loaded, _, _ = load_model(d)
         assert loaded.values.tobytes() == ps.values.tobytes()
+
+
+def _model(seed):
+    rng = np.random.default_rng(seed)
+    ps = ParamSet.from_flat(rng.normal(size=50).astype(np.float32))
+    return ps, CurvatureDiag(rng.uniform(0.1, 2.0, 50), CurvatureSource.GAUSS_NEWTON)
+
+
+def test_save_over_existing_model_leaves_only_its_files(tmp_path):
+    save_model(_model(0)[0], tmp_path)
+    ps, cv = _model(1)
+    save_model(ps, tmp_path, curvature=cv, mask=PruneMask(np.arange(50) % 2 == 0))
+    loaded, cv2, mask2 = load_model(tmp_path)
+    assert loaded.values.tobytes() == ps.values.tobytes()
+    assert cv2.values.tobytes() == cv.values.tobytes()
+    assert mask2.n_kept == 25
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curvature.f32le", MANIFEST_FILE, "mask.u8", PARAMS_FILE,
+    ]  # fmt: skip
+
+
+def test_failed_manifest_replace_keeps_old_model_loadable(tmp_path, monkeypatch):
+    old_ps, old_cv = _model(0)
+    save_model(old_ps, tmp_path, curvature=old_cv)
+    os_replace = params.os.replace
+
+    def fail_on_manifest(src, dst):
+        if str(dst).endswith(MANIFEST_FILE):
+            raise OSError("disk full")
+        return os_replace(src, dst)
+
+    monkeypatch.setattr(params.os, "replace", fail_on_manifest)
+    ps, cv = _model(1)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(ps, tmp_path, curvature=cv, mask=PruneMask(np.arange(50) % 2 == 0))
+    loaded, cv2, mask2 = load_model(tmp_path)
+    assert loaded.values.tobytes() == old_ps.values.tobytes()
+    assert cv2.values.tobytes() == old_cv.values.tobytes()
+    assert mask2 is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curvature.f32le", MANIFEST_FILE, PARAMS_FILE,
+    ]  # fmt: skip
 
 
 def test_component_length_mismatch_rejected(tmp_path):

@@ -271,6 +271,18 @@ class TestEcsq:
             res = ecsq_iterate(v, h, EcsqConfig(k=6, lam=lam))
             assert np.all(np.diff(res.trace) <= 0)
 
+    @pytest.mark.parametrize("a, b", [(1e-2, 1e-3), (1e-3, 1e-4), (10.0, 100.0)])
+    def test_assignment_is_scale_equivariant(self, a, b):
+        # Scaling values by a and curvature by b scales J by a**2 * b at
+        # lam * a**2 * b, so every solve must pick the unit-scale assignment.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            v, h = rng.standard_t(4, 400), rng.lognormal(0.0, 1.0, 400)
+            lam = float(10.0 ** rng.uniform(-3.0, -1.0))
+            unit = ecsq_iterate(v, h, EcsqConfig(k=8, lam=lam))
+            scaled = ecsq_iterate(v * a, h * b, EcsqConfig(k=8, lam=lam * a * a * b))
+            assert np.array_equal(unit.assignment, scaled.assignment), seed
+
     def test_retired_clusters_stay_retired(self):
         rng = np.random.default_rng(43)
         v = rng.normal(size=300)
