@@ -176,13 +176,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 cfg[key] = parse(flag_value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"flag --{key.replace('_', '-')}: {exc}") from exc
-    lowest = {"batch_size": 1, "ft_batch_size": 1, "steps": 0, "ft_steps": 0}
+    lowest = {"batch_size": 1, "ft_batch_size": 1, "steps": 0, "ft_steps": 0, "seed": 0}
     for key, low in lowest.items():
         if cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}; got {cfg[key]}")
     for key in ("lr", "ft_lr"):
         if not 0 < cfg[key] < math.inf:
             raise ConfigError(f"{key} must be positive and finite; got {cfg[key]}")
+    for key in ("synth_noise", "synth_scale"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite; got {cfg[key]}")
     if not 0 < cfg["eval_frac"] < 1:
         raise ConfigError(f"eval_frac must be in (0, 1); got {cfg['eval_frac']}")
     return cfg

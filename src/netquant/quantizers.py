@@ -32,8 +32,10 @@ the matching Lloyd reassignment, the Lloyd phase only speeds the polish
 up. The polish tolerance is relative to the objective, so rescaling the
 values, curvature and ``lam`` together leaves the assignment unchanged up
 to float rounding. The solver is deterministic (ties resolve to the lowest
-cluster index) and records a non-increasing objective trace. Its n x k
-score tables are built in row blocks of bounded size.
+cluster index) and records a non-increasing objective trace. Both phases
+score points one cluster column at a time within row blocks of bounded
+size, so no n x k table is ever built and results do not depend on the
+block size.
 
 Internally everything runs in float64 regardless of the storage precision
 of the inputs.
@@ -263,9 +265,14 @@ class _MoveStats:
         self.assign[i] = dst
 
 
-def _move_deltas(stats: _MoveStats, lam: float, i, dst) -> np.ndarray:
-    """Objective change for moving points ``i`` to clusters ``dst``
-    (broadcast against each other), from the live cluster sums.
+def _rate_gain(c):
+    """``c log2 c`` for nonnegative counts ``c``, with ``0 log2 0 = 0``."""
+    return c * np.log2(np.maximum(c, 1))
+
+
+def _move_delta(stats: _MoveStats, lam: float, i: int, dst: int) -> float:
+    """Objective change for moving point ``i`` to cluster ``dst``, from the
+    live cluster sums; ``inf`` once ``dst`` has emptied (retired).
 
     Distortion deltas use the standard incremental identities: removing a
     point with weight ``h`` from a cluster with weight sum ``S`` and
@@ -273,48 +280,100 @@ def _move_deltas(stats: _MoveStats, lam: float, i, dst) -> np.ndarray:
     ``-h (v - c')^2 (S - h) / S``; adding it to a cluster with weight ``S``
     and mean ``c`` costs ``+h (v - c)^2 S / (S + h)``. The codeword-rate
     change (from the two affected cluster sizes) is added in unnormalized
-    units. Empty (retired) clusters and a point's own cluster are off
-    limits: their delta is ``inf``.
+    units. The scan in :func:`_best_moves` evaluates the same expressions
+    in the same order, one cluster column at a time.
     """
-    v, h, src = stats.v[i], stats.h[i], stats.assign[i]
     S, W, counts = stats.wsum, stats.wval, stats.counts
+    src = stats.assign[i]
+    ns, nd = counts[src], counts[dst]
+    if nd == 0:
+        return np.inf
+    v, h = stats.v[i], stats.h[i]
     Ss, Sd = S[src], S[dst]
-
     with np.errstate(invalid="ignore", divide="ignore"):
-        # Mean of the source cluster after removing each point.
+        removal = 0.0
+        if ns > 1:
+            c_rest = (W[src] - h * v) / (Ss - h)
+            removal = -h * (v - c_rest) ** 2 * (Ss - h) / Ss
+        add = h * (v - W[dst] / Sd) ** 2 * (Sd / (Sd + h))
+    leave = -lam * (_rate_gain(ns - 1) - _rate_gain(ns))
+    return removal + add + (leave - lam * (_rate_gain(nd + 1) - _rate_gain(nd)))
+
+
+# Bytes of one float64 score column per row block (8,192 rows). Scoring
+# walks the clusters one column at a time over a block, whose handful of
+# row vectors then stay in cache: ecsq_iterate at n = 1e5, k = 16 took
+# 7.7 s in these blocks, 8.2 s in 64k-row blocks and 9.3 s unblocked on a
+# 2-CPU VM.
+_BLOCK_BYTES = 64 << 10
+
+
+def _column_argmin(n: int, columns, block):
+    """Per-row argmin and minimum of scores over the cluster ``columns``.
+
+    ``block(rows)`` takes a slice of row indices and returns the scorer of
+    that row block: a function from a column index to that column's
+    scores. Rows go in blocks of ``_BLOCK_BYTES // 8``. A running minimum
+    with strict ``<`` keeps the lowest column on ties; a row none of whose
+    scores is below ``inf`` gets column 0. A NaN score makes the row's
+    minimum NaN. Columns left out act as columns of ``inf``. No ``n x k``
+    table is built, and the result does not depend on the block size.
+    """
+    step = max(1, _BLOCK_BYTES // 8)
+    arg = np.zeros(n, dtype=np.int64)
+    low = np.full(n, np.inf)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        score, best, low_rows = block(rows), arg[rows], low[rows]
+        for j in columns:
+            s = score(j)
+            np.putmask(best, s < low_rows, j)
+            np.minimum(low_rows, s, out=low_rows)
+    return arg, low
+
+
+def _best_moves(stats: _MoveStats, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's best destination cluster and the objective change of
+    moving it there, from the live cluster sums.
+
+    Per row block, the points' removal and leave-rate terms are computed
+    once; per call, each live cluster's mean and join-rate term. Then
+    :func:`_column_argmin` scores one cluster column at a time with the
+    expressions of :func:`_move_delta`, in its order: ``removal + add +
+    (leave - join)``. A point's own cluster and retired clusters are not
+    destinations. A point whose removal term is NaN (its cluster's weight
+    sum lost to rounding) gets a NaN change, which no tolerance accepts.
+    """
+    S, W, counts = stats.wsum, stats.wval, stats.counts
+
+    def block(rows):
+        v, h, src = stats.v[rows], stats.h[rows], stats.assign[rows]
+        ns, Ss = counts[src], S[src]
         c_rest = (W[src] - h * v) / (Ss - h)
         removal = -h * (v - c_rest) ** 2 * (Ss - h) / Ss
-        add = h * (v - W[dst] / Sd) ** 2 * (Sd / (Sd + h))
-    removal = np.where(counts[src] <= 1, 0.0, removal)
+        removal = np.where(ns <= 1, 0.0, removal)
+        leave = -lam * (_rate_gain(ns - 1) - _rate_gain(ns))
 
-    def f(c):  # c log2 c for the nonnegative counts c, with 0 log2 0 = 0
-        return c * np.log2(np.maximum(c, 1))
+        def score(j):  # removal + add + (leave - join), in place
+            s = v - mean[j]
+            np.square(s, out=s)
+            s *= h
+            q = S[j] + h
+            np.divide(S[j], q, out=q)
+            s *= q
+            s += removal
+            np.subtract(leave, join[j], out=q)
+            s += q
+            np.putmask(s, src == j, np.inf)
+            return s
 
-    ns, nd = counts[src], counts[dst]
-    # Unnormalized rate change: -lam * delta(sum n log2 n).
-    rate = -lam * (f(ns - 1) - f(ns)) - lam * (f(nd + 1) - f(nd))
-    delta = removal + add + rate
-    return np.where((nd == 0) | (dst == src), np.inf, delta)
+        return score
 
-
-# Bytes of float64 score per row block of an n x k table. Blocks this size
-# stay in cache: 32 MiB blocks made ecsq_iterate at n = 3e4, k = 16 about
-# 1.7x slower on a 2-CPU VM.
-_BLOCK_BYTES = 512 << 10
-
-
-def _row_argmin(n: int, k: int, score) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row argmin and minimum of the ``n x k`` table that ``score(rows)``
-    returns one row block at a time, ``rows`` a column of row indices."""
-    step = max(1, _BLOCK_BYTES // (8 * k))
-    arg = np.empty(n, dtype=np.int64)
-    low = np.empty(n)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        table = score(rows[:, None])
-        arg[rows] = np.argmin(table, axis=1)
-        low[rows] = table[np.arange(rows.size), arg[rows]]
-    return arg, low
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = W / S
+        join = lam * (_rate_gain(counts + 1) - _rate_gain(counts))
+        live = np.flatnonzero(counts).tolist()
+        return _column_argmin(stats.v.size, live, block)
 
 
 def _stabilize(
@@ -327,29 +386,27 @@ def _stabilize(
 ) -> tuple[np.ndarray, int]:
     """Apply single-point transfers until none improves the objective.
 
-    Each scan finds every point's best move, then walks those moves best
-    first and applies one only if its delta, recomputed against the live
-    cluster sums, still improves (Hartigan's transfer step). Applied deltas
-    are exact, so the objective strictly decreases by their sum; the pass
-    ends after a scan that applies nothing. A move counts as an improvement
-    if it lowers the unnormalized objective by more than ``_MOVE_REL_TOL``
-    times ``|obj_scale|``, with no absolute floor, so the same moves pass
-    at every scale of the values and curvature. Returns the (possibly
+    Each scan finds every point's best move (:func:`_best_moves`), then
+    walks those moves best first and applies one only if its delta
+    (:func:`_move_delta`), recomputed against the live cluster sums, still
+    improves (Hartigan's transfer step). Applied deltas are exact, so the
+    objective strictly decreases by their sum; the pass ends after a scan
+    that applies nothing. A move counts as an improvement if it lowers the
+    unnormalized objective by more than ``_MOVE_REL_TOL`` times
+    ``|obj_scale|``, with no absolute floor, so the same moves pass at
+    every scale of the values and curvature. Returns the (possibly
     updated) assignment and the number of moves made.
     """
     stats = _MoveStats(v, h, assign, k)
     tol = _MOVE_REL_TOL * abs(obj_scale)
-    clusters = np.arange(k)
     moves = 0
     while True:
-        best_dst, best_delta = _row_argmin(
-            v.size, k, lambda rows: _move_deltas(stats, lam, rows, clusters)
-        )
+        best_dst, best_delta = _best_moves(stats, lam)
         candidates = np.flatnonzero(best_delta < -tol)
         order = candidates[np.argsort(best_delta[candidates], kind="stable")]
         before = moves
         for i in order:
-            if _move_deltas(stats, lam, i, best_dst[i]) < -tol:
+            if _move_delta(stats, lam, i, best_dst[i]) < -tol:
                 stats.apply(i, best_dst[i])
                 moves += 1
         if moves == before:
@@ -560,7 +617,10 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     new cluster sizes. It stops when the assignment repeats or
     ``J = D/n + lam * H`` would rise. One polish by single-point transfers
     then makes the result one-move stable. Clusters that empty are retired
-    for good since their codeword cost is infinite.
+    for good since their codeword cost is infinite. Both phases score the
+    points against one live cluster at a time, in row blocks of
+    ``_BLOCK_BYTES // 8`` points; memory is O(n + k) and the result does
+    not depend on the block size.
 
     Returns the assignment, a codebook that may contain retired zero-count
     slots (see :func:`compact_codebook`), and the non-increasing trace of
@@ -577,10 +637,21 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     centers = np.linspace(float(v.min()), float(v.max()), k)
 
     def assign_step(centers, p):
-        penalty = np.where(p > 0, -lam * np.log2(np.maximum(p, 1e-300)), np.inf)
-        return _row_argmin(
-            n, k, lambda rows: h[rows] * (v[rows] - centers) ** 2 + penalty
-        )[0]
+        penalty = -lam * np.log2(np.maximum(p, 1e-300))
+
+        def block(rows):
+            vb, hb = v[rows], h[rows]
+
+            def score(j):  # h (v - c_j)^2 + penalty_j, in place
+                s = vb - centers[j]
+                np.square(s, out=s)
+                s *= hb
+                s += penalty[j]
+                return s
+
+            return score
+
+        return _column_argmin(n, np.flatnonzero(p > 0).tolist(), block)[0]
 
     def objective(assign, centers, counts):
         return _distortion(v, h, assign, centers) / n + lam * _entropy_from_counts(

@@ -8,8 +8,16 @@ import heapq
 
 import numpy as np
 
-from netquant import Codebook, FormatError, forward_loss
+from netquant import Codebook, EcsqConfig, FormatError, QuantizeResult, forward_loss
 from netquant.coding import entropy_bits
+from netquant.quantizers import (
+    _ECSQ_MAX_ITERS,
+    _MOVE_REL_TOL,
+    _distortion,
+    _entropy_from_counts,
+    _MoveStats,
+    _weighted_centers,
+)
 
 
 def iter_partitions(n: int, max_k: int):
@@ -195,3 +203,96 @@ def huffman_lengths_heap(counts) -> list[int]:
         heapq.heappush(heap, (c1 + c2, tiebreak, m1 + m2))
         tiebreak += 1
     return lengths
+
+
+def _move_deltas_table(stats, lam, i, dst):
+    """Objective change for moving points ``i`` to clusters ``dst``
+    (broadcast against each other) from the live cluster sums; ``inf`` for
+    a retired cluster or a point's own one."""
+    v, h, src = stats.v[i], stats.h[i], stats.assign[i]
+    S, W, counts = stats.wsum, stats.wval, stats.counts
+    Ss, Sd = S[src], S[dst]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c_rest = (W[src] - h * v) / (Ss - h)
+        removal = -h * (v - c_rest) ** 2 * (Ss - h) / Ss
+        add = h * (v - W[dst] / Sd) ** 2 * (Sd / (Sd + h))
+    removal = np.where(counts[src] <= 1, 0.0, removal)
+
+    def f(c):
+        return c * np.log2(np.maximum(c, 1))
+
+    ns, nd = counts[src], counts[dst]
+    rate = -lam * (f(ns - 1) - f(ns)) - lam * (f(nd + 1) - f(nd))
+    delta = removal + add + rate
+    return np.where((nd == 0) | (dst == src), np.inf, delta)
+
+
+def _table_argmin(table):
+    """Per-row argmin (first on ties, first NaN if any) and its value."""
+    arg = np.argmin(table, axis=1)
+    return arg, table[np.arange(table.shape[0]), arg]
+
+
+def best_moves_table(stats, lam):
+    """Each point's best destination and objective change, from one
+    ``n x k`` table of every point's move to every cluster."""
+    rows = np.arange(stats.v.size)[:, None]
+    clusters = np.arange(stats.counts.size)
+    return _table_argmin(_move_deltas_table(stats, lam, rows, clusters))
+
+
+def ecsq_iterate_tables(v, h, cfg: EcsqConfig) -> QuantizeResult:
+    """The rate-penalized solver for ``lam > 0`` scoring every point against
+    every cluster in one ``n x k`` table per Lloyd step and per polish scan:
+    ``argmin`` over the table, then Hartigan's transfers re-checked one at a
+    time against the live cluster sums. Float64 inputs only."""
+    n, k, lam = v.size, cfg.k, cfg.lam
+    rows = np.arange(n)[:, None]
+
+    def assign_step(centers, p):
+        penalty = np.where(p > 0, -lam * np.log2(np.maximum(p, 1e-300)), np.inf)
+        return _table_argmin(h[rows] * (v[rows] - centers) ** 2 + penalty)[0]
+
+    def objective(assign, centers, counts):
+        return _distortion(v, h, assign, centers) / n + lam * _entropy_from_counts(
+            counts
+        )
+
+    def stabilize(assign, obj_scale):
+        stats = _MoveStats(v, h, assign, k)
+        tol = _MOVE_REL_TOL * abs(obj_scale)
+        while True:
+            best_dst, best_delta = best_moves_table(stats, lam)
+            candidates = np.flatnonzero(best_delta < -tol)
+            order = candidates[np.argsort(best_delta[candidates], kind="stable")]
+            moved = False
+            for i in order:
+                if _move_deltas_table(stats, lam, i, best_dst[i]) < -tol:
+                    stats.apply(i, best_dst[i])
+                    moved = True
+            if not moved:
+                return stats.assign
+
+    centers = np.linspace(float(v.min()), float(v.max()), k)
+    assign = assign_step(centers, np.full(k, 1.0 / k))
+    centers, _ = _weighted_centers(v, h, assign, k, centers)
+    counts = np.bincount(assign, minlength=k)
+    trace = [objective(assign, centers, counts)]
+    for _ in range(_ECSQ_MAX_ITERS):
+        new_assign = assign_step(centers, counts / n)
+        if np.array_equal(new_assign, assign):
+            break
+        new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
+        new_counts = np.bincount(new_assign, minlength=k)
+        new_obj = objective(new_assign, new_centers, new_counts)
+        if new_obj > trace[-1]:
+            break
+        assign, centers, counts = new_assign, new_centers, new_counts
+        trace.append(new_obj)
+
+    assign = stabilize(assign, trace[0] * n)
+    centers, _ = _weighted_centers(v, h, assign, k, centers)
+    counts = np.bincount(assign, minlength=k)
+    trace.append(objective(assign, centers, counts))
+    return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))

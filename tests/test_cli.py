@@ -63,6 +63,10 @@ class TestTrainRef:
             ["--eval-frac", "0"],
             ["--eval-frac", "1"],
             ["--eval-frac", "1.5"],
+            ["--seed", "-1"],
+            ["--synth-noise", "nan"],
+            ["--synth-scale", "inf"],
+            ["--synth-scale=-inf"],
         ],
     )
     def test_bad_option_value_is_config_error(self, tmp_path, flags):
@@ -70,6 +74,12 @@ class TestTrainRef:
         code = run(["train-ref", "--out-dir", out, *TRAIN_ARGS, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
+
+    def test_zero_synthetic_noise_and_scale_are_accepted(self, tmp_path):
+        out = tmp_path / "m"
+        flags = ["--synth-noise", "0", "--synth-scale", "0", "--steps", "5"]
+        assert run(["train-ref", "--out-dir", out, *TRAIN_ARGS, *flags]) == 0
+        assert (out / "refnet.json").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -155,6 +165,8 @@ class TestQuantize:
             ["--quantizer", "uniform", "--k", "4", "--center-rule", "foo"],
             ["--quantizer", "ecsq", "--k", str(2**62), "--lam", "0.1"],
             ["--quantizer", "uniform", "--k", str(2**64)],
+            ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
+             "--fine-tune", "true", "--seed", "-5"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -370,6 +382,7 @@ class TestSweep:
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", "0"],
             ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
+            ["--quantizers", "kmeans", "--k-list", "4", "--seed", "-5"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):

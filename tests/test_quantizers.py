@@ -3,6 +3,7 @@ partition enumeration."""
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from netquant import (
     uniform_quantize,
 )
 from netquant.coding import entropy_bits
-from oracles import global_optimum, lagrangian_cost, one_move_stable, weighted_cost
+from oracles import (
+    best_moves_table,
+    ecsq_iterate_tables,
+    global_optimum,
+    lagrangian_cost,
+    one_move_stable,
+    weighted_cost,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +402,74 @@ class TestBoundedBlocks:
         assert np.array_equal(whole.assignment, blocked.assignment)
         assert np.array_equal(whole.codebook.centers, blocked.codebook.centers)
         assert np.array_equal(whole.trace, blocked.trace)
+
+
+@st.composite
+def ecsq_instances(draw):
+    """Grid values (so duplicates are common) with unit, log-normal or
+    floored curvature, where the floored kind puts weights of 1e6 to 1e8
+    beside ``CURVATURE_FLOOR`` entries: the floors vanish in the rounding of
+    a heavy cluster's weight sum, so a heavy point alone among floors has
+    ``S - h == 0`` and a NaN removal term. ``lam`` is log-uniform over
+    [1e-9, 1e-1] times ``h.max() * ptp(v)**2``."""
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(1, min(64, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 60))
+    v = rng.integers(-levels, levels + 1, n) * draw(st.sampled_from([0.25, 1e-3]))
+    kind = draw(st.sampled_from(["unit", "lognormal", "floored"]))
+    if kind == "unit":
+        h = np.ones(n)
+    elif kind == "lognormal":
+        h = rng.lognormal(0.0, 1.0, n)
+    else:
+        h = np.full(n, CURVATURE_FLOOR)
+        mid = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+        h[mid] = rng.lognormal(0.0, 1.0, int(mid.sum()))
+        heavy = rng.choice(n, draw(st.integers(1, k)), replace=False)
+        h[heavy] = 10.0 ** rng.uniform(6.0, 8.0, heavy.size)
+    scale = float(h.max()) * (float(np.ptp(v)) ** 2 or 1.0)
+    lam = 10.0 ** draw(st.floats(-9.0, -1.0)) * scale
+    return v, h, k, lam
+
+
+class TestColumnKernel:
+    """ECSQ scores one cluster column at a time; it must return exactly
+    what one ``n x k`` table per step and per scan gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ecsq_instances(), blocks=st.integers(1, 6))
+    def test_equals_table_oracle_bit_for_bit(self, case, blocks):
+        v, h, k, lam = case
+        cfg = EcsqConfig(k=k, lam=lam)
+        rows = -(-v.size // blocks)
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * rows):
+            got = ecsq_iterate(v, h, cfg)
+        want = ecsq_iterate_tables(v, h, cfg)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(got.codebook.centers, want.codebook.centers)
+        assert np.array_equal(got.codebook.counts, want.codebook.counts)
+        assert np.array_equal(got.trace, want.trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ecsq_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_scan_equals_table_oracle(self, case, seed):
+        # Random assignments, then random transfers: the incremental sums
+        # drift from a fresh bincount, as they do inside the polish.
+        v, h, k, lam = case
+        rng = np.random.default_rng(seed)
+        used = rng.choice(k, rng.integers(1, k + 1), replace=False)
+        stats = quantizers._MoveStats(v, h, rng.choice(used, v.size), k)
+        for i in rng.integers(0, v.size, rng.integers(0, 2 * v.size + 1)):
+            stats.apply(i, rng.choice(used))
+        rows = max(1, v.size // int(rng.integers(1, 7)))
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * rows):
+            dst, delta = quantizers._best_moves(stats, lam)
+        with np.errstate(invalid="ignore"):  # the table adds inf and -inf
+            want_dst, want_delta = best_moves_table(stats, lam)
+        assert np.array_equal(delta, want_delta, equal_nan=True)
+        ok = ~np.isnan(delta)  # the table takes the first NaN column
+        assert np.array_equal(dst[ok], want_dst[ok])
 
 
 @st.composite
