@@ -55,9 +55,6 @@ SWEEP_COLUMNS = [
 
 QUANTIZERS = ("kmeans", "hw-kmeans", "uniform", "ecsq")
 KMEANS_QUANTIZERS = ("kmeans", "hw-kmeans")
-CENTER_RULES = ("mean", "hessian_weighted_mean")
-CURVATURES = ("exact", "gauss-newton", "adam", "identity")
-CODINGS = ("fixed", "huffman")
 REFNET_FILE = "refnet.json"
 
 
@@ -80,16 +77,57 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x.strip() != ""]
+# Parser builders: each parser converts a value and raises ValueError when it
+# falls outside its key's domain.
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in str(text).split(",") if x.strip() != ""]
+def _int_from(low: int, below: int | None = None):
+    def parse(text) -> int:
+        value = int(text)
+        if value < low or (below is not None and value >= below):
+            upper = "" if below is None else f" and below {below}"
+            raise ValueError(f"must be at least {low}{upper}; got {value}")
+        return value
 
+    return parse
+
+
+def _float_in(low: float, high: float = math.inf, *, closed_low: bool = False):
+    """Floats in (low, high), or [low, high) with ``closed_low``; NaN never."""
+
+    def parse(text) -> float:
+        value = float(text)
+        above = low <= value if closed_low else low < value
+        if not (above and value < high):
+            bracket = "[" if closed_low else "("
+            raise ValueError(f"must be in {bracket}{low:g}, {high:g}); got {value}")
+        return value
+
+    return parse
+
+
+def _one_of(allowed: tuple):
+    def parse(text) -> str:
+        if text not in allowed:
+            raise ValueError(f"must be one of {', '.join(allowed)}; got {text!r}")
+        return text
+
+    return parse
+
+
+def _list_of(item):
+    """Comma list of ``item`` values; items are stripped, empty ones dropped."""
+
+    def parse(text) -> list:
+        return [item(x.strip()) for x in str(text).split(",") if x.strip()]
+
+    return parse
+
+
+_FINITE = _float_in(-math.inf)
 
 # key -> (default, parser). Everything lands in one flat namespace shared
 # by the config file and the flags.
@@ -97,45 +135,54 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     "model_dir": (None, str),
     "dataset": (None, str),
     "out_dir": (None, str),
-    "quantizer": ("kmeans", str),
-    "curvature": ("identity", str),
-    "coding": ("huffman", str),
-    "k": (None, int),
-    "target_ratio": (None, float),
-    "lam": (None, float),
-    "prune_fraction": (0.0, float),
+    "quantizer": ("kmeans", _one_of(QUANTIZERS)),
+    "curvature": ("identity", _one_of(("exact", "gauss-newton", "adam", "identity"))),
+    "coding": ("huffman", _one_of(("fixed", "huffman"))),
+    "k": (None, _int_from(1, 2**63)),
+    "target_ratio": (None, _float_in(32 / sys.float_info.max)),  # finite budget
+    "lam": (None, _float_in(0.0, closed_low=True)),
+    "prune_fraction": (0.0, _float_in(0.0, 1.0, closed_low=True)),
     "fine_tune": (False, _parse_bool),
-    "seed": (0, int),
-    "center_rule": ("mean", str),
-    "hessian_samples": (0, int),
-    "k_list": (None, _parse_int_list),
-    "lambda_list": (None, _parse_float_list),
-    "quantizers": (None, str),
+    "seed": (0, _int_from(0)),
+    "center_rule": ("mean", _one_of(("mean", "hessian_weighted_mean"))),
+    "hessian_samples": (0, _int_from(0)),
+    "k_list": (None, _list_of(int)),
+    "lambda_list": (None, _list_of(float)),
+    "quantizers": (None, _list_of(_one_of(QUANTIZERS))),
     # train-ref
-    "hidden": ([32], _parse_int_list),
-    "activation": ("relu", str),
-    "loss": ("softmax_cross_entropy", str),
-    "steps": (500, int),
-    "batch_size": (64, int),
-    "lr": (0.01, float),
+    "hidden": ([32], _list_of(int)),
+    "activation": ("relu", _one_of(refnet.ACTIVATIONS)),
+    "loss": ("softmax_cross_entropy", _one_of(refnet.LOSSES)),
+    "steps": (500, _int_from(0)),
+    "batch_size": (64, _int_from(1)),
+    "lr": (0.01, _float_in(0.0)),
     "model_name": ("refnet", str),
     # fine-tune
-    "ft_steps": (200, int),
-    "ft_batch_size": (64, int),
-    "ft_lr": (1e-5, float),
+    "ft_steps": (200, _int_from(0)),
+    "ft_batch_size": (64, _int_from(1)),
+    "ft_lr": (1e-5, _float_in(0.0)),
     # synthetic dataset
     "synth_samples": (2000, int),
     "synth_classes": (4, int),
     "synth_features": (10, int),
-    "synth_noise": (1.0, float),
-    "synth_spread": (3.0, float),
-    "synth_scale": (1.0, float),
+    "synth_noise": (1.0, _FINITE),
+    "synth_spread": (3.0, _FINITE),
+    "synth_scale": (1.0, _FINITE),
     "synth_seed": (0, int),
-    "eval_frac": (0.3, float),
+    "eval_frac": (0.3, _float_in(0.0, 1.0)),
     # report
     "model_nq": (None, str),
     "out": (None, str),
 }
+
+
+def _option(key: str, raw, where: str | None = None):
+    """``raw`` parsed and checked as a value of ``key``."""
+    _, parse = OPTION_TABLE[key]
+    try:
+        return parse(raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where or key}: {exc}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -163,31 +210,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (default, _) in OPTION_TABLE.items()}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
-            _, parse = OPTION_TABLE[key]
-            try:
-                cfg[key] = parse(raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
+            cfg[key] = _option(key, raw, f"config key {key}")
     for key in OPTION_TABLE:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            _, parse = OPTION_TABLE[key]
-            try:
-                cfg[key] = parse(flag_value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"flag --{key.replace('_', '-')}: {exc}") from exc
-    lowest = {"batch_size": 1, "ft_batch_size": 1, "steps": 0, "ft_steps": 0, "seed": 0}
-    for key, low in lowest.items():
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be at least {low}; got {cfg[key]}")
-    for key in ("lr", "ft_lr"):
-        if not 0 < cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be positive and finite; got {cfg[key]}")
-    for key in ("synth_noise", "synth_scale"):
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite; got {cfg[key]}")
-    if not 0 < cfg["eval_frac"] < 1:
-        raise ConfigError(f"eval_frac must be in (0, 1); got {cfg['eval_frac']}")
+            cfg[key] = _option(key, flag_value, f"flag --{key.replace('_', '-')}")
     return cfg
 
 
@@ -211,13 +238,6 @@ def _require(cfg: dict, key: str, why: str):
     return cfg[key]
 
 
-def _check_enum(cfg: dict, key: str, allowed: tuple) -> str:
-    value = cfg[key]
-    if value not in allowed:
-        raise ConfigError(f"{key} must be one of {', '.join(allowed)}; got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Dataset and reference-net helpers
 # ---------------------------------------------------------------------------
@@ -235,7 +255,7 @@ def _synth_dataset(cfg: dict) -> refnet.Dataset:
             input_scale=cfg["synth_scale"],
             eval_frac=cfg["eval_frac"],
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"synthetic dataset: {exc}") from exc
 
 
@@ -289,10 +309,8 @@ def _round_codebook_f32(codebook: quantizers.Codebook) -> quantizers.Codebook:
 
 
 def _cluster_count(cfg: dict, knob, why: str) -> int:
-    k = int(knob if knob is not None else _require(cfg, "k", why))
-    if not 1 <= k < 2**63:
-        raise ConfigError(f"k must be at least 1 and below 2**63; got {k}")
-    return k
+    """A sweep point's ``k`` knob, else the configured ``k``."""
+    return _require(cfg, "k", why) if knob is None else _option("k", knob)
 
 
 def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
@@ -307,7 +325,7 @@ def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
 
 
 def _ecsq_count(cfg: dict, n_values: int) -> int:
-    k = _cluster_count(cfg, None, "ecsq with an explicit lam")
+    k = cfg["k"]
     if k > n_values:
         raise ConfigError(f"ecsq k={k} exceeds the {n_values} values to cluster")
     return k
@@ -323,8 +341,9 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
     extras: dict = {}
     if quantizer == "uniform":
         k = _cluster_count(cfg, knob, "uniform")
-        rule = _check_enum(cfg, "center_rule", CENTER_RULES)
-        res = quantizers.uniform_quantize(values, curvature, k=k, center_rule=rule)
+        res = quantizers.uniform_quantize(
+            values, curvature, k=k, center_rule=cfg["center_rule"]
+        )
     elif quantizer in KMEANS_QUANTIZERS:
         k = _cluster_count(cfg, knob, quantizer)
         if solved is None:
@@ -332,14 +351,9 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
         if isinstance(solved, Exception):
             raise solved
         res = solved[k]
-    elif quantizer == "ecsq":
+    else:  # ecsq, with exactly one of k (plus lam) and target_ratio set
         if cfg["target_ratio"] is not None:
-            if cfg["k"] is not None or knob is not None:
-                raise ConfigError("ecsq takes either k (with lam) or target_ratio")
-            ratio = cfg["target_ratio"]
-            if not 0 < ratio < math.inf:
-                raise ConfigError(f"target_ratio must be positive and finite: {ratio}")
-            budget = 32 / ratio  # bits per parameter against float32 originals
+            budget = 32 / cfg["target_ratio"]  # bits per parameter against float32
             k = 2 ** min(6, math.ceil(budget) + 1)
             found = quantizers.solve_lambda(
                 values, curvature, k=k, target_entropy=budget
@@ -353,16 +367,12 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
             extras["entropy_budget"] = budget
             extras["lambda"] = found.lam
         else:
-            lam = float(knob if knob is not None else (cfg["lam"] or 0.0))
-            if not 0 <= lam < math.inf:
-                raise ConfigError(f"lam must be nonnegative and finite; got {lam}")
+            lam = _option("lam", knob) if knob is not None else (cfg["lam"] or 0.0)
             k = _ecsq_count(cfg, values.size)
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(
                 values, curvature, quantizers.EcsqConfig(k=k, lam=lam)
             )
-    else:
-        raise ConfigError(f"unknown quantizer {quantizer!r}")
     assignment, codebook = quantizers.compact_codebook(res.assignment, res.codebook)
     return assignment, _round_codebook_f32(codebook), extras
 
@@ -381,10 +391,8 @@ def _resolve_curvature(
     dataset: refnet.Dataset | None,
 ) -> params.CurvatureDiag:
     """Curvature for the full (pre-compaction) parameter vector."""
-    source = _check_enum(cfg, "curvature", CURVATURES)
+    source = cfg["curvature"]
     cap = cfg["hessian_samples"]
-    if cap < 0:
-        raise ConfigError(f"hessian_samples must be at least 0, got {cap}")
     if source == "identity":
         return refnet.identity_curvature(values_full.size)
     if source == "adam":
@@ -440,11 +448,10 @@ class Point:
 
 def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Point:
     """One full quantize -> code -> (fine-tune) -> evaluate pass, in memory."""
-    scheme = _check_enum(cfg, "coding", CODINGS)
     assignment, codebook, extras = _quantize_values(
         inputs.values, inputs.curvature, cfg, knob, solved
     )
-    code = _build_code(scheme, codebook)
+    code = _build_code(cfg["coding"], codebook)
 
     def encode(codebook):
         return coding.encode_assignments(
@@ -512,8 +519,6 @@ def _masked_values(ps: params.ParamSet, mask: params.PruneMask | None) -> np.nda
 def _prepare_inputs(cfg: dict) -> Inputs:
     """Load the model directory and derive the quantizer inputs."""
     fraction = cfg["prune_fraction"]
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"prune_fraction must be in [0, 1); got {fraction}")
     model_dir = Path(_require(cfg, "model_dir", "this command"))
     ps, stored_cv, stored_mask = params.load_model(model_dir)
     spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir))
@@ -587,8 +592,6 @@ def cmd_train_ref(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "train-ref"))
     dataset = _load_dataset(cfg, None)
-    _check_enum(cfg, "activation", refnet.ACTIVATIONS)
-    _check_enum(cfg, "loss", refnet.LOSSES)
     widths = (dataset.n_features, *cfg["hidden"], dataset.n_classes)
     try:
         spec = refnet.MlpSpec(widths, cfg["activation"], cfg["loss"])
@@ -638,8 +641,8 @@ def cmd_prune(args) -> int:
     cfg = _resolve_config(args)
     model_dir = Path(_require(cfg, "model_dir", "prune"))
     fraction = cfg["prune_fraction"]
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("prune needs 0 < --prune-fraction < 1")
+    if fraction == 0.0:
+        raise ConfigError("prune needs a --prune-fraction above 0")
     ps, curvature, _ = params.load_model(model_dir)
     mask = refnet.prune_magnitude(ps, fraction)
     out_dir = _save_model_dir(
@@ -652,7 +655,7 @@ def cmd_prune(args) -> int:
 def cmd_curvature(args) -> int:
     cfg = _resolve_config(args)
     model_dir = Path(_require(cfg, "model_dir", "curvature"))
-    if _check_enum(cfg, "curvature", CURVATURES) == "adam":
+    if cfg["curvature"] == "adam":
         raise ConfigError("adam curvature is captured by train-ref, not recomputed")
     ps, _, mask = params.load_model(model_dir)
     refnet_doc = _read_refnet_doc(model_dir)
@@ -666,8 +669,6 @@ def cmd_curvature(args) -> int:
 def cmd_quantize(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "quantize"))
-    _check_enum(cfg, "quantizer", QUANTIZERS)
-    _check_enum(cfg, "coding", CODINGS)
     if cfg["quantizer"] == "ecsq":
         if (cfg["k"] is None) == (cfg["target_ratio"] is None):
             raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
@@ -688,22 +689,12 @@ def cmd_quantize(args) -> int:
 
 
 def _sweep_points(cfg: dict) -> list[tuple[str, object]]:
-    quantizer_list = [
-        q.strip() for q in (cfg["quantizers"] or cfg["quantizer"]).split(",")
-    ]
     points = []
-    for quantizer in quantizer_list:
-        if quantizer not in QUANTIZERS:
-            raise ConfigError(f"unknown quantizer {quantizer!r} in sweep")
-        if quantizer == "ecsq":
-            knobs = cfg["lambda_list"]
-            if not knobs:
-                raise ConfigError("sweeping ecsq needs --lambda-list")
-        else:
-            knobs = cfg["k_list"]
-            if not knobs:
-                raise ConfigError(f"sweeping {quantizer} needs --k-list")
-        points.extend((quantizer, knob) for knob in knobs)
+    for quantizer in cfg["quantizers"] or [cfg["quantizer"]]:
+        key = "lambda_list" if quantizer == "ecsq" else "k_list"
+        if not cfg[key]:
+            raise ConfigError(f"sweeping {quantizer} needs --{key.replace('_', '-')}")
+        points.extend((quantizer, knob) for knob in cfg[key])
     return points
 
 
@@ -714,16 +705,10 @@ def _csv_number(value) -> str:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "sweep"))
-    _check_enum(cfg, "coding", CODINGS)
     points = _sweep_points(cfg)
-    if not points:
-        raise ConfigError("sweep needs at least one point")
-    # Options that every point of a quantizer shares fail the whole sweep.
-    swept = {quantizer for quantizer, _ in points}
-    if "uniform" in swept:
-        _check_enum(cfg, "center_rule", CENTER_RULES)
     inputs = _prepare_inputs(cfg)
-    if "ecsq" in swept and cfg["k"] is not None:
+    # An ecsq k too large for the values fails the whole sweep.
+    if any(q == "ecsq" for q, _ in points) and cfg["k"] is not None:
         _ecsq_count(cfg, inputs.values.size)
 
     # One DP per k-means quantizer serves all of its rows; a k below 1

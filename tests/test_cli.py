@@ -1,10 +1,13 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netquant import cli, decode_assignments, kmeans_sweep, load_model, params
 
@@ -67,6 +70,9 @@ class TestTrainRef:
             ["--synth-noise", "nan"],
             ["--synth-scale", "inf"],
             ["--synth-scale=-inf"],
+            ["--synth-spread", "nan"],
+            ["--synth-spread", "inf"],
+            ["--synth-spread", "1e308"],
         ],
     )
     def test_bad_option_value_is_config_error(self, tmp_path, flags):
@@ -149,6 +155,7 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "-0.1"],
             ["--quantizer", "ecsq", "--target-ratio", "0"],
             ["--quantizer", "ecsq", "--target-ratio", "-4"],
+            ["--quantizer", "ecsq", "--target-ratio", "1e-320"],
             ["--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton",
              "--dataset", "synth", "--hessian-samples", "-5"],
             ["--quantizer", "ecsq", "--k", "8", "--lam", "-1"],
@@ -167,6 +174,9 @@ class TestQuantize:
             ["--quantizer", "uniform", "--k", str(2**64)],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--seed", "-5"],
+            ["--quantizer", "kmeans", "--k", "4", "--target-ratio", "-1"],
+            ["--quantizer", "kmeans", "--k", "4", "--lam", "nan"],
+            ["--quantizer", "kmeans", "--k", "4", "--center-rule", "foo"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -309,6 +319,14 @@ class TestSweep:
         assert rows[0].split(",")[-1].startswith("error:")
         assert rows[1].split(",")[-1] == "ok"
 
+    def test_empty_quantizer_item_is_dropped(self, model_dir, tmp_path):
+        out = tmp_path / "s"
+        assert run([
+            "sweep", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizers", "kmeans,", "--k-list", "4",
+        ]) == 0
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+        assert [(r["quantizer"], r["status"]) for r in rows] == [("kmeans", "ok")]
 
     def test_kmeans_rows_match_quantize(self, model_dir, tmp_path):
         ks = [8, 3, 500, 3, 1]  # unsorted, repeated, above the distinct count
@@ -383,6 +401,7 @@ class TestSweep:
             ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
             ["--quantizers", "kmeans", "--k-list", "4", "--seed", "-5"],
+            ["--quantizers", "kmeans", "--k-list", "4", "--target-ratio", "-2"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -510,6 +529,46 @@ class TestConfigFile:
         ]) == cli.EXIT_CONFIG
 
 
+class TestConfigRoundTrip:
+    """A run's config.txt reproduces its primary artifacts byte for byte."""
+
+    @pytest.mark.parametrize(
+        "args, artifacts",
+        [
+            (["train-ref", *TRAIN_ARGS, "--steps", "20", "--lr", "0.02",
+              "--activation", "tanh", "--synth-spread", "2.5"],
+             ["params.f32le", "refnet.json"]),
+            (["quantize", "--quantizer", "uniform", "--k", "6",
+              "--center-rule", "hessian_weighted_mean", "--curvature", "gauss-newton",
+              "--dataset", "synth", "--prune-fraction", "0.3", "--fine-tune", "true",
+              "--ft-steps", "5", "--seed", "2"],
+             ["model.nq", "report.json"]),
+            (["sweep", "--quantizers", "kmeans,ecsq", "--k-list", "3,5",
+              "--lambda-list", "0,1e-4", "--k", "6", "--coding", "fixed"],
+             ["sweep.csv"]),
+        ],
+        ids=["train-ref", "quantize", "sweep"],
+    )  # fmt: skip
+    def test_rerun_from_config_txt(self, model_dir, tmp_path, args, artifacts):
+        if args[0] != "train-ref":
+            args = [*args, "--model-dir", model_dir]
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run([*args, "--out-dir", first]) == 0
+        config = first / "config.txt"
+        assert run([args[0], "--config", config, "--out-dir", second]) == 0
+        for name in artifacts:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "key", [k for k, (default, _) in cli.OPTION_TABLE.items() if default is not None]
+    )
+    def test_default_parses_back_from_config_text(self, key):
+        default, _ = cli.OPTION_TABLE[key]
+        line = cli._config_text({key: default}).splitlines()[1]
+        assert line.startswith(f"{key}=")
+        assert cli._option(key, line.partition("=")[2]) == default
+
+
 class TestCurvatureCommand:
     def test_gauss_newton_stored(self, model_dir, tmp_path):
         out = tmp_path / "m2"
@@ -566,3 +625,101 @@ class TestPruneCommand:
         ps, _, mask = load_model(out)
         assert mask is not None
         assert mask.n_kept == ps.n - int(0.5 * ps.n)
+
+    @pytest.mark.parametrize("fraction", ["0", "1", "-0.1", "nan"])
+    def test_fraction_outside_open_unit_interval_is_config_error(
+        self, model_dir, tmp_path, fraction
+    ):
+        out = tmp_path / "pruned"
+        code = run([
+            "prune", "--model-dir", model_dir, "--out-dir", out,
+            f"--prune-fraction={fraction}",
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+
+def _fuzz_keys() -> dict:
+    """Command -> the option keys it takes, path keys left out: an empty path
+    names the working directory."""
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )  # fmt: skip
+    paths = {"model_dir", "out_dir", "dataset", "model_nq", "out"}
+    return {
+        name: [a.dest for a in p._actions if a.dest in cli.OPTION_TABLE.keys() - paths]
+        for name, p in sub.choices.items()
+    }
+
+
+FUZZ_KEYS = _fuzz_keys()
+BOUNDARY = ["-1", "0", "nan", "inf", "-inf", "1e308", "", "abc"]
+# Keys that size a loop or an allocation get no huge values.
+SIZING_KEYS = {
+    "steps", "ft_steps", "synth_samples", "synth_features", "synth_classes",
+    "hidden", "batch_size", "ft_batch_size",
+}  # fmt: skip
+HUGE_KEYS = {
+    "k", "seed", "synth_seed", "hessian_samples", "target_ratio", "lam",
+    "prune_fraction", "lr", "ft_lr", "synth_noise", "synth_spread", "synth_scale",
+    "eval_frac",
+}  # fmt: skip
+
+
+def _boundary_values(key: str) -> list:
+    values = [v for v in BOUNDARY if not (key in SIZING_KEYS and v == "1e308")]
+    if key in HUGE_KEYS:
+        values.append(str(2**63))
+    return values
+
+
+class TestOptionFuzz:
+    """Boundary values for one or two keys of any command end in a documented
+    exit code, and a failed command leaves its output directory empty."""
+
+    @pytest.fixture(scope="class")
+    def encoded(self, model_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz-q")
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "4",
+        ]) == 0
+        return out / "model.nq"
+
+    @staticmethod
+    def _base(command, model_dir, encoded, out) -> list:
+        tiny = ["--dataset", "synth", "--synth-samples", "60", "--synth-classes", "3",
+                "--synth-features", "6", "--hidden", "4", "--steps", "5"]  # fmt: skip
+        return {
+            "train-ref": ["--out-dir", out, *tiny],
+            "prune": ["--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5"],
+            "curvature": ["--model-dir", model_dir, "--out-dir", out,
+                          "--curvature", "gauss-newton", "--dataset", "synth"],
+            "quantize": ["--model-dir", model_dir, "--out-dir", out,
+                         "--quantizer", "ecsq", "--k", "4", "--lam", "1e-4"],
+            "sweep": ["--model-dir", model_dir, "--out-dir", out,
+                      "--quantizers", "kmeans,uniform,ecsq", "--k-list", "4",
+                      "--lambda-list", "1e-4", "--k", "4"],
+            "report": ["--model-nq", encoded, "--out", out / "report.json"],
+        }[command]  # fmt: skip
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_documented_and_no_partial_outputs(
+        self, model_dir, encoded, tmp_path_factory, data
+    ):
+        command = data.draw(st.sampled_from(sorted(FUZZ_KEYS)))
+        keys = data.draw(
+            st.lists(st.sampled_from(FUZZ_KEYS[command]), min_size=1, max_size=2,
+                     unique=True)
+        )  # fmt: skip
+        flags = [
+            f"--{key.replace('_', '-')}={data.draw(st.sampled_from(_boundary_values(key)))}"
+            for key in keys
+        ]
+        out = tmp_path_factory.mktemp("fuzz")
+        code = run([command, *self._base(command, model_dir, encoded, out), *flags])
+        assert code in (0, 2, 3, 4, 5)
+        if code != 0:
+            assert not [p for p in out.rglob("*") if p.is_file()]

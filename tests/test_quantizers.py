@@ -366,7 +366,8 @@ def heavy_tailed(n):
 
 
 class TestBoundedBlocks:
-    """ECSQ builds its n x k score tables in row blocks."""
+    """ECSQ scores points one cluster column at a time inside row blocks, so
+    no n x k table exists and results do not depend on the block size."""
 
     def test_peak_memory_below_one_table(self):
         n, k = 20_000, 64
@@ -396,7 +397,7 @@ class TestBoundedBlocks:
         monkeypatch.setattr(quantizers, "_stabilize", counted)
         whole = ecsq_iterate(v, h, cfg)
         assert sum(moves) > 0  # the polish ran and moved points
-        monkeypatch.setattr(quantizers, "_BLOCK_BYTES", 3 * 8 * k)  # 3 rows a block
+        monkeypatch.setattr(quantizers, "_BLOCK_BYTES", 3 * 8)  # 3 rows a block
         blocked = ecsq_iterate(v, h, cfg)
         assert np.count_nonzero(whole.codebook.counts) == live
         assert np.array_equal(whole.assignment, blocked.assignment)
