@@ -47,7 +47,7 @@ print(f"quantized to {codebook.k} shared values, accuracy {acc_quant:.3f}")
 
 # 4. fine-tune the shared centers (assignments stay frozen)
 tuned, acc_tuned = nq.fine_tune_centers(
-    spec, model.params, assignment, codebook, ds,
+    spec, assignment, codebook, ds,
     nq.FineTuneConfig(steps=300, batch_size=64, lr=1e-5, seed=7),
     positions=positions,
 )

@@ -417,20 +417,16 @@ class Inputs:
     """A loaded model directory and the values its quantizer clusters.
 
     ``values`` and ``curvature`` hold the unpruned parameters only;
-    ``positions`` maps them back into the full vector and is ``None`` when
-    nothing is pruned.
+    ``positions`` maps them back into the full vector of ``total_params``
+    and is ``None`` when nothing is pruned.
     """
 
-    ps_full: params.ParamSet
+    total_params: int
     spec: refnet.MlpSpec | None
     dataset: refnet.Dataset | None
     values: np.ndarray
     curvature: params.CurvatureDiag
     positions: np.ndarray | None
-
-    @property
-    def total_params(self) -> int:
-        return self.ps_full.n
 
 
 @dataclass(frozen=True)
@@ -464,28 +460,29 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Po
         )
         return refnet.eval_accuracy(inputs.spec, w, *inputs.dataset.split("eval"))
 
-    encoded = encode(codebook)
     encoded_preft = accuracy_pre = accuracy_post = None
+    # Evaluating first lets the encoder's temporaries reuse the heap space
+    # that the full-length dequantized vector leaves behind.
     if inputs.spec is not None and inputs.dataset is not None:
         accuracy_pre = accuracy(codebook)
-        if cfg["fine_tune"]:
-            tuned, _ = refnet.fine_tune_centers(
-                inputs.spec,
-                inputs.ps_full,
-                assignment,
-                codebook,
-                inputs.dataset,
-                refnet.FineTuneConfig(
-                    steps=cfg["ft_steps"],
-                    batch_size=cfg["ft_batch_size"],
-                    lr=cfg["ft_lr"],
-                    seed=cfg["seed"],
-                ),
-                positions=inputs.positions,
-            )
-            codebook = _round_codebook_f32(tuned)
-            encoded_preft, encoded = encoded, encode(codebook)
-            accuracy_post = accuracy(codebook)
+    encoded = encode(codebook)
+    if cfg["fine_tune"]:  # _prepare_inputs checked for a spec and dataset
+        tuned, _ = refnet.fine_tune_centers(
+            inputs.spec,
+            assignment,
+            codebook,
+            inputs.dataset,
+            refnet.FineTuneConfig(
+                steps=cfg["ft_steps"],
+                batch_size=cfg["ft_batch_size"],
+                lr=cfg["ft_lr"],
+                seed=cfg["seed"],
+            ),
+            positions=inputs.positions,
+        )
+        codebook = _round_codebook_f32(tuned)
+        encoded_preft, encoded = encoded, encode(codebook)
+        accuracy_post = accuracy(codebook)
 
     report = coding.build_report(
         encoded, codebook.counts, code, accuracy_pre, accuracy_post
@@ -525,13 +522,20 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     if cfg["fine_tune"] and (spec is None or dataset is None):
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
-    values = _masked_values(ps, mask)
-    curvature = _resolve_curvature(cfg, values, stored_cv, spec, dataset)
-    if mask is None:
-        return Inputs(ps, spec, dataset, values, curvature, None)
-    masked = params.ParamSet(values, ps.spans, ps.source_bits)
-    kept, kept_cv, positions = params.compact_unpruned(masked, curvature, mask)
-    return Inputs(ps, spec, dataset, kept.as_f64(), kept_cv, positions)
+    positions = None if mask is None else np.flatnonzero(mask.kept)
+    kept = ps.values if positions is None else ps.values[positions]
+    if cfg["curvature"] == "identity":
+        curvature = refnet.identity_curvature(kept.size)
+    else:
+        # Only exact and gauss-newton evaluate the (pruned) net, so only they
+        # need the full masked vector; adam reads the stored curvature.
+        full = ps.values if cfg["curvature"] == "adam" else _masked_values(ps, mask)
+        curvature = _resolve_curvature(cfg, full, stored_cv, spec, dataset)
+        if positions is not None:
+            curvature = params.CurvatureDiag(
+                curvature.values[positions], curvature.source, curvature.floor
+            )
+    return Inputs(ps.n, spec, dataset, kept.astype(np.float64), curvature, positions)
 
 
 def _write_outputs(out_dir: Path, files: dict) -> None:

@@ -37,21 +37,25 @@ padded to a byte boundary only at the very end):
 Codes are canonical (codewords ordered by length, then cluster index), so a
 decoder rebuilds them from the length table alone; the stored codewords are
 verified against the canonical reconstruction on decode. Codeword lengths
-are 1..62 bits, so a left-aligned codeword fits an int64; the encoder
-refuses longer codes and the decoder rejects such a table as corrupt. A
-Huffman code for fewer than 2**32 parameters never exceeds 45 bits.
+are 1..62 bits, so a left-aligned codeword fits an int64; a
+:class:`PrefixCode` refuses longer codes and the decoder rejects such a
+table as corrupt. A Huffman code for fewer than 2**32 parameters never
+exceeds 45 bits.
 
 Both directions hold the stream at one uint8 per bit and work on it in
-blocks. The encoder expands ``_PACK_BLOCK`` fields at a time into that
-array (16 bytes of int64 temporaries per bit of the block) before
-``np.packbits``; the decoder reads codewords ``_DECODE_BLOCK`` bit
-positions at a time (see :meth:`_BitReader.symbols`). So the temporaries
-of either stay bounded however large the model is.
+blocks. The encoder looks up the codewords of ``_PACK_BLOCK`` symbols at
+a time in the code tables and expands them into that array (16 bytes of
+int64 temporaries per bit of the block) before ``np.packbits``; the
+decoder reads codewords ``_DECODE_BLOCK`` bit positions at a time (see
+:meth:`_BitReader.symbols`). So the temporaries of either stay bounded
+however large the model is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -75,42 +79,48 @@ _PACK_BLOCK = 1 << 13
 # ---------------------------------------------------------------------------
 
 
-def _canonical_codewords(lengths) -> tuple[str, ...]:
-    """Assign canonical codewords for the given lengths.
+# Longest codeword length; a left-aligned codeword then fits an int64.
+_MAX_CODE_BITS = 62
 
-    Symbols are ordered by (length, index) and receive consecutive code
-    values, left-shifted whenever the length grows. Raises if the lengths
-    overflow the code space (Kraft sum above one).
-    """
-    lengths = [int(x) for x in lengths]
-    if any(x < 1 for x in lengths):
+
+def _canonical_values(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codeword values for ``lengths`` (see :class:`PrefixCode`)."""
+    if lengths.min() < 1:
         raise ValueError("codeword lengths must be positive")
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
-    codes = [""] * len(lengths)
-    value = 0
-    prev_len = lengths[order[0]]
-    for rank, idx in enumerate(order):
-        if rank > 0:
-            value = (value + 1) << (lengths[idx] - prev_len)
-            prev_len = lengths[idx]
-        if value >> lengths[idx]:
-            raise ValueError("lengths violate the Kraft inequality")
-        codes[idx] = format(value, f"0{lengths[idx]}b")
-    return tuple(codes)
+    if lengths.max() > _MAX_CODE_BITS:
+        raise ValueError(f"codeword longer than {_MAX_CODE_BITS} bits is not supported")
+    order = np.argsort(lengths, kind="stable")
+    ranked = lengths[order]
+    top = int(ranked[-1])
+    # Exact Kraft test first, one term per distinct length, so the int64
+    # cumulative sum below cannot overflow.
+    per_length = np.bincount(ranked)
+    if sum(int(c) << (top - l) for l, c in enumerate(per_length.tolist()) if c) > 1 << top:
+        raise ValueError("lengths violate the Kraft inequality")
+    step = np.left_shift(1, top - ranked)
+    starts = np.cumsum(step) - step
+    values = np.empty_like(lengths)
+    values[order] = starts >> (top - ranked)
+    return values
 
 
 @dataclass(frozen=True)
 class PrefixCode:
     """A canonical prefix code, one codeword per cluster.
 
-    The codewords follow from the lengths (see :func:`_canonical_codewords`),
-    which also rejects lengths that violate the Kraft inequality; canonical
-    codewords of Kraft-valid lengths are prefix-free by construction.
+    Symbols ordered by (length, index) take consecutive codeword values,
+    left-shifted whenever the length grows. Left-aligned to the longest
+    length ``top``, symbol ``r`` in that order therefore starts at the sum
+    of ``2**(top - len)`` over the symbols before it, which one cumulative
+    sum gives for every symbol; ``values`` holds each codeword as an
+    integer. Lengths whose Kraft sum exceeds one leave the last codeword
+    past ``2**top`` and are rejected; canonical codewords of Kraft-valid
+    lengths are prefix-free by construction.
     """
 
     lengths: tuple[int, ...]
     scheme: str = "huffman"
-    codewords: tuple[str, ...] = field(init=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -119,11 +129,16 @@ class PrefixCode:
         if not lengths:
             raise ValueError("empty code")
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "codewords", _canonical_codewords(lengths))
+        object.__setattr__(self, "values", _canonical_values(np.array(lengths, np.int64)))
         if self.scheme == "fixed":
             width = max(1, math.ceil(math.log2(len(lengths)))) if len(lengths) > 1 else 1
             if any(l != width for l in lengths):
                 raise ValueError("fixed scheme requires equal ceil(log2 k) lengths")
+
+    @property
+    def codewords(self) -> tuple[str, ...]:
+        """The codewords as bit strings, most significant bit first."""
+        return tuple(format(v, f"0{l}b") for v, l in zip(self.values.tolist(), self.lengths))
 
     @property
     def k(self) -> int:
@@ -348,20 +363,36 @@ def compression_ratio_entropy(
 # ---------------------------------------------------------------------------
 
 
-def _pack(values, widths) -> np.ndarray:
-    """The low ``widths[i]`` bits of each ``values[i]``, most significant first.
+def _blocks(n: int):
+    """Slices of ``_PACK_BLOCK`` fields that cover ``range(n)``."""
+    return (slice(s, s + _PACK_BLOCK) for s in range(0, n, _PACK_BLOCK))
 
-    Returns one uint8 per bit; a scalar width applies to every value.
-    Raises ValueError for a value that does not fit its width. Fields go
-    through in blocks of ``_PACK_BLOCK``, so the int64 per-bit temporaries
-    stay bounded however long the section is.
-    """
+
+def _fields(values, widths) -> tuple[int, Iterator]:
+    """A section of ``values[i]`` in ``widths[i]`` bits: its size in bits
+    and its (values, widths) blocks. A scalar width applies to every value."""
     values = np.asarray(values, dtype=np.int64)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
-    out = np.empty(int(widths.sum()), dtype=np.uint8)
+    return int(widths.sum()), ((values[b], widths[b]) for b in _blocks(values.size))
+
+
+def _codewords(code: PrefixCode, symbol_blocks) -> Iterator:
+    """(values, widths) blocks of one codeword of ``code`` per symbol, each
+    block of symbols looked up in the code tables as it is packed."""
+    lengths = np.asarray(code.lengths, dtype=np.int64)
+    return ((code.values[sym], lengths[sym]) for sym in symbol_blocks)
+
+
+def _fill(out: np.ndarray, blocks) -> None:
+    """Write the low ``w[i]`` bits of each ``v[i]`` of every (v, w) block
+    into ``out``, one uint8 per bit, most significant first.
+
+    Raises ValueError for a value that does not fit its width. Each block
+    expands into int64 per-bit temporaries, so they stay bounded by the
+    block however long the section is.
+    """
     o = 0
-    for s in range(0, values.size, _PACK_BLOCK):
-        v, w = values[s : s + _PACK_BLOCK], widths[s : s + _PACK_BLOCK]
+    for v, w in blocks:
         if np.any(v < 0) or np.any(v >> w):
             raise ValueError("value does not fit in its bit width")
         shift = np.repeat(np.cumsum(w) - 1, w)
@@ -371,14 +402,18 @@ def _pack(values, widths) -> np.ndarray:
         bits &= 1
         out[o : o + bits.size] = bits
         o += bits.size
+
+
+def _pack(values, widths) -> np.ndarray:
+    """The low ``widths[i]`` bits of each ``values[i]``, most significant first.
+
+    Returns one uint8 per bit; a scalar width applies to every value.
+    Raises ValueError for a value that does not fit its width.
+    """
+    size, blocks = _fields(values, widths)
+    out = np.empty(size, dtype=np.uint8)
+    _fill(out, blocks)
     return out
-
-
-def _code_values(code: PrefixCode) -> np.ndarray:
-    """The codewords of ``code`` as integers, one per cluster."""
-    if max(code.lengths) > 62:
-        raise ValueError("codeword longer than 62 bits is not supported")
-    return np.array([int(c, 2) for c in code.codewords], dtype=np.int64)
 
 
 class _BitReader:
@@ -501,21 +536,25 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
     The first gap is the first position itself; later gaps are successive
     differences. ``total_bits`` is the exact serialized size of the index
     section (two 32-bit counts, 32+8 bits per distinct gap value, plus the
-    gap payload).
+    gap payload). The distinct gaps and their counts are gathered a block
+    of ``_PACK_BLOCK`` gaps at a time.
     """
     pos = np.ascontiguousarray(positions, dtype=np.int64)
     if pos.ndim != 1 or pos.size < 1:
         raise ValueError("expected a non-empty position list")
-    if np.any(np.diff(pos) <= 0):
+    diffs = np.empty_like(pos)
+    diffs[0] = pos[0]
+    np.subtract(pos[1:], pos[:-1], out=diffs[1:])
+    if pos.size > 1 and diffs[1:].min() <= 0:
         raise ValueError("positions must be strictly increasing")
     if pos[0] < 0 or pos[-1] >= total_params:
         raise ValueError("positions out of range")
-    diffs = np.diff(pos, prepend=0)
-    diffs[0] = pos[0]
-    symbols, sym_idx = np.unique(diffs, return_inverse=True)
-    counts = np.bincount(sym_idx, minlength=symbols.size)
+    parts = [np.unique(diffs[b], return_counts=True) for b in _blocks(diffs.size)]
+    symbols, which = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+    counts = np.zeros(symbols.size, dtype=np.int64)
+    np.add.at(counts, which, np.concatenate([c for _, c in parts]))
     code = build_huffman(counts)
-    payload_bits = int(np.asarray(code.lengths)[sym_idx].sum())
+    payload_bits = int(counts @ np.asarray(code.lengths, dtype=np.int64))
     total_bits = 64 + symbols.size * 40 + payload_bits
     return IndexDiffCode(diffs, symbols, code, total_bits)
 
@@ -602,34 +641,43 @@ def encode_assignments(
         idx = None
         total_params = a.size if total_params is None else total_params
 
-    codes, lengths = _code_values(code), np.asarray(code.lengths, dtype=np.int64)
+    lengths = np.asarray(code.lengths, dtype=np.int64)
     sections = {
-        "header": (
+        "header": _fields(
             [int.from_bytes(MAGIC, "big"), _SCHEMES[code.scheme], idx is not None,
              source_bits, k, a.size, total_params],
             [32, 8, 8, 8, 32, 32, 32],
         ),  # fmt: skip
         # each float32 center is its four little-endian bytes as one field
-        "centers": (codebook.centers.astype("<f4").view(">u4"), 32),
-        "length_table": (lengths, 8),
-        "codeword_table": (codes, lengths),
-        "payload": (codes[a], lengths[a]),
-        "index_section": ((), ()),
+        "centers": _fields(codebook.centers.astype("<f4").view(">u4"), 32),
+        "length_table": _fields(lengths, 8),
+        "codeword_table": _fields(code.values, lengths),
+        "payload": (
+            int(codebook.counts @ lengths),
+            _codewords(code, (a[b] for b in _blocks(a.size))),
+        ),
+        "index_section": (0, ()),
     }
     if idx is not None:
-        gap_codes = _code_values(idx.code)
-        gap_lengths = np.asarray(idx.code.lengths, dtype=np.int64)
-        gaps = np.searchsorted(idx.symbols, idx.diffs)
         m = idx.symbols.size
+        _, tables = _fields(
+            np.concatenate([[idx.diffs.size, m], idx.symbols, idx.code.lengths]),
+            np.concatenate([[32, 32], np.full(m, 32), np.full(m, 8)]),
+        )
+        gaps = (np.searchsorted(idx.symbols, idx.diffs[b]) for b in _blocks(idx.diffs.size))
         sections["index_section"] = (
-            np.concatenate([[idx.diffs.size, m], idx.symbols, gap_lengths, gap_codes[gaps]]),
-            np.concatenate([[32, 32], np.full(m, 32), np.full(m, 8), gap_lengths[gaps]]),
+            idx.total_bits,
+            itertools.chain(tables, _codewords(idx.code, gaps)),
         )
 
-    packed = {name: _pack(*section) for name, section in sections.items()}
-    bits = np.concatenate(list(packed.values()))
+    # Every section packs straight into its slice of one stream.
+    breakdown = {name: size for name, (size, _) in sections.items()}
+    bits = np.empty(sum(breakdown.values()), dtype=np.uint8)
+    o = 0
+    for size, blocks in sections.values():
+        _fill(bits[o : o + size], blocks)
+        o += size
     data = np.packbits(bits).tobytes()
-    breakdown = {name: int(part.size) for name, part in packed.items()}
     breakdown["padding"] = 8 * len(data) - int(bits.size)
     return EncodedModel(
         data=data,
@@ -677,7 +725,7 @@ def decode_assignments(encoded) -> DecodedModel:
     center_end = reader.pos
     code = _read_code(reader, k, _SCHEME_NAMES[scheme_id], "code")
     length_end = reader.pos
-    if not np.array_equal(reader.take(sum(code.lengths)), _pack(_code_values(code), code.lengths)):
+    if not np.array_equal(reader.take(sum(code.lengths)), _pack(code.values, code.lengths)):
         raise FormatError("stored codeword disagrees with canonical code")
     table_end = reader.pos
 

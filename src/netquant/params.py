@@ -148,7 +148,8 @@ class CurvatureDiag:
             raise ValueError("expected a flat non-empty curvature vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("curvature values must be finite")
-        arr = np.maximum(arr, np.float32(self.floor))
+        if arr.min() < np.float32(self.floor):
+            arr = np.maximum(arr, np.float32(self.floor))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "source", CurvatureSource(self.source))
@@ -282,13 +283,12 @@ def save_model(
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    payloads: dict[str, bytes] = {
-        PARAMS_FILE: ps.values.astype("<f4").tobytes()
-    }
+    # asarray copies only on a big-endian host; the payloads are little-endian.
+    payloads: dict[str, bytes] = {PARAMS_FILE: np.asarray(ps.values, "<f4").tobytes()}
     if curvature is not None:
-        payloads[CURVATURE_FILE] = curvature.values.astype("<f4").tobytes()
+        payloads[CURVATURE_FILE] = np.asarray(curvature.values, "<f4").tobytes()
     if mask is not None:
-        payloads[MASK_FILE] = mask.kept.astype(np.uint8).tobytes()
+        payloads[MASK_FILE] = mask.kept.view(np.uint8).tobytes()
 
     manifest = Manifest(
         model_name=model_name,
@@ -374,9 +374,9 @@ def load_model(path) -> tuple[ParamSet, CurvatureDiag | None, PruneMask | None]:
         if len(raw) != manifest.n_params:
             raise FormatError("mask payload length disagrees with manifest")
         mbytes = np.frombuffer(raw, dtype=np.uint8)
-        if not np.all((mbytes == 0) | (mbytes == 1)):
+        if mbytes.max() > 1:
             raise FormatError("mask bytes must be 0 or 1")
-        mask = PruneMask(mbytes.astype(bool))
+        mask = PruneMask(mbytes.view(bool))
 
     return ps, curvature, mask
 

@@ -187,14 +187,24 @@ def dequantize(assignment, codebook: Codebook) -> np.ndarray:
 def scatter_dequantize(
     total: int, assignment, codebook: Codebook, positions=None
 ) -> np.ndarray:
-    """Dequantize into a length-``total`` vector, zeros where pruned."""
-    out = np.zeros(total, dtype=np.float64)
-    deq = dequantize(assignment, codebook)
+    """Dequantize into a length-``total`` vector, zeros where pruned.
+
+    With ``positions``, centers are scattered ``_BLOCK_BYTES // 8`` entries
+    at a time, so only the output spans the whole model.
+    """
     if positions is None:
+        deq = dequantize(assignment, codebook)
         if deq.size != total:
             raise ValueError("assignment length != total without positions")
         return deq
-    out[np.asarray(positions, dtype=np.int64)] = deq
+    a = np.ascontiguousarray(assignment, dtype=np.int64)
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.shape != a.shape:
+        raise ValueError("positions length disagrees with the assignment")
+    out = np.zeros(total, dtype=np.float64)
+    step = _BLOCK_BYTES // 8
+    for s in range(0, a.size, step):
+        out[pos[s : s + step]] = dequantize(a[s : s + step], codebook)
     return out
 
 
@@ -215,10 +225,12 @@ def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebo
 
 
 def _weighted_centers(
-    v: np.ndarray, h: np.ndarray, assign: np.ndarray, k: int, fallback: np.ndarray
+    v: np.ndarray, h: np.ndarray | None, assign: np.ndarray, k: int, fallback: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster weighted means (``h=None``: plain means) and weight sums;
+    a cluster without weight keeps its ``fallback`` center."""
     wsum = np.bincount(assign, weights=h, minlength=k)
-    wval = np.bincount(assign, weights=h * v, minlength=k)
+    wval = np.bincount(assign, weights=v if h is None else h * v, minlength=k)
     centers = fallback.copy()
     nz = wsum > 0
     centers[nz] = wval[nz] / wsum[nz]
@@ -579,23 +591,24 @@ def uniform_quantize(
     if center_rule not in ("mean", "hessian_weighted_mean"):
         raise ValueError(f"unknown center_rule {center_rule!r}")
     v = _values64(values)
+    h = None  # plain means
     if center_rule == "hessian_weighted_mean":
         if curvature is None:
             raise ValueError("hessian_weighted_mean needs a curvature vector")
         h = _curvature64(curvature, v.size)
-    else:
-        h = np.ones_like(v)
 
     lo, hi = float(v.min()), float(v.max())
-    if hi == lo or k == 1:
-        assign = np.zeros(v.size, dtype=np.int64)
-    else:
+    assign = np.zeros(v.size, dtype=np.int64)
+    if hi > lo and k > 1:
         width = (hi - lo) / k
-        bins = np.minimum((v - lo) // width, k - 1)
+        step = _BLOCK_BYTES // 8
+        for s in range(0, v.size, step):
+            bins = v[s : s + step] - lo
+            bins //= width
+            assign[s : s + step] = np.minimum(bins, k - 1, out=bins)
         if k > v.size:
             # Most bins are empty; number the occupied ones only.
-            bins = np.unique(bins, return_inverse=True)[1]
-        assign = bins.astype(np.int64)
+            assign = np.unique(assign, return_inverse=True)[1]
     k_bins = int(assign.max()) + 1
 
     centers, _ = _weighted_centers(v, h, assign, k_bins, np.zeros(k_bins))

@@ -248,6 +248,13 @@ def _act(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _act_inplace(spec: MlpSpec, z: np.ndarray) -> None:
+    if spec.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif spec.activation == "tanh":
+        np.tanh(z, out=z)
+
+
 def _act_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if spec.activation == "relu":
         return (z > 0).astype(np.float64)
@@ -313,23 +320,45 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     return loss, grad
 
 
+# Bytes of float64 activations one row block of eval_accuracy may hold per layer.
+_EVAL_BLOCK_BYTES = 256 << 10
+
+
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     """Fraction of samples whose argmax output matches the class label.
 
     ``params`` may be a flat vector, a ParamSet, or an
-    ``(assignment, codebook)`` pair, which is dequantized first.
+    ``(assignment, codebook)`` pair, which is dequantized first. Only the
+    logits are needed, so the samples go through in row blocks of at most
+    ``_EVAL_BLOCK_BYTES`` of activations per layer, each activation applied
+    in place. BLAS may pick its kernel by matrix size, so a block's logits
+    can differ from a whole-batch pass in the last bits; that moves an
+    argmax only at a tie to within rounding.
     """
     if isinstance(params, tuple):
         assignment, codebook = params
         params = scatter_dequantize(len(assignment), assignment, codebook)
     w = _params64(spec, params)
+    x = np.asarray(inputs)
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError("accuracy needs integer class labels")
     if y.size == 0:
         raise ValueError("empty evaluation split")
-    _, _, acts = _forward(spec, w, inputs)
-    return float(np.mean(np.argmax(acts[-1], axis=1) == y))
+    if len(x) != y.size:
+        raise ValueError("inputs and labels disagree on sample count")
+    layers = _unpack(spec, w)
+    rows = max(1, _EVAL_BLOCK_BYTES // (8 * max(spec.layer_widths)))
+    hits = 0
+    for lo in range(0, y.size, rows):
+        a = np.ascontiguousarray(x[lo : lo + rows], dtype=np.float64)
+        for l, (W, b) in enumerate(layers):
+            a = a @ W
+            a += b
+            if l < len(layers) - 1:
+                _act_inplace(spec, a)
+        hits += int(np.count_nonzero(np.argmax(a, axis=1) == y[lo : lo + rows]))
+    return hits / y.size
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +440,17 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
 
     train_x, train_y = ds.split("train")
     for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
-        loss, grad = forward_loss(spec, w, train_x[batch], train_y[batch])
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training loss became non-finite at step {t}")
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        mhat = m / (1.0 - cfg.beta1**t)
-        vhat = v / (1.0 - cfg.beta2**t)
-        w -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        # A diverging step overflows on its way to a non-finite loss, which
+        # the check below reports; numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = forward_loss(spec, w, train_x[batch], train_y[batch])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"training loss became non-finite at step {t}")
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+            mhat = m / (1.0 - cfg.beta1**t)
+            vhat = v / (1.0 - cfg.beta2**t)
+            w -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
     final_loss, _ = forward_loss(spec, w, train_x, train_y)
     params = ParamSet(w, spec.spans())
@@ -544,7 +576,7 @@ def adam_curvature(state: AdamState, eps_alt: float = 0.0) -> CurvatureDiag:
 
 def identity_curvature(n: int) -> CurvatureDiag:
     """Unit weights; curvature-weighted methods degrade to plain ones."""
-    return CurvatureDiag(np.ones(n), CurvatureSource.IDENTITY)
+    return CurvatureDiag(np.ones(n, dtype=np.float32), CurvatureSource.IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +597,9 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
     n_prune = int(fraction * n)
     kept = np.ones(n, dtype=bool)
     if n_prune:
-        mag = np.abs(ps.as_f64())
+        # Widening float32 to float64 and taking magnitudes are both exact,
+        # so float32 magnitudes give the same threshold and ties.
+        mag = np.abs(ps.values)
         threshold = np.partition(mag, n_prune - 1)[n_prune - 1]
         below = mag < threshold
         kept[below] = False
@@ -584,7 +618,6 @@ class FineTuneConfig:
 
 def fine_tune_centers(
     spec: MlpSpec,
-    ps: ParamSet,
     assignment,
     codebook: Codebook,
     ds: Dataset,
@@ -596,11 +629,12 @@ def fine_tune_centers(
     Each center's gradient is the sum of the gradients of its member
     parameters (the chain rule for a shared value). Pruned parameters stay
     exactly zero: ``positions`` maps assignment entries to their slots in
-    the full vector. Returns the updated codebook and the evaluation
-    accuracy of the fine-tuned model.
+    the full vector of ``spec.param_count()`` parameters. Returns the
+    updated codebook and the evaluation accuracy of the fine-tuned model.
     """
     a = np.ascontiguousarray(assignment, dtype=np.int64)
-    pos = np.arange(ps.n) if positions is None else np.asarray(positions, np.int64)
+    n = spec.param_count()
+    pos = np.arange(n) if positions is None else np.asarray(positions, np.int64)
     if pos.size != a.size:
         raise ValueError("assignment length disagrees with the parameter positions")
     if codebook.n_params != a.size:
@@ -611,16 +645,17 @@ def fine_tune_centers(
     rng = np.random.default_rng(cfg.seed)
     train_x, train_y = ds.split("train")
     for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
-        w_full = np.zeros(ps.n)
+        w_full = np.zeros(n)
         w_full[pos] = centers[a]
-        loss, grad = forward_loss(spec, w_full, train_x[batch], train_y[batch])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in train_adam
+            loss, grad = forward_loss(spec, w_full, train_x[batch], train_y[batch])
         if not np.isfinite(loss):
             raise DivergenceError(f"fine-tuning loss became non-finite at step {t}")
         center_grad = np.bincount(a, weights=grad[pos], minlength=k)
         centers -= cfg.lr * center_grad
 
     tuned = Codebook(centers, codebook.counts)
-    w_full = np.zeros(ps.n)
+    w_full = np.zeros(n)
     w_full[pos] = tuned.centers[a]
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, w_full, eval_x, eval_y)

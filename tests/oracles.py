@@ -9,7 +9,8 @@ import heapq
 import numpy as np
 
 from netquant import Codebook, EcsqConfig, FormatError, QuantizeResult, forward_loss
-from netquant.coding import entropy_bits
+from netquant.coding import MAGIC, build_huffman, entropy_bits
+from netquant.refnet import _forward
 from netquant.quantizers import (
     _ECSQ_MAX_ITERS,
     _MOVE_REL_TOL,
@@ -156,6 +157,99 @@ def pack_bits_oneshot(values, widths) -> np.ndarray:
     bits >>= shift
     bits &= 1
     return bits.astype(np.uint8)
+
+
+def canonical_codewords(lengths) -> tuple[str, ...]:
+    """Canonical codewords as bit strings, one symbol at a time in (length,
+    index) order: consecutive values, left-shifted whenever the length
+    grows. Raises ValueError when the lengths violate the Kraft inequality."""
+    lengths = [int(x) for x in lengths]
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    codes = [""] * len(lengths)
+    value, prev = 0, lengths[order[0]]
+    for rank, i in enumerate(order):
+        if rank > 0:
+            value = (value + 1) << (lengths[i] - prev)
+            prev = lengths[i]
+        if value >> lengths[i]:
+            raise ValueError("lengths violate the Kraft inequality")
+        codes[i] = format(value, f"0{lengths[i]}b")
+    return tuple(codes)
+
+
+def index_gaps_whole(positions):
+    """Index gaps, their distinct values and Huffman code, and the index
+    section's size in bits, from whole-array ``np.unique``."""
+    pos = np.asarray(positions, dtype=np.int64)
+    diffs = np.diff(pos, prepend=0)
+    diffs[0] = pos[0]
+    symbols, sym_idx = np.unique(diffs, return_inverse=True)
+    code = build_huffman(np.bincount(sym_idx, minlength=symbols.size))
+    payload_bits = int(np.asarray(code.lengths)[sym_idx].sum())
+    return diffs, symbols, sym_idx, code, 64 + symbols.size * 40 + payload_bits
+
+
+def encode_whole(assignment, codebook: Codebook, code, positions=None, total_params=None):
+    """``NQ01`` bytes and bit breakdown of an encoded model, with every
+    section built as whole-array values and widths (``codes[a]``,
+    ``lengths[a]``, the gap symbols) and packed at once."""
+    a = np.asarray(assignment, dtype=np.int64)
+    codes = np.array([int(c, 2) for c in canonical_codewords(code.lengths)], dtype=np.int64)
+    lengths = np.asarray(code.lengths, dtype=np.int64)
+    total_params = a.size if total_params is None else total_params
+    sections = {
+        "header": (
+            [int.from_bytes(MAGIC, "big"), {"fixed": 0, "huffman": 1}[code.scheme],
+             positions is not None, 32, code.k, a.size, total_params],
+            [32, 8, 8, 8, 32, 32, 32],
+        ),  # fmt: skip
+        "centers": (codebook.centers.astype("<f4").view(">u4"), 32),
+        "length_table": (lengths, 8),
+        "codeword_table": (codes, lengths),
+        "payload": (codes[a], lengths[a]),
+        "index_section": ((), ()),
+    }
+    if positions is not None:
+        diffs, symbols, gaps, gap_code, _ = index_gaps_whole(positions)
+        gap_codes = np.array(
+            [int(c, 2) for c in canonical_codewords(gap_code.lengths)], dtype=np.int64
+        )
+        gap_lengths = np.asarray(gap_code.lengths, dtype=np.int64)
+        m = symbols.size
+        sections["index_section"] = (
+            np.concatenate([[diffs.size, m], symbols, gap_lengths, gap_codes[gaps]]),
+            np.concatenate([[32, 32], np.full(m, 32), np.full(m, 8), gap_lengths[gaps]]),
+        )
+    packed = {name: pack_bits_oneshot(*section) for name, section in sections.items()}
+    bits = np.concatenate(list(packed.values()))
+    data = np.packbits(bits).tobytes()
+    breakdown = {name: int(part.size) for name, part in packed.items()}
+    breakdown["padding"] = 8 * len(data) - int(bits.size)
+    return data, breakdown
+
+
+def eval_accuracy_whole(spec, w, inputs, labels) -> float:
+    """Accuracy from one forward pass over every evaluation row at once."""
+    _, _, acts = _forward(spec, np.asarray(w, dtype=np.float64), inputs)
+    return float(np.mean(np.argmax(acts[-1], axis=1) == np.asarray(labels)))
+
+
+def accuracy_range_whole(spec, w, inputs, labels, rel_tol=1e-9) -> tuple[float, float]:
+    """The whole-pass accuracy over every way of breaking near-ties.
+
+    A logit within ``rel_tol`` of its row's largest magnitude below the
+    row's maximum ties with it, since rounding alone (a BLAS kernel chosen
+    by matrix size) can reorder such logits. A row is a sure hit when its
+    label is its only tied logit and a possible hit when its label is one
+    of them. Without near-ties both ends are :func:`eval_accuracy_whole`.
+    """
+    _, _, acts = _forward(spec, np.asarray(w, dtype=np.float64), inputs)
+    logits, y = acts[-1], np.asarray(labels)
+    tol = rel_tol * np.abs(logits).max(axis=1, keepdims=True)
+    tied = logits >= logits.max(axis=1, keepdims=True) - tol
+    possible = tied[np.arange(y.size), y]
+    sure = possible & (tied.sum(axis=1) == 1)
+    return float(np.mean(sure)), float(np.mean(possible))
 
 
 def canonical_decode(bits, pos: int, lengths, n: int):

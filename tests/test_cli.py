@@ -81,6 +81,13 @@ class TestTrainRef:
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_training_prints_only_the_error(self, tmp_path, capfd):
+        out = tmp_path / "m"
+        code = run(["train-ref", "--out-dir", out, *TRAIN_ARGS, "--steps", "5", "--lr", "1e308"])
+        assert code == cli.EXIT_NUMERIC
+        assert capfd.readouterr().err == "error: training loss became non-finite at step 2\n"
+
     def test_zero_synthetic_noise_and_scale_are_accepted(self, tmp_path):
         out = tmp_path / "m"
         flags = ["--synth-noise", "0", "--synth-scale", "0", "--steps", "5"]

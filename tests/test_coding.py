@@ -25,7 +25,12 @@ from netquant import (
 )
 from netquant import coding
 from netquant.coding import build_report, huffman_lengths
-from oracles import canonical_decode, huffman_lengths_heap, pack_bits_oneshot
+from oracles import (
+    canonical_codewords,
+    canonical_decode,
+    huffman_lengths_heap,
+    pack_bits_oneshot,
+)
 
 
 def kraft_is_exactly(lengths, target: float) -> bool:
@@ -430,6 +435,33 @@ def length_tables(draw):
     k = draw(st.integers(1, 40))
     shortest = max(1, (k - 1).bit_length())  # k codewords of >= ceil(log2 k) bits
     return draw(st.lists(st.integers(shortest, shortest + 8), min_size=k, max_size=k))
+
+
+class TestCanonicalOracle:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(length_tables(), st.lists(st.integers(1, 70), min_size=1, max_size=30)))
+    def test_integer_codewords_match_string_oracle(self, lengths):
+        """The one-pass integer codewords equal the symbol-by-symbol string
+        construction, and Kraft violations and codewords over 62 bits are
+        rejected, also where an int64 running sum would overflow."""
+        if max(lengths) > 62:
+            with pytest.raises(ValueError, match="longer than 62 bits"):
+                PrefixCode(tuple(lengths))
+            return
+        try:
+            expected = canonical_codewords(lengths)
+        except ValueError:
+            with pytest.raises(ValueError, match="Kraft"):
+                PrefixCode(tuple(lengths))
+            return
+        code = PrefixCode(tuple(lengths))
+        assert code.values.dtype == np.int64
+        assert code.values.tolist() == [int(c, 2) for c in expected]
+        assert code.codewords == expected
+
+    def test_overflowing_kraft_sum_rejected(self):
+        with pytest.raises(ValueError, match="Kraft"):
+            PrefixCode((1,) * 8 + (62,))
 
 
 class TestDecoderOracle:

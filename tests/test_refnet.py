@@ -381,7 +381,6 @@ class TestFineTuneCenters:
         # leaves residual 1.0, so member gradients are x = (1, 3): the shared
         # center must accumulate their sum, 4.
         spec = MlpSpec((2, 1), activation="none", loss="mean_square_error")
-        ps = ParamSet.from_flat([0.5, 0.5, 0.0])
         assignment = np.array([0, 0, 1])
         codebook = Codebook([0.5, 0.0], [2, 1])
         ds = Dataset(
@@ -389,21 +388,21 @@ class TestFineTuneCenters:
             np.array([0]),
             {"train": np.array([0]), "eval": np.array([0])},
         )
-        return spec, ps, assignment, codebook, ds
+        return spec, assignment, codebook, ds
 
     def test_center_gradient_is_member_sum(self):
-        spec, ps, assignment, codebook, ds = self._shared_center_setup()
+        spec, assignment, codebook, ds = self._shared_center_setup()
         lr = 0.01
         tuned, _ = fine_tune_centers(
-            spec, ps, assignment, codebook, ds, FineTuneConfig(steps=1, batch_size=1, lr=lr)
+            spec, assignment, codebook, ds, FineTuneConfig(steps=1, batch_size=1, lr=lr)
         )
         assert tuned.centers[0] == pytest.approx(0.5 - lr * 4.0, rel=1e-12)
         assert tuned.centers[1] == pytest.approx(0.0 - lr * 1.0, rel=1e-12)
 
     def test_zero_learning_rate_is_identity(self):
-        spec, ps, assignment, codebook, ds = self._shared_center_setup()
+        spec, assignment, codebook, ds = self._shared_center_setup()
         tuned, _ = fine_tune_centers(
-            spec, ps, assignment, codebook, ds, FineTuneConfig(steps=5, batch_size=1, lr=0.0)
+            spec, assignment, codebook, ds, FineTuneConfig(steps=5, batch_size=1, lr=0.0)
         )
         assert np.array_equal(tuned.centers, codebook.centers)
         assert np.array_equal(tuned.counts, codebook.counts)
@@ -423,7 +422,6 @@ class TestFineTuneCenters:
             )
             tuned, post = fine_tune_centers(
                 spec,
-                model.params,
                 assignment,
                 codebook,
                 ds,
