@@ -19,11 +19,11 @@ import netquant as nq
 v = np.array([-1.0, 0.0, 1.0])
 h = np.array([4.0, 1.0, 1.0])
 
-res = nq.kmeans_lloyd(v, nq.ClusterConfig(k=2))
+res = nq.kmeans_sweep(v, None, [2])[0]
 print("plain k-means      assignment", res.assignment,
       "centers", np.round(res.codebook.centers, 3))
 
-res = nq.hw_kmeans_lloyd(v, h, nq.ClusterConfig(k=2))
+res = nq.kmeans_sweep(v, h, [2])[0]
 print("curvature-weighted assignment", res.assignment,
       "centers", np.round(res.codebook.centers, 3))
 print("weighted cost of {{-1},{0,1}}:",
@@ -47,11 +47,11 @@ print(f"\ntrained net: {model.params.n} parameters, "
 
 def quantized_accuracy(result):
     assignment, codebook = nq.compact_codebook(result.assignment, result.codebook)
-    return nq.eval_accuracy(spec, (assignment, codebook), eval_x, eval_y)
+    return nq.eval_accuracy(spec, nq.dequantize(assignment, codebook), eval_x, eval_y)
 
 
-km = nq.kmeans_lloyd(model.params, nq.ClusterConfig(k=8))
-hw = nq.hw_kmeans_lloyd(model.params, curvature, nq.ClusterConfig(k=8))
+km = nq.kmeans_sweep(model.params, None, [8])[0]
+hw = nq.kmeans_sweep(model.params, curvature, [8])[0]
 uni = nq.uniform_quantize(model.params, curvature, k=8,
                           center_rule="hessian_weighted_mean")
 print(f"k=8 shared values, accuracy after quantization:")

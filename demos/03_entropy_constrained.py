@@ -21,14 +21,14 @@ h = rng.uniform(0.5, 2.0, v.size)
 print("lam sweep at k=16 (entropy falls, distortion rises):")
 print(f"{'lam':>10} {'k_eff':>6} {'entropy':>9} {'distortion':>11}")
 for lam in [0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]:
-    res = nq.ecsq_iterate(v, h, nq.EcsqConfig(k=16, lam=lam))
+    res = nq.ecsq_iterate(v, h, 16, lam)
     assignment, codebook = nq.compact_codebook(res.assignment, res.codebook)
     entropy = nq.entropy_bits(codebook)
     distortion = nq.hw_distortion(v, h, assignment, codebook)
     print(f"{lam:>10.1e} {codebook.k:>6d} {entropy:>9.3f} {distortion:>11.1f}")
 
 # The objective trace never increases; convergence is a fixed point.
-res = nq.ecsq_iterate(v, h, nq.EcsqConfig(k=16, lam=1e-3))
+res = nq.ecsq_iterate(v, h, 16, 1e-3)
 trace = res.trace
 print(f"\nobjective trace ({trace.size} entries): "
       f"{trace[0]:.5f} -> {trace[-1]:.5f}, monotone: {bool(np.all(np.diff(trace) <= 0))}")

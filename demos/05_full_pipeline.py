@@ -26,10 +26,12 @@ print(f"trained {model.params.n} parameters, accuracy {model.eval_accuracy:.3f}"
 # 2. prune 80% by magnitude and keep the survivors
 mask = nq.prune_magnitude(model.params, 0.8)
 curvature = nq.hessian_diag_gn(spec, model.params, *ds.split("hessian"))
-survivors, surv_curvature, positions = nq.compact_unpruned(model.params, curvature, mask)
+positions = np.flatnonzero(mask.kept)
+survivors = model.params.values[positions]
+surv_curvature = curvature.values[positions]
 pruned_w = model.params.as_f64() * mask.kept
 acc_pruned = nq.eval_accuracy(spec, pruned_w, eval_x, eval_y)
-print(f"pruned to {survivors.n} survivors, accuracy {acc_pruned:.3f} "
+print(f"pruned to {survivors.size} survivors, accuracy {acc_pruned:.3f} "
       f"(no retraining here, so some loss is expected)")
 
 # 3. quantize the survivors into 8 uniform bins

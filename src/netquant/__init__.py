@@ -20,23 +20,18 @@ from .params import (
     ParamSet,
     PruneMask,
     Span,
-    compact_unpruned,
     load_model,
     read_manifest,
     save_model,
 )
 from .quantizers import (
-    ClusterConfig,
     Codebook,
-    EcsqConfig,
     LambdaResult,
     QuantizeResult,
     compact_codebook,
     dequantize,
     ecsq_iterate,
     hw_distortion,
-    hw_kmeans_lloyd,
-    kmeans_lloyd,
     kmeans_sweep,
     msqe,
     scatter_dequantize,

@@ -370,9 +370,7 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
             lam = _option("lam", knob) if knob is not None else (cfg["lam"] or 0.0)
             k = _ecsq_count(cfg, values.size)
             extras["lambda"] = lam
-            res = quantizers.ecsq_iterate(
-                values, curvature, quantizers.EcsqConfig(k=k, lam=lam)
-            )
+            res = quantizers.ecsq_iterate(values, curvature, k, lam)
     assignment, codebook = quantizers.compact_codebook(res.assignment, res.codebook)
     return assignment, _round_codebook_f32(codebook), extras
 

@@ -57,7 +57,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -592,9 +591,6 @@ class EncodedModel:
             + self.breakdown["codeword_table"]
             + self.breakdown["payload"]
         )
-
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.data)
 
 
 class DecodedModel(NamedTuple):

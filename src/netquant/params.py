@@ -380,31 +380,3 @@ def load_model(path) -> tuple[ParamSet, CurvatureDiag | None, PruneMask | None]:
 
     return ps, curvature, mask
 
-
-def compact_unpruned(
-    ps: ParamSet, curvature: CurvatureDiag, mask: PruneMask
-) -> tuple[ParamSet, CurvatureDiag, np.ndarray]:
-    """Drop pruned entries, keeping order.
-
-    Returns the surviving values and curvature plus the original index of
-    every survivor (strictly increasing), which downstream index-difference
-    coding consumes. Spans are narrowed per layer; a fully pruned layer keeps
-    a zero-length span so layer names survive.
-    """
-    if curvature.n != ps.n or mask.n != ps.n:
-        raise ValueError("component lengths disagree")
-    kept = mask.kept
-    positions = np.flatnonzero(kept).astype(np.int64)
-    if positions.size == 0:
-        raise ValueError("mask prunes every parameter")
-
-    new_spans = []
-    offset = 0
-    for s in ps.spans:
-        kept_here = int(np.count_nonzero(kept[s.offset : s.offset + s.length]))
-        new_spans.append(Span(s.name, offset, kept_here))
-        offset += kept_here
-
-    out_ps = ParamSet(ps.values[kept], tuple(new_spans), ps.source_bits)
-    out_cv = CurvatureDiag(curvature.values[kept], curvature.source, curvature.floor)
-    return out_ps, out_cv, positions

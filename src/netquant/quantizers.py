@@ -2,25 +2,28 @@
 
 Four schemes share one assignment/codebook representation:
 
-* ``kmeans_lloyd`` - the k-means partition minimizing the plain sum of
-  squared errors.
-* ``hw_kmeans_lloyd`` - the same under a curvature-weighted distortion:
-  each squared error is scaled by that parameter's curvature, and cluster
-  centers are curvature-weighted means. Parameters the loss is sensitive to
-  are kept closer to their original values.
+* ``kmeans_sweep(values, None, ks)`` - the k-means partition minimizing the
+  plain sum of squared errors, for each cluster count in ``ks``.
+* ``kmeans_sweep(values, curvature, ks)`` - the same under a
+  curvature-weighted distortion: each squared error is scaled by that
+  parameter's curvature, and cluster centers are curvature-weighted means.
+  Parameters the loss is sensitive to are kept closer to their original
+  values.
 * ``uniform_quantize`` - equal-width bins over the value range, centers by
   plain or curvature-weighted mean. One shot, no iteration.
-* ``ecsq_iterate`` - entropy-penalized clustering: each point pays its
-  weighted squared error plus ``lam`` times the codeword cost
-  ``-log2(p_j)`` of its cluster, so the converged codebook trades
-  distortion against the rate a variable-length code will achieve.
+* ``ecsq_iterate(values, curvature, k, lam)`` - entropy-penalized
+  clustering: each point pays its weighted squared error plus ``lam`` times
+  the codeword cost ``-log2(p_j)`` of its cluster, so the converged
+  codebook trades distortion against the rate a variable-length code will
+  achieve. ``solve_lambda(values, curvature, k, target_entropy)`` searches
+  the ``lam`` that meets an entropy budget.
 
-The two k-means variants are solved exactly: in one dimension an optimal
+Both k-means variants are solved exactly: in one dimension an optimal
 partition is a set of contiguous runs of the sorted values, which dynamic
 programming finds without iteration or repair passes. Their trace is the
 one-element ``[objective]``. Layer j of that DP holds the optimal j-run cost
-of every prefix, so ``kmeans_sweep`` answers a whole list of cluster counts
-from the layers of the largest one.
+of every prefix, so one call answers a whole list of cluster counts from the
+layers of the largest one.
 
 The rate-penalized solver runs two phases from a fixed start: a Lloyd
 phase, then one polish by single-point transfers (Hartigan & Wong 1979),
@@ -95,36 +98,6 @@ class Codebook:
     @property
     def n_params(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def proportions(self) -> np.ndarray:
-        total = self.counts.sum()
-        if total == 0:
-            raise ValueError("codebook has no members")
-        return self.counts / float(total)
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Cluster count shared by the clustering quantizers."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-
-
-@dataclass(frozen=True)
-class EcsqConfig(ClusterConfig):
-    """ClusterConfig plus the bits-to-distortion exchange rate ``lam``."""
-
-    lam: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
 
 
 class QuantizeResult(NamedTuple):
@@ -536,10 +509,17 @@ def _exact_kmeans(v: np.ndarray, h: np.ndarray, ks) -> list[QuantizeResult]:
 def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
     """Exact k-means for every cluster count in ``ks``, from one DP.
 
-    With ``curvature`` None each result is :func:`kmeans_lloyd` at that
-    ``k``, otherwise :func:`hw_kmeans_lloyd`, bit for bit; results come back
-    in the order of ``ks``, which may be unsorted and repeat entries. The DP
-    runs ``max(ks)`` layers once, whatever the length of the list.
+    With ``curvature`` None the objective is the plain squared-error sum;
+    otherwise each squared error is weighted by that parameter's curvature
+    and centers are curvature-weighted means, so with constant curvature the
+    assignments match plain k-means. Each result is the exact optimum over
+    at most ``k`` clusters, whose indices follow value order; with fewer
+    distinct values than ``k`` each distinct value gets its own cluster and
+    the remaining slots keep zero counts. The trace is the one-element
+    ``[objective]``. Results come back in the order of ``ks``, which may be
+    unsorted and repeat entries, and each equals the call with ``[k]``
+    alone, bit for bit: the DP runs ``max(ks)`` layers once, whatever the
+    length of the list.
     """
     ks = [int(k) for k in ks]
     if not ks:
@@ -549,31 +529,6 @@ def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
     v = _values64(values)
     h = np.ones_like(v) if curvature is None else _curvature64(curvature, v.size)
     return _exact_kmeans(v, h, ks)
-
-
-def kmeans_lloyd(values, cfg: ClusterConfig) -> QuantizeResult:
-    """Cluster values into at most ``cfg.k`` groups minimizing the
-    squared-error sum.
-
-    The result is the exact optimum, found by dynamic programming over the
-    sorted values; no reseeding or stabilization is involved. Cluster
-    indices follow value order. With fewer distinct values than ``k``, each
-    distinct value gets its own cluster and the remaining slots keep zero
-    counts. The trace is the one-element ``[objective]``.
-    """
-    return kmeans_sweep(values, None, [cfg.k])[0]
-
-
-def hw_kmeans_lloyd(values, curvature, cfg: ClusterConfig) -> QuantizeResult:
-    """Exact curvature-weighted k-means clustering.
-
-    Identical to :func:`kmeans_lloyd` except that the objective weights each
-    squared error by the parameter's curvature and centers are
-    curvature-weighted means, so high-sensitivity parameters pull centers
-    toward themselves. With constant curvature the assignments match plain
-    k-means exactly.
-    """
-    return kmeans_sweep(values, curvature, [cfg.k])[0]
 
 
 def uniform_quantize(
@@ -617,17 +572,18 @@ def uniform_quantize(
     return QuantizeResult(assign, codebook, np.asarray([], dtype=np.float64))
 
 
-def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
-    """Entropy-penalized clustering for rate-aware codebooks.
+def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
+    """Entropy-penalized clustering into at most ``k`` clusters at the
+    bits-to-distortion exchange rate ``lam`` (finite, nonnegative).
 
     With ``lam == 0`` the entropy term vanishes and the result is the exact
-    curvature-weighted k-means optimum of :func:`hw_kmeans_lloyd` (trace
+    curvature-weighted k-means optimum of :func:`kmeans_sweep` (trace
     divided by ``n``). Otherwise, from centers evenly spaced over the value
-    range and uniform proportions, a Lloyd phase alternates three steps:
-    assign each point to the cluster minimizing
+    range and equal cluster probabilities, a Lloyd phase alternates three
+    steps: assign each point to the cluster minimizing
     ``h_i (v_i - c_j)^2 - lam * log2(p_j)``, recompute centers as
-    curvature-weighted means, and refresh the proportions ``p_j`` from the
-    new cluster sizes. It stops when the assignment repeats or
+    curvature-weighted means, and refresh the probabilities ``p_j`` from
+    the new cluster sizes. It stops when the assignment repeats or
     ``J = D/n + lam * H`` would rise. One polish by single-point transfers
     then makes the result one-move stable. Clusters that empty are retired
     for good since their codeword cost is infinite. Both phases score the
@@ -639,9 +595,13 @@ def ecsq_iterate(values, curvature, cfg: EcsqConfig) -> QuantizeResult:
     slots (see :func:`compact_codebook`), and the non-increasing trace of
     ``J``: the first assignment, each Lloyd step, then the polished result.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative; got {lam}")
     v = _values64(values)
     h = _curvature64(curvature, v.size)
-    n, k, lam = v.size, cfg.k, cfg.lam
+    n = v.size
 
     if lam == 0.0:
         res = _exact_kmeans(v, h, [k])[0]
@@ -708,13 +668,13 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
     even the collapse bound fails the budget, the endpoint solution comes
     back flagged ``met=False``.
     """
-    if target_entropy <= 0:
-        raise ValueError("target entropy must be positive")
+    if not target_entropy > 0:
+        raise ValueError(f"target entropy must be positive; got {target_entropy}")
     v = _values64(values)
     h = _curvature64(curvature, v.size)
 
     def run(lam: float) -> QuantizeResult:
-        return ecsq_iterate(v, h, EcsqConfig(k=k, lam=lam))
+        return ecsq_iterate(v, h, k, lam)
 
     budget = target_entropy + _LAMBDA_SLACK
     res0 = run(0.0)

@@ -30,7 +30,7 @@ from .params import (
     PruneMask,
     Span,
 )
-from .quantizers import Codebook, scatter_dequantize
+from .quantizers import Codebook
 
 log = logging.getLogger(__name__)
 
@@ -188,15 +188,19 @@ def make_blobs(
     ``center_spread`` (before scaling); samples add isotropic noise.
     ``input_scale`` (a scalar, or one value per feature) multiplies the
     inputs, which spreads the magnitudes and curvatures of the first-layer
-    weights that consume them.
+    weights that consume them. Inputs that overflow float64 raise
+    ``ValueError``.
     """
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_spread, center_spread, size=(n_classes, n_features))
     labels = rng.integers(0, n_classes, size=n_samples)
-    inputs = centers[labels] + rng.normal(0.0, noise, size=(n_samples, n_features))
-    inputs *= np.broadcast_to(np.asarray(input_scale, dtype=np.float64), (n_features,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inputs = centers[labels] + rng.normal(0.0, noise, size=(n_samples, n_features))
+        inputs *= np.broadcast_to(np.asarray(input_scale, dtype=np.float64), (n_features,))
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("generated inputs overflow float64")
 
     return Dataset(inputs, labels, _train_eval_splits(rng, n_samples, eval_frac))
 
@@ -327,17 +331,13 @@ _EVAL_BLOCK_BYTES = 256 << 10
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     """Fraction of samples whose argmax output matches the class label.
 
-    ``params`` may be a flat vector, a ParamSet, or an
-    ``(assignment, codebook)`` pair, which is dequantized first. Only the
-    logits are needed, so the samples go through in row blocks of at most
+    ``params`` may be a flat vector or a ParamSet. Only the logits are
+    needed, so the samples go through in row blocks of at most
     ``_EVAL_BLOCK_BYTES`` of activations per layer, each activation applied
     in place. BLAS may pick its kernel by matrix size, so a block's logits
     can differ from a whole-batch pass in the last bits; that moves an
     argmax only at a tie to within rounding.
     """
-    if isinstance(params, tuple):
-        assignment, codebook = params
-        params = scatter_dequantize(len(assignment), assignment, codebook)
     w = _params64(spec, params)
     x = np.asarray(inputs)
     y = np.asarray(labels)
@@ -562,16 +562,17 @@ def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR), CurvatureSource.GAUSS_NEWTON)
 
 
-def adam_curvature(state: AdamState, eps_alt: float = 0.0) -> CurvatureDiag:
+def adam_curvature(state: AdamState) -> CurvatureDiag:
     """Curvature proxy from Adam: sqrt of the bias-corrected second moment.
 
-    Free at the end of training, no extra passes over the data.
+    Free at the end of training, no extra passes over the data. Entries
+    below ``CURVATURE_FLOOR``, zero moments included, read as the floor.
     """
     if state.step > 0:
         vhat = state.v / (1.0 - state.beta2**state.step)
     else:
         vhat = np.zeros_like(state.v)
-    return CurvatureDiag(np.sqrt(vhat) + eps_alt, CurvatureSource.ADAM_SQRT_MOMENT)
+    return CurvatureDiag(np.sqrt(vhat), CurvatureSource.ADAM_SQRT_MOMENT)
 
 
 def identity_curvature(n: int) -> CurvatureDiag:

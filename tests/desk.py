@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from netquant import (
-    ClusterConfig,
-    EcsqConfig,
     MlpSpec,
     TrainConfig,
     build_huffman,
@@ -23,8 +21,7 @@ from netquant import (
     ecsq_iterate,
     eval_accuracy,
     hessian_diag_gn,
-    hw_kmeans_lloyd,
-    kmeans_lloyd,
+    kmeans_sweep,
     make_blobs,
     train_adam,
     uniform_quantize,
@@ -100,7 +97,7 @@ def kmeans_at_rate(values, target: float, k_range=range(2, 11)):
     """Pick the cluster count whose Huffman rate lands closest to target."""
     best = None
     for k in k_range:
-        res = kmeans_lloyd(values, ClusterConfig(k=k))
+        res = kmeans_sweep(values, None, [k])[0]
         a, cb = compact_codebook(res.assignment, res.codebook)
         avg = build_huffman(cb).avg_bits(cb.counts)
         if best is None or abs(avg - target) < abs(best[0] - target):
@@ -124,7 +121,7 @@ def ecsq_at_rate(values, curvature, target: float, k: int = 16, rounds: int = 12
     h = curvature.as_f64()
 
     def run(lam):
-        res = ecsq_iterate(v, curvature, EcsqConfig(k=k, lam=lam))
+        res = ecsq_iterate(v, curvature, k, lam)
         a, cb = compact_codebook(res.assignment, res.codebook)
         return build_huffman(cb).avg_bits(cb.counts), a, cb
 
@@ -155,4 +152,4 @@ def gn_curvature(spec, ds, model):
 
 
 def hw_result(values, curvature, k=8):
-    return hw_kmeans_lloyd(values, curvature, ClusterConfig(k=k))
+    return kmeans_sweep(values, curvature, [k])[0]

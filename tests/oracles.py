@@ -8,7 +8,7 @@ import heapq
 
 import numpy as np
 
-from netquant import Codebook, EcsqConfig, FormatError, QuantizeResult, forward_loss
+from netquant import Codebook, FormatError, QuantizeResult, forward_loss
 from netquant.coding import MAGIC, build_huffman, entropy_bits
 from netquant.refnet import _forward
 from netquant.quantizers import (
@@ -336,12 +336,12 @@ def best_moves_table(stats, lam):
     return _table_argmin(_move_deltas_table(stats, lam, rows, clusters))
 
 
-def ecsq_iterate_tables(v, h, cfg: EcsqConfig) -> QuantizeResult:
+def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
     """The rate-penalized solver for ``lam > 0`` scoring every point against
     every cluster in one ``n x k`` table per Lloyd step and per polish scan:
     ``argmin`` over the table, then Hartigan's transfers re-checked one at a
     time against the live cluster sums. Float64 inputs only."""
-    n, k, lam = v.size, cfg.k, cfg.lam
+    n = v.size
     rows = np.arange(n)[:, None]
 
     def assign_step(centers, p):

@@ -14,17 +14,13 @@ import pytest
 import desk
 from desk import GENTLE, HOMOGENEOUS, MIXED_SCALE
 from netquant import (
-    ClusterConfig,
     Codebook,
-    EcsqConfig,
     MlpSpec,
     adam_curvature,
     build_huffman,
     compact_codebook,
-    compact_unpruned,
     compression_ratio_exact,
     decode_assignments,
-    dequantize,
     ecsq_iterate,
     encode_assignments,
     entropy_bits,
@@ -32,9 +28,8 @@ from netquant import (
     forward_loss,
     hessian_diag_exact,
     hessian_diag_gn,
-    hw_kmeans_lloyd,
     index_diff_code,
-    kmeans_lloyd,
+    kmeans_sweep,
     prune_magnitude,
     scatter_dequantize,
     solve_lambda,
@@ -120,11 +115,11 @@ def test_c03_monotonicity_suite():
             v = rng.normal(size=n) * float(rng.uniform(0.5, 3.0))
             h = rng.uniform(0.1, 4.0, size=n)
 
-            res = kmeans_lloyd(v, ClusterConfig(k=k))
+            res = kmeans_sweep(v, None, [k])[0]
             assert np.all(np.diff(res.trace) <= 0)
             assert one_move_stable(v, np.ones(n), res.assignment, k)
 
-            res = hw_kmeans_lloyd(v, h, ClusterConfig(k=k))
+            res = kmeans_sweep(v, h, [k])[0]
             assert np.all(np.diff(res.trace) <= 0)
             assert one_move_stable(v, h, res.assignment, k)
 
@@ -135,7 +130,7 @@ def test_c03_monotonicity_suite():
             k = int(rng.integers(2, 7))
             v = rng.normal(size=n)
             h = rng.uniform(0.1, 4.0, size=n)
-            res = ecsq_iterate(v, h, EcsqConfig(k=k, lam=lam))
+            res = ecsq_iterate(v, h, k, lam)
             assert np.all(np.diff(res.trace) <= 0)
             assert one_move_stable(v, h, res.assignment, k, lam=lam)
 
@@ -145,20 +140,20 @@ def test_c04_oracle_equivalence():
     with criterion("C4 oracle equivalence", 60.0):
         rng = np.random.default_rng(404)
 
-        # (a) zero rate penalty reduces to curvature-weighted Lloyd exactly
+        # (a) zero rate penalty reduces to curvature-weighted k-means exactly
         for _ in range(10):
             n = int(rng.integers(5, 40))
             v = rng.normal(size=n)
             h = rng.uniform(0.2, 3.0, size=n)
-            lloyd = hw_kmeans_lloyd(v, h, ClusterConfig(k=3))
-            zero = ecsq_iterate(v, h, EcsqConfig(k=3, lam=0.0))
-            assert np.array_equal(lloyd.assignment, zero.assignment)
-            assert np.array_equal(lloyd.codebook.centers, zero.codebook.centers)
+            exact = kmeans_sweep(v, h, [3])[0]
+            zero = ecsq_iterate(v, h, 3, 0.0)
+            assert np.array_equal(exact.assignment, zero.assignment)
+            assert np.array_equal(exact.codebook.centers, zero.codebook.centers)
 
         # (b) curvature breaks the plain-squared-error tie
         v = np.array([-1.0, 0.0, 1.0])
         h = np.array([4.0, 1.0, 1.0])
-        res = hw_kmeans_lloyd(v, h, ClusterConfig(k=2))
+        res = kmeans_sweep(v, h, [2])[0]
         assert np.array_equal(res.assignment, [0, 1, 1])
         cost = weighted_cost(v, h, res.assignment, 2)
         assert cost == pytest.approx(0.5)
@@ -173,13 +168,13 @@ def test_c04_oracle_equivalence():
             k = int(rng.integers(2, 4))
             v = rng.normal(size=n)
             h = rng.uniform(0.2, 3.0, size=n)
-            res = hw_kmeans_lloyd(v, h, ClusterConfig(k=k))
+            res = kmeans_sweep(v, h, [k])[0]
             got = weighted_cost(v, h, res.assignment, k)
             best, _ = global_optimum(v, h, k)
             assert got >= best - 1e-12 * max(1.0, best)
 
             lam = float(rng.uniform(0.0, 0.3))
-            res = ecsq_iterate(v, h, EcsqConfig(k=k, lam=lam))
+            res = ecsq_iterate(v, h, k, lam)
             got = lagrangian_cost(v, h, res.assignment, k, lam)
             best, _ = global_optimum(v, h, k, lam=lam)
             assert got >= best - 1e-12 * max(1.0, best)
@@ -200,7 +195,7 @@ def test_c04_oracle_equivalence():
                 ]
             )
             h = rng.uniform(0.5, 2.0, size=v.size)
-            res = hw_kmeans_lloyd(v, h, ClusterConfig(k=k))
+            res = kmeans_sweep(v, h, [k])[0]
             got = weighted_cost(v, h, res.assignment, k)
             best, _ = global_optimum(v, h, k)
             assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
@@ -255,8 +250,8 @@ def test_c06_fixed_length_trend():
         for seed in range(10):
             spec, ds, model = desk.train_desk_model(MIXED_SCALE, seed)
             curvature = desk.gn_curvature(spec, ds, model)
-            km = kmeans_lloyd(model.params, ClusterConfig(k=8))
-            hw = hw_kmeans_lloyd(model.params, curvature, ClusterConfig(k=8))
+            km = kmeans_sweep(model.params, None, [8])[0]
+            hw = kmeans_sweep(model.params, curvature, [8])[0]
             km_accs.append(desk.quantized_accuracy(spec, ds, km.assignment, km.codebook))
             hw_accs.append(desk.quantized_accuracy(spec, ds, hw.assignment, hw.codebook))
         km_mean, hw_mean = np.mean(km_accs), np.mean(hw_accs)
@@ -315,7 +310,7 @@ def test_c08_curvature_robustness():
                 "adam": adam_curvature(model.adam),
             }
             for name, cv in variants.items():
-                res = hw_kmeans_lloyd(model.params, cv, ClusterConfig(k=8))
+                res = kmeans_sweep(model.params, cv, [8])[0]
                 acc = desk.quantized_accuracy(spec, ds, res.assignment, res.codebook)
                 {"full": full_accs, "few": few_accs, "adam": adam_accs}[name].append(acc)
 
@@ -336,9 +331,10 @@ def test_c09_pipeline_fidelity():
         spec, ds, model = desk.train_desk_model(GENTLE, seed=0)
         mask = prune_magnitude(model.params, 0.8)
         curvature = desk.gn_curvature(spec, ds, model)
-        ps_q, cv_q, positions = compact_unpruned(model.params, curvature, mask)
+        positions = np.flatnonzero(mask.kept)
+        kept_cv = curvature.values[positions]
 
-        res = uniform_quantize(ps_q, cv_q, k=8)
+        res = uniform_quantize(model.params.values[positions], kept_cv, k=8)
         assignment, codebook = compact_codebook(res.assignment, res.codebook)
         codebook = rounded32(codebook)
         code = build_huffman(codebook)

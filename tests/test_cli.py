@@ -73,13 +73,18 @@ class TestTrainRef:
             ["--synth-spread", "nan"],
             ["--synth-spread", "inf"],
             ["--synth-spread", "1e308"],
+            ["--synth-scale", "1e308"],
+            ["--synth-noise", "1e308"],
         ],
     )
-    def test_bad_option_value_is_config_error(self, tmp_path, flags):
+    @pytest.mark.filterwarnings("error")
+    def test_bad_option_value_is_config_error(self, tmp_path, capfd, flags):
         out = tmp_path / "m"
         code = run(["train-ref", "--out-dir", out, *TRAIN_ARGS, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     def test_diverging_training_prints_only_the_error(self, tmp_path, capfd):
@@ -288,6 +293,48 @@ class TestPrunedPipeline:
         assert decoded.positions.size == report["n_params"]
 
 
+class TestPrepareInputs:
+    """A pruned model directory compacts to its survivors, in order."""
+
+    @staticmethod
+    def _inputs(tmp_path, values, kept):
+        model = tmp_path / "pruned"
+        curvature = params.CurvatureDiag(
+            np.arange(1, len(values) + 1), params.CurvatureSource.ADAM_SQRT_MOMENT
+        )
+        ps = params.ParamSet.from_flat(values)
+        params.save_model(ps, model, curvature, params.PruneMask(kept))
+        args = cli._build_parser().parse_args([
+            "quantize", "--model-dir", str(model), "--out-dir", str(tmp_path / "q"),
+            "--curvature", "adam",
+        ])
+        return ps, cli._prepare_inputs(cli._resolve_config(args))
+
+    def test_definition(self, tmp_path):
+        _, inputs = self._inputs(tmp_path, [1.0, 2.0, 3.0], [True, False, True])
+        assert np.array_equal(inputs.values, [1.0, 3.0])
+        assert np.array_equal(inputs.curvature.values, np.float32([1.0, 3.0]))
+        assert np.array_equal(inputs.positions, [0, 2])
+        assert inputs.total_params == 3
+
+    def test_all_kept_is_identity(self, tmp_path):
+        ps, inputs = self._inputs(tmp_path, [1.0, 2.0, 3.0], [True, True, True])
+        assert np.array_equal(inputs.values, ps.values)
+        assert np.array_equal(inputs.positions, [0, 1, 2])
+
+    def test_popcount_and_monotone_positions(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 200))
+            kept = rng.random(n) > 0.5
+            kept[int(rng.integers(n))] = True
+            ps, inputs = self._inputs(tmp_path, rng.normal(size=n), kept)
+            assert inputs.values.size == int(np.count_nonzero(kept))
+            assert inputs.curvature.n == inputs.values.size
+            assert np.all(np.diff(inputs.positions) > 0)
+            assert np.array_equal(inputs.values, ps.values[kept])
+
+
 class TestSweep:
     def test_row_count_and_determinism(self, model_dir, tmp_path):
         args = [
@@ -426,7 +473,7 @@ class TestReport:
         cb = Codebook(np.arange(4.0), np.bincount(assignment))
         em = encode_assignments(assignment, cb, fixed_length_code(4))
         nq_path = tmp_path / "m.nq"
-        em.save(nq_path)
+        nq_path.write_bytes(em.data)
         out = tmp_path / "r.json"
         assert run(["report", "--model-nq", nq_path, "--out", out]) == 0
         doc = json.loads(out.read_text())

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and the README's library quickstart, runs to completion
+against the package sources."""
 
 import os
 import subprocess
@@ -11,15 +12,27 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300,
+    )  # fmt: skip
+
+
 def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
-    )  # fmt: skip
+    result = _run_python([str(demo)], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_exits_zero(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run_python(["-c", code], tmp_path)
     assert result.returncode == 0, result.stderr

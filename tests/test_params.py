@@ -9,7 +9,6 @@ from netquant import (
     ParamSet,
     PruneMask,
     Span,
-    compact_unpruned,
     load_model,
     params,
     save_model,
@@ -180,47 +179,3 @@ class TestPruneMask:
     def test_rejects_all_pruned(self):
         with pytest.raises(ValueError):
             PruneMask([False, False])
-
-
-class TestCompactUnpruned:
-    def _components(self, values, kept):
-        ps = ParamSet.from_flat(values)
-        cv = CurvatureDiag(np.arange(1, len(values) + 1), CurvatureSource.IDENTITY)
-        return ps, cv, PruneMask(kept)
-
-    def test_definition(self):
-        ps, cv, mask = self._components([1.0, 2.0, 3.0], [True, False, True])
-        out_ps, out_cv, positions = compact_unpruned(ps, cv, mask)
-        assert np.array_equal(out_ps.values, np.float32([1.0, 3.0]))
-        assert np.array_equal(out_cv.values, np.float32([1.0, 3.0]))
-        assert np.array_equal(positions, [0, 2])
-
-    def test_all_kept_is_identity(self):
-        ps, cv, mask = self._components([1.0, 2.0, 3.0], [True, True, True])
-        out_ps, _, positions = compact_unpruned(ps, cv, mask)
-        assert np.array_equal(out_ps.values, ps.values)
-        assert np.array_equal(positions, [0, 1, 2])
-
-    def test_all_pruned_rejected(self):
-        with pytest.raises(ValueError):
-            PruneMask([False, False, False])
-
-    def test_popcount_and_monotone_positions(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 200))
-            kept = rng.random(n) > 0.5
-            kept[int(rng.integers(n))] = True
-            ps, cv, mask = self._components(rng.normal(size=n), kept)
-            out_ps, out_cv, positions = compact_unpruned(ps, cv, mask)
-            assert out_ps.n == int(np.count_nonzero(kept))
-            assert out_cv.n == out_ps.n
-            assert np.all(np.diff(positions) > 0)
-
-    def test_spans_narrowed_per_layer(self):
-        values = np.arange(6, dtype=np.float32)
-        ps = ParamSet(values, (Span("w", 0, 4), Span("b", 4, 2)))
-        cv = CurvatureDiag(np.ones(6), CurvatureSource.IDENTITY)
-        mask = PruneMask([True, False, False, True, False, True])
-        out_ps, _, _ = compact_unpruned(ps, cv, mask)
-        assert out_ps.spans == (Span("w", 0, 2), Span("b", 2, 1))

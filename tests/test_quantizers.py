@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 
 from netquant import (
     CURVATURE_FLOOR,
-    ClusterConfig,
     Codebook,
-    EcsqConfig,
     compact_codebook,
     dequantize,
     ecsq_iterate,
     hw_distortion,
-    hw_kmeans_lloyd,
-    kmeans_lloyd,
     kmeans_sweep,
     msqe,
     quantizers,
@@ -103,20 +99,20 @@ class TestDequantize:
 
 
 # ---------------------------------------------------------------------------
-# Lloyd k-means
+# Exact k-means
 # ---------------------------------------------------------------------------
 
 
 class TestKmeans:
     def test_separable_symmetric(self):
-        res = kmeans_lloyd([0.0, 0.0, 10.0, 10.0], ClusterConfig(k=2))
+        res = kmeans_sweep([0.0, 0.0, 10.0, 10.0], None, [2])[0]
         assert sorted(res.codebook.centers) == [0.0, 10.0]
         assert msqe([0, 0, 10, 10], res.assignment, res.codebook) == 0.0
 
     def test_three_points_matches_enumeration(self):
         v = np.array([0.0, 1.0, 9.0])
         h = np.ones(3)
-        res = kmeans_lloyd(v, ClusterConfig(k=2))
+        res = kmeans_sweep(v, None, [2])[0]
         got = msqe(v, res.assignment, res.codebook)
         best, best_assign = global_optimum(v, h, 2)
         assert got == pytest.approx(best)  # 0.5, clusters {0,1},{9}
@@ -125,7 +121,7 @@ class TestKmeans:
 
     def test_k1_center_is_mean(self):
         v = np.array([1.0, 2.0, 6.0])
-        res = kmeans_lloyd(v, ClusterConfig(k=1))
+        res = kmeans_sweep(v, None, [1])[0]
         assert res.codebook.centers[0] == pytest.approx(v.mean())
 
     def test_counts_sum_and_trace_monotone(self):
@@ -133,20 +129,20 @@ class TestKmeans:
         for _ in range(10):
             v = rng.normal(size=int(rng.integers(5, 300)))
             k = int(rng.integers(1, 9))
-            res = kmeans_lloyd(v, ClusterConfig(k=k))
+            res = kmeans_sweep(v, None, [k])[0]
             assert res.codebook.counts.sum() == v.size
             assert np.all(np.diff(res.trace) <= 0)
 
     def test_scale_covariance_power_of_two(self):
         rng = np.random.default_rng(9)
         v = rng.normal(size=120)
-        res1 = kmeans_lloyd(v, ClusterConfig(k=5))
-        res4 = kmeans_lloyd(4.0 * v, ClusterConfig(k=5))
+        res1 = kmeans_sweep(v, None, [5])[0]
+        res4 = kmeans_sweep(4.0 * v, None, [5])[0]
         assert np.array_equal(res1.assignment, res4.assignment)
         assert np.array_equal(4.0 * res1.codebook.centers, res4.codebook.centers)
 
     def test_degenerate_all_equal(self):
-        res = kmeans_lloyd(np.full(10, 3.25), ClusterConfig(k=4))
+        res = kmeans_sweep(np.full(10, 3.25), None, [4])[0]
         assert res.codebook.counts.sum() == 10
         assert res.codebook.counts.max() == 10  # one live cluster
 
@@ -155,12 +151,12 @@ class TestHwKmeans:
     def test_uniform_curvature_degeneracy(self):
         rng = np.random.default_rng(21)
         v = rng.normal(size=200)
-        plain = kmeans_lloyd(v, ClusterConfig(k=6))
-        weighted = hw_kmeans_lloyd(v, np.full(200, 2.0), ClusterConfig(k=6))
+        plain = kmeans_sweep(v, None, [6])[0]
+        weighted = kmeans_sweep(v, np.full(200, 2.0), [6])[0]
         assert np.array_equal(plain.assignment, weighted.assignment)
 
     def test_weighted_mean_k1(self):
-        res = hw_kmeans_lloyd([0.0, 4.0], [1.0, 3.0], ClusterConfig(k=1))
+        res = kmeans_sweep([0.0, 4.0], [1.0, 3.0], [1])[0]
         assert res.codebook.centers[0] == pytest.approx(3.0)
 
     def test_weighting_breaks_msqe_tie(self):
@@ -168,7 +164,7 @@ class TestHwKmeans:
         # the 4x curvature on -1 makes the first strictly better (0.5 vs 0.8).
         v = np.array([-1.0, 0.0, 1.0])
         h = np.array([4.0, 1.0, 1.0])
-        res = hw_kmeans_lloyd(v, h, ClusterConfig(k=2))
+        res = kmeans_sweep(v, h, [2])[0]
         assert np.array_equal(res.assignment, [0, 1, 1])
         assert np.allclose(res.codebook.centers, [-1.0, 0.5])
         got = hw_distortion(v, h, res.assignment, res.codebook)
@@ -183,14 +179,14 @@ class TestHwKmeans:
         for _ in range(10):
             v = rng.normal(size=150)
             h = rng.uniform(0.1, 5.0, 150)
-            res = hw_kmeans_lloyd(v, h, ClusterConfig(k=5))
+            res = kmeans_sweep(v, h, [5])[0]
             assert np.all(np.diff(res.trace) <= 0)
 
     def test_converged_centers_are_weighted_means(self):
         rng = np.random.default_rng(17)
         v = rng.normal(size=100)
         h = rng.uniform(0.5, 2.0, 100)
-        res = hw_kmeans_lloyd(v, h, ClusterConfig(k=4))
+        res = kmeans_sweep(v, h, [4])[0]
         for j in range(4):
             member = res.assignment == j
             expect = np.sum(h[member] * v[member]) / np.sum(h[member])
@@ -242,16 +238,16 @@ class TestEcsq:
         rng = np.random.default_rng(31)
         v = rng.normal(size=100)
         h = rng.uniform(0.2, 3.0, 100)
-        lloyd = hw_kmeans_lloyd(v, h, ClusterConfig(k=5))
-        ecsq = ecsq_iterate(v, h, EcsqConfig(k=5, lam=0.0))
-        assert np.array_equal(lloyd.assignment, ecsq.assignment)
-        assert np.array_equal(lloyd.codebook.centers, ecsq.codebook.centers)
+        exact = kmeans_sweep(v, h, [5])[0]
+        ecsq = ecsq_iterate(v, h, 5, 0.0)
+        assert np.array_equal(exact.assignment, ecsq.assignment)
+        assert np.array_equal(exact.codebook.centers, ecsq.codebook.centers)
 
     def test_huge_lam_collapses_to_one_cluster(self):
         v = np.array([0.0, 1.0, 9.0])
         h = np.ones(3)
         lam = 1e6 * 81.0
-        res = ecsq_iterate(v, h, EcsqConfig(k=3, lam=lam))
+        res = ecsq_iterate(v, h, 3, lam)
         counts = res.codebook.counts
         assert np.count_nonzero(counts) == 1
         assert entropy_bits(counts) == 0.0
@@ -265,7 +261,7 @@ class TestEcsq:
             v = rng.normal(size=9)
             h = rng.uniform(0.2, 2.0, 9)
             lam = float(rng.uniform(0.0, 0.5))
-            res = ecsq_iterate(v, h, EcsqConfig(k=3, lam=lam))
+            res = ecsq_iterate(v, h, 3, lam)
             got = lagrangian_cost(v, h, res.assignment, res.codebook.k, lam)
             best, _ = global_optimum(v, h, 3, lam=lam)
             assert got >= best - 1e-12 * max(1.0, abs(best))
@@ -276,7 +272,7 @@ class TestEcsq:
         for lam in (0.0, 0.01, 0.1, 1.0):
             v = rng.normal(size=200)
             h = rng.uniform(0.5, 2.0, 200)
-            res = ecsq_iterate(v, h, EcsqConfig(k=6, lam=lam))
+            res = ecsq_iterate(v, h, 6, lam)
             assert np.all(np.diff(res.trace) <= 0)
 
     @pytest.mark.parametrize("a, b", [(1e-2, 1e-3), (1e-3, 1e-4), (10.0, 100.0)])
@@ -287,15 +283,15 @@ class TestEcsq:
             rng = np.random.default_rng(seed)
             v, h = rng.standard_t(4, 400), rng.lognormal(0.0, 1.0, 400)
             lam = float(10.0 ** rng.uniform(-3.0, -1.0))
-            unit = ecsq_iterate(v, h, EcsqConfig(k=8, lam=lam))
-            scaled = ecsq_iterate(v * a, h * b, EcsqConfig(k=8, lam=lam * a * a * b))
+            unit = ecsq_iterate(v, h, 8, lam)
+            scaled = ecsq_iterate(v * a, h * b, 8, lam * a * a * b)
             assert np.array_equal(unit.assignment, scaled.assignment), seed
 
     def test_retired_clusters_stay_retired(self):
         rng = np.random.default_rng(43)
         v = rng.normal(size=300)
         h = np.ones(300)
-        res = ecsq_iterate(v, h, EcsqConfig(k=16, lam=0.5))
+        res = ecsq_iterate(v, h, 16, 0.5)
         # heavy rate pressure retires clusters; survivors cover everything
         assert res.codebook.counts.sum() == 300
         compact_a, compact_cb = compact_codebook(res.assignment, res.codebook)
@@ -304,6 +300,24 @@ class TestEcsq:
         assert np.array_equal(
             np.bincount(compact_a, minlength=compact_cb.k), compact_cb.counts
         )
+
+    @pytest.mark.parametrize(
+        "solver, k, x",
+        [
+            (ecsq_iterate, 0, 1e-3),
+            (ecsq_iterate, 4, -1.0),
+            (ecsq_iterate, 4, np.nan),
+            (ecsq_iterate, 4, np.inf),
+            (solve_lambda, 4, np.nan),
+        ],
+        ids=["k-zero", "lam-negative", "lam-nan", "lam-inf", "target-nan"],
+    )
+    def test_rejects_k_below_one_and_lam_or_target_out_of_domain(self, solver, k, x):
+        v, h = heavy_tailed(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                solver(v, h, k, x)
 
 
 class TestCenterOptimality:
@@ -324,14 +338,14 @@ class TestCenterOptimality:
         rng = np.random.default_rng(47)
         v = rng.normal(size=80)
         h = rng.uniform(0.3, 3.0, 80)
-        self._check(v, np.ones(80), kmeans_lloyd(v, ClusterConfig(k=4)))
-        self._check(v, h, hw_kmeans_lloyd(v, h, ClusterConfig(k=4)))
+        self._check(v, np.ones(80), kmeans_sweep(v, None, [4])[0])
+        self._check(v, h, kmeans_sweep(v, h, [4])[0])
 
     def test_ecsq(self):
         rng = np.random.default_rng(53)
         v = rng.normal(size=80)
         h = rng.uniform(0.3, 3.0, 80)
-        res = ecsq_iterate(v, h, EcsqConfig(k=4, lam=0.05))
+        res = ecsq_iterate(v, h, 4, 0.05)
         self._check(v, h, res)
 
 
@@ -346,16 +360,16 @@ class TestOneMoveStability:
         for _ in range(10):
             v = rng.normal(size=60)
             h = rng.uniform(0.2, 4.0, 60)
-            res = kmeans_lloyd(v, ClusterConfig(k=4))
+            res = kmeans_sweep(v, None, [4])[0]
             assert one_move_stable(v, np.ones(60), res.assignment, 4)
-            res = hw_kmeans_lloyd(v, h, ClusterConfig(k=4))
+            res = kmeans_sweep(v, h, [4])[0]
             assert one_move_stable(v, h, res.assignment, 4)
 
     def test_escapes_voronoi_trap(self):
         # From centers {0, 1.75}, plain alternation settles on {0},{1, 2.5}
         # (cost 1.125) even though moving the middle point is better (0.5).
         v = np.array([0.0, 1.0, 2.5])
-        res = kmeans_lloyd(v, ClusterConfig(k=2))
+        res = kmeans_sweep(v, None, [2])[0]
         assert msqe(v, res.assignment, res.codebook) == pytest.approx(0.5)
 
 
@@ -374,7 +388,7 @@ class TestBoundedBlocks:
         v, h = heavy_tailed(n)
         tracemalloc.start()
         try:
-            ecsq_iterate(v, h, EcsqConfig(k=k, lam=1e-5))
+            ecsq_iterate(v, h, k, 1e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -385,7 +399,6 @@ class TestBoundedBlocks:
     )
     def test_results_independent_of_block_size(self, monkeypatch, k, lam, live):
         v, h = heavy_tailed(300)
-        cfg = EcsqConfig(k=k, lam=lam)
         moves = []
         stabilize = quantizers._stabilize
 
@@ -395,10 +408,10 @@ class TestBoundedBlocks:
             return assign, made
 
         monkeypatch.setattr(quantizers, "_stabilize", counted)
-        whole = ecsq_iterate(v, h, cfg)
+        whole = ecsq_iterate(v, h, k, lam)
         assert sum(moves) > 0  # the polish ran and moved points
         monkeypatch.setattr(quantizers, "_BLOCK_BYTES", 3 * 8)  # 3 rows a block
-        blocked = ecsq_iterate(v, h, cfg)
+        blocked = ecsq_iterate(v, h, k, lam)
         assert np.count_nonzero(whole.codebook.counts) == live
         assert np.array_equal(whole.assignment, blocked.assignment)
         assert np.array_equal(whole.codebook.centers, blocked.codebook.centers)
@@ -442,11 +455,10 @@ class TestColumnKernel:
     @given(case=ecsq_instances(), blocks=st.integers(1, 6))
     def test_equals_table_oracle_bit_for_bit(self, case, blocks):
         v, h, k, lam = case
-        cfg = EcsqConfig(k=k, lam=lam)
         rows = -(-v.size // blocks)
         with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * rows):
-            got = ecsq_iterate(v, h, cfg)
-        want = ecsq_iterate_tables(v, h, cfg)
+            got = ecsq_iterate(v, h, k, lam)
+        want = ecsq_iterate_tables(v, h, k, lam)
         assert np.array_equal(got.assignment, want.assignment)
         assert np.array_equal(got.codebook.centers, want.codebook.centers)
         assert np.array_equal(got.codebook.counts, want.codebook.counts)
@@ -497,8 +509,8 @@ class TestExactOptimum:
     def test_matches_enumeration(self, case):
         v, h, k = case
         for weights, res in (
-            (np.ones(v.size), kmeans_lloyd(v, ClusterConfig(k=k))),
-            (h, hw_kmeans_lloyd(v, h, ClusterConfig(k=k))),
+            (np.ones(v.size), kmeans_sweep(v, None, [k])[0]),
+            (h, kmeans_sweep(v, h, [k])[0]),
         ):
             got = weighted_cost(v, weights, res.assignment, k)
             best, _ = global_optimum(v, weights, k)
@@ -515,7 +527,7 @@ class TestExactOptimum:
     def _quiet_hw_kmeans(v, h, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return hw_kmeans_lloyd(v, h, ClusterConfig(k=k))
+            return kmeans_sweep(v, h, [k])[0]
 
     def test_weight_below_prefix_sum_resolution(self):
         # 1e-20 vanishes next to the running weight sum of 1, so the run
@@ -569,14 +581,11 @@ class TestKmeansSweep:
     @given(sweep_cases())
     def test_each_k_equals_the_single_k_solve(self, case):
         v, h, ks = case
-        for weights, curvature, single in (
-            (np.ones(v.size), None, lambda k: kmeans_lloyd(v, ClusterConfig(k=k))),
-            (h, h, lambda k: hw_kmeans_lloyd(v, h, ClusterConfig(k=k))),
-        ):
+        for weights, curvature in ((np.ones(v.size), None), (h, h)):
             results = kmeans_sweep(v, curvature, ks)
             assert len(results) == len(ks)
             for k, res in zip(ks, results):
-                one = single(k)
+                one = kmeans_sweep(v, curvature, [k])[0]
                 assert np.array_equal(res.assignment, one.assignment)
                 assert np.array_equal(res.codebook.centers, one.codebook.centers)
                 assert np.array_equal(res.codebook.counts, one.codebook.counts)
@@ -664,9 +673,9 @@ class TestLambdaSearch:
         v, h = spiked(128.0)
         lams = []
 
-        def counted(values, curvature, cfg):
-            lams.append(cfg.lam)
-            return ecsq_iterate(values, curvature, cfg)
+        def counted(values, curvature, k, lam):
+            lams.append(lam)
+            return ecsq_iterate(values, curvature, k, lam)
 
         monkeypatch.setattr(quantizers, "ecsq_iterate", counted)
         found = solve_lambda(v, h, k=8, target_entropy=2.0)
@@ -694,7 +703,7 @@ class TestLambdaSearch:
         v = rng.standard_t(4, n) * 0.05
         h = rng.lognormal(0.0, 1.0, n)
         found = solve_lambda(v, h, k=k, target_entropy=target)
-        fresh = ecsq_iterate(v, h, EcsqConfig(k=k, lam=found.lam))
+        fresh = ecsq_iterate(v, h, k, found.lam)
         assert np.array_equal(found.result.assignment, fresh.assignment)
         assert np.array_equal(found.result.codebook.centers, fresh.codebook.centers)
         assert np.array_equal(found.result.codebook.counts, fresh.codebook.counts)

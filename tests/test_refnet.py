@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from netquant import refnet
 from netquant import (
-    ClusterConfig,
     Codebook,
     CurvatureSource,
     Dataset,
@@ -25,8 +24,8 @@ from netquant import (
     forward_loss,
     hessian_diag_exact,
     hessian_diag_gn,
-    hw_kmeans_lloyd,
     init_params,
+    kmeans_sweep,
     load_csv,
     make_blobs,
     prune_magnitude,
@@ -289,18 +288,18 @@ class TestAdamCurvature:
             beta2=0.999,
             eps=1e-8,
         )
-        cv = adam_curvature(state, eps_alt=0.0)
+        cv = adam_curvature(state)
         assert np.allclose(cv.as_f64(), [2.0, 3.0], rtol=1e-6)
         assert cv.source == CurvatureSource.ADAM_SQRT_MOMENT
 
-    def test_zero_moments_yield_eps(self):
+    def test_zero_moments_yield_curvature_floor(self):
         from netquant import AdamState
 
         state = AdamState(
             step=3, m=np.zeros(4), v=np.zeros(4), lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8
         )
-        cv = adam_curvature(state, eps_alt=0.5)
-        assert np.allclose(cv.as_f64(), 0.5)
+        cv = adam_curvature(state)
+        assert np.array_equal(cv.values, np.full(4, np.float32(CURVATURE_FLOOR)))
 
 
 class TestPruning:
@@ -364,7 +363,7 @@ class TestEvalAccuracy:
         w = model.params.as_f64()
         cb = Codebook(w, np.ones(w.size, dtype=np.int64))
         assignment = np.arange(w.size)
-        assert eval_accuracy(spec, (assignment, cb), x, y) == eval_accuracy(
+        assert eval_accuracy(spec, dequantize(assignment, cb), x, y) == eval_accuracy(
             spec, model.params, x, y
         )
 
@@ -414,7 +413,7 @@ class TestFineTuneCenters:
             spec = MlpSpec((8, 24, 12, 4))
             model = train_adam(spec, ds, TrainConfig(steps=500, seed=seed))
             cv = hessian_diag_gn(spec, model.params, *ds.split("hessian"))
-            res = hw_kmeans_lloyd(model.params, cv, ClusterConfig(k=8))
+            res = kmeans_sweep(model.params, cv, [8])[0]
             assignment, codebook = compact_codebook(res.assignment, res.codebook)
             x, y = ds.split("eval")
             pre_accs.append(
