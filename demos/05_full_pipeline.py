@@ -48,12 +48,14 @@ acc_quant = nq.eval_accuracy(spec, w_quant, eval_x, eval_y)
 print(f"quantized to {codebook.k} shared values, accuracy {acc_quant:.3f}")
 
 # 4. fine-tune the shared centers (assignments stay frozen)
-tuned, acc_tuned = nq.fine_tune_centers(
+tuned = nq.fine_tune_centers(
     spec, assignment, codebook, ds,
     nq.FineTuneConfig(steps=300, batch_size=64, lr=1e-5, seed=7),
     positions=positions,
 )
 tuned = nq.Codebook(tuned.centers.astype(np.float32).astype(np.float64), tuned.counts)
+w_tuned = nq.scatter_dequantize(model.params.n, assignment, tuned, positions)
+acc_tuned = nq.eval_accuracy(spec, w_tuned, eval_x, eval_y)
 print(f"center fine-tuning: accuracy {acc_quant:.3f} -> {acc_tuned:.3f}")
 
 # 5. entropy-code assignments and survivor positions

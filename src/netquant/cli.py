@@ -262,11 +262,18 @@ def _synth_dataset(cfg: dict) -> refnet.Dataset:
 def _load_dataset(cfg: dict, refnet_doc: dict | None) -> refnet.Dataset:
     name = _require(cfg, "dataset", "this command")
     if name == "synth":
-        if refnet_doc and "dataset" in refnet_doc:
-            stored = dict(cfg)
-            stored.update(refnet_doc["dataset"])
+        if refnet_doc is None or "dataset" not in refnet_doc:
+            return _synth_dataset(cfg)
+        # The values train-ref stored must parse, as JSON text, like config values.
+        block, stored = refnet_doc["dataset"], dict(cfg)
+        if not isinstance(block, dict) or not block.keys() <= set(_DATASET_KEYS):
+            raise FormatError(f"bad {REFNET_FILE}: dataset is not an object of dataset keys")
+        try:
+            for key, value in block.items():
+                stored[key] = _option(key, json.dumps(value), f"dataset key {key}")
             return _synth_dataset(stored)
-        return _synth_dataset(cfg)
+        except ConfigError as exc:
+            raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
     path = Path(name)
     if not path.is_file():
         raise ConfigError(f"dataset file not found: {path}")
@@ -281,16 +288,20 @@ def _read_refnet_doc(model_dir: Path) -> dict | None:
     if not path.is_file():
         return None
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} is not a JSON object")
+    return doc
 
 
 def _spec_from_doc(doc: dict) -> refnet.MlpSpec:
     try:
-        return refnet.MlpSpec(
-            tuple(doc["layer_widths"]), doc["activation"], doc["loss"]
-        )
+        widths = doc["layer_widths"]
+        if not isinstance(widths, list) or any(type(w) is not int for w in widths):
+            raise ValueError(f"layer_widths must be a list of integers; got {widths!r}")
+        return refnet.MlpSpec(tuple(widths), doc["activation"], doc["loss"])
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
 
@@ -465,7 +476,7 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Po
         accuracy_pre = accuracy(codebook)
     encoded = encode(codebook)
     if cfg["fine_tune"]:  # _prepare_inputs checked for a spec and dataset
-        tuned, _ = refnet.fine_tune_centers(
+        tuned = refnet.fine_tune_centers(
             inputs.spec,
             assignment,
             codebook,
@@ -489,10 +500,15 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Po
 
 
 def _spec_and_dataset(
-    cfg: dict, refnet_doc: dict | None
+    cfg: dict, refnet_doc: dict | None, n_params: int | None
 ) -> tuple[refnet.MlpSpec | None, refnet.Dataset | None]:
-    """The model's architecture, if described, and the dataset, if configured."""
-    spec = _spec_from_doc(refnet_doc) if refnet_doc else None
+    """The model's architecture, if described, and the dataset, if configured.
+
+    ``n_params``, unless None, is the manifest's count beside ``refnet_doc``.
+    """
+    spec = _spec_from_doc(refnet_doc) if refnet_doc is not None else None
+    if spec is not None and n_params not in (None, spec.param_count()):
+        raise FormatError(f"{REFNET_FILE} and the manifest disagree on the parameter count")
     dataset = None
     if cfg["dataset"] is not None:
         dataset = _load_dataset(cfg, refnet_doc)
@@ -516,7 +532,7 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     fraction = cfg["prune_fraction"]
     model_dir = Path(_require(cfg, "model_dir", "this command"))
     ps, stored_cv, stored_mask = params.load_model(model_dir)
-    spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir))
+    spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir), ps.n)
     if cfg["fine_tune"] and (spec is None or dataset is None):
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
@@ -531,7 +547,7 @@ def _prepare_inputs(cfg: dict) -> Inputs:
         curvature = _resolve_curvature(cfg, full, stored_cv, spec, dataset)
         if positions is not None:
             curvature = params.CurvatureDiag(
-                curvature.values[positions], curvature.source, curvature.floor
+                curvature.values[positions], curvature.source
             )
     return Inputs(ps.n, spec, dataset, kept.astype(np.float64), curvature, positions)
 
@@ -579,7 +595,7 @@ def _report_doc(cfg: dict, inputs: Inputs, point: Point) -> dict:
     }
     if pruned:
         em = point.encoded
-        doc["ratio_overall"] = inputs.total_params * em.source_bits / em.total_bits
+        doc["ratio_overall"] = inputs.total_params * params.SOURCE_BITS / em.total_bits
     doc.update(point.extras)
     doc.update(point.report.as_dict())
     return doc
@@ -625,7 +641,7 @@ def cmd_train_ref(args) -> int:
         },
     }
     if cfg["dataset"] == "synth":
-        doc["dataset"] = {key: cfg[key] for key in _SYNTH + ["eval_frac"]}
+        doc["dataset"] = {key: cfg[key] for key in _DATASET_KEYS}
     params.write_files(
         out_dir, {REFNET_FILE: _dumps(doc) + "\n", "config.txt": _config_text(cfg)}
     )
@@ -661,7 +677,7 @@ def cmd_curvature(args) -> int:
         raise ConfigError("adam curvature is captured by train-ref, not recomputed")
     ps, _, mask = params.load_model(model_dir)
     refnet_doc = _read_refnet_doc(model_dir)
-    spec, dataset = _spec_and_dataset(cfg, refnet_doc)
+    spec, dataset = _spec_and_dataset(cfg, refnet_doc, ps.n)
     curvature = _resolve_curvature(cfg, _masked_values(ps, mask), None, spec, dataset)
     out_dir = _save_model_dir(cfg, model_dir, ps, curvature, mask, refnet_doc)
     print(_dumps({"source": curvature.source.value, "out_dir": str(out_dir)}))
@@ -782,7 +798,7 @@ def cmd_report(args) -> int:
         refnet_doc = _read_refnet_doc(Path(cfg["model_dir"]))
         if refnet_doc is None:
             raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
-        spec, dataset = _spec_and_dataset(cfg, refnet_doc)
+        spec, dataset = _spec_and_dataset(cfg, refnet_doc, None)
         if decoded.total_params != spec.param_count():
             raise ConfigError(
                 f"{nq_path} encodes {decoded.total_params} parameters, "
@@ -802,7 +818,6 @@ def cmd_report(args) -> int:
         scheme=decoded.code.scheme,
         k=decoded.codebook.k,
         n_params=int(decoded.assignment.size),
-        source_bits=decoded.source_bits,
         total_params=decoded.total_params,
         breakdown=decoded.breakdown,
     )
@@ -812,7 +827,7 @@ def cmd_report(args) -> int:
     del doc["accuracy_pre_finetune"], doc["accuracy_post_finetune"]
     doc["n_params_total"] = decoded.total_params
     if decoded.positions is not None:
-        doc["ratio_overall"] = decoded.total_params * em.source_bits / em.total_bits
+        doc["ratio_overall"] = decoded.total_params * params.SOURCE_BITS / em.total_bits
     text = _dumps(doc)
     print(text)
     if cfg["out"]:
@@ -843,6 +858,8 @@ _SYNTH = [
     "synth_scale",
     "synth_seed",
 ]
+# The keys of the dataset block that train-ref writes into refnet.json.
+_DATASET_KEYS = _SYNTH + ["eval_frac"]
 _QUANT = [
     "quantizer",
     "curvature",

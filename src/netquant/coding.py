@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import FormatError
+from .params import SOURCE_BITS, FormatError
 from .quantizers import Codebook
 
 MAGIC = b"NQ01"
@@ -318,11 +318,11 @@ def build_report(
     counts = np.asarray(counts, dtype=np.int64)
     h = entropy_bits(counts)
     avg = code.avg_bits(counts)
-    exact = compression_ratio_exact(em.n_params, em.source_bits, counts, code)
+    exact = compression_ratio_exact(em.n_params, SOURCE_BITS, counts, code)
     ent = compression_ratio_entropy(
-        em.source_bits, avg, code.k, int(sum(code.lengths)), em.n_params
+        SOURCE_BITS, avg, code.k, int(sum(code.lengths)), em.n_params
     )
-    measured = em.n_params * em.source_bits / em.total_bits
+    measured = em.n_params * SOURCE_BITS / em.total_bits
     return CompressionReport(
         entropy_bits=h,
         avg_codeword_bits=avg,
@@ -332,7 +332,7 @@ def build_report(
         ratio_measured=measured,
         k_effective=code.k,
         n_params=em.n_params,
-        source_bits=em.source_bits,
+        source_bits=SOURCE_BITS,
         scheme=em.scheme,
         bit_breakdown=dict(em.breakdown),
         accuracy_pre_finetune=accuracy_pre,
@@ -576,7 +576,6 @@ class EncodedModel:
     scheme: str
     k: int
     n_params: int
-    source_bits: int
     total_params: int
     breakdown: dict
 
@@ -598,7 +597,6 @@ class DecodedModel(NamedTuple):
     codebook: Codebook
     positions: np.ndarray | None
     code: PrefixCode
-    source_bits: int
     total_params: int
     breakdown: dict
 
@@ -625,7 +623,6 @@ def encode_assignments(
     if np.any(codebook.counts[np.arange(k)] != np.bincount(a, minlength=k)):
         raise ValueError("codebook counts disagree with the assignment")
 
-    source_bits = 32  # centers are stored as float32
     if positions is not None:
         if total_params is None:
             raise ValueError("total_params is required with positions")
@@ -641,7 +638,7 @@ def encode_assignments(
     sections = {
         "header": _fields(
             [int.from_bytes(MAGIC, "big"), _SCHEMES[code.scheme], idx is not None,
-             source_bits, k, a.size, total_params],
+             SOURCE_BITS, k, a.size, total_params],
             [32, 8, 8, 8, 32, 32, 32],
         ),  # fmt: skip
         # each float32 center is its four little-endian bytes as one field
@@ -680,7 +677,6 @@ def encode_assignments(
         scheme=code.scheme,
         k=k,
         n_params=int(a.size),
-        source_bits=source_bits,
         total_params=int(total_params),
         breakdown=breakdown,
     )
@@ -703,7 +699,7 @@ def decode_assignments(encoded) -> DecodedModel:
         raise FormatError(f"unknown coding scheme id {scheme_id}")
     has_index = reader.uint(8)
     source_bits = reader.uint(8)
-    if source_bits != 32:
+    if source_bits != SOURCE_BITS:
         raise FormatError(f"unsupported center precision {source_bits}")
     k = reader.uint(32)
     if k == 0:
@@ -763,7 +759,6 @@ def decode_assignments(encoded) -> DecodedModel:
         codebook=Codebook(centers, counts),
         positions=positions,
         code=code,
-        source_bits=source_bits,
         total_params=total_params,
         breakdown=breakdown,
     )

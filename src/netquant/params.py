@@ -26,6 +26,10 @@ import numpy as np
 # curvature-weighted means are always well defined.
 CURVATURE_FLOOR = 1e-12
 
+# Bits per original parameter: payloads and stored centers are float32, and
+# compression ratios count every original parameter at this width.
+SOURCE_BITS = 32
+
 PARAMS_FILE = "params.f32le"
 CURVATURE_FILE = "curvature.f32le"
 MASK_FILE = "mask.u8"
@@ -65,6 +69,8 @@ class Span:
 
 
 def _validate_spans(spans: tuple[Span, ...], n: int) -> None:
+    if n < 1:
+        raise ValueError("empty parameter set")
     if not spans:
         raise ValueError("at least one span is required")
     expected = 0
@@ -94,30 +100,25 @@ def _frozen_f32(values) -> np.ndarray:
 class ParamSet:
     """All trainable parameters of one model, flattened into one vector.
 
-    ``values`` is float32 (the canonical storage precision, ``source_bits``
+    ``values`` is float32 (the canonical storage precision, ``SOURCE_BITS``
     per entry); spans partition ``[0, len(values))`` without gaps.
     """
 
     values: np.ndarray
     spans: tuple[Span, ...]
-    source_bits: int = 32
 
     def __post_init__(self):
         arr = _frozen_f32(self.values)
         object.__setattr__(self, "values", arr)
-        if arr.size < 1:
-            raise ValueError("empty parameter set")
         if not np.all(np.isfinite(arr)):
             raise ValueError("parameter values must be finite")
-        if self.source_bits < 1:
-            raise ValueError("source_bits must be positive")
         object.__setattr__(self, "spans", tuple(self.spans))
         _validate_spans(self.spans, arr.size)
 
     @classmethod
-    def from_flat(cls, values, name: str = "params", source_bits: int = 32) -> "ParamSet":
+    def from_flat(cls, values, name: str = "params") -> "ParamSet":
         arr = np.ascontiguousarray(values, dtype=np.float32)
-        return cls(arr, (Span(name, 0, arr.size),), source_bits)
+        return cls(arr, (Span(name, 0, arr.size),))
 
     @property
     def n(self) -> int:
@@ -132,24 +133,21 @@ class CurvatureDiag:
     """Per-parameter nonnegative sensitivity weights.
 
     Entries estimate how strongly the training loss reacts to perturbing
-    each parameter. Floored to ``floor`` at construction so every entry is
-    strictly positive.
+    each parameter. Floored to ``CURVATURE_FLOOR`` at construction so every
+    entry is strictly positive.
     """
 
     values: np.ndarray
     source: CurvatureSource
-    floor: float = CURVATURE_FLOOR
 
     def __post_init__(self):
-        if self.floor <= 0:
-            raise ValueError("curvature floor must be positive")
         arr = np.ascontiguousarray(self.values, dtype=np.float32)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("expected a flat non-empty curvature vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("curvature values must be finite")
-        if arr.min() < np.float32(self.floor):
-            arr = np.maximum(arr, np.float32(self.floor))
+        if arr.min() < np.float32(CURVATURE_FLOOR):
+            arr = np.maximum(arr, np.float32(CURVATURE_FLOOR))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "source", CurvatureSource(self.source))
@@ -192,7 +190,6 @@ class Manifest:
 
     model_name: str
     n_params: int
-    bits_per_param: int
     spans: tuple[Span, ...]
     checksums: dict = field(default_factory=dict)
     curvature_source: str | None = None
@@ -201,7 +198,7 @@ class Manifest:
         doc = {
             "model_name": self.model_name,
             "n_params": self.n_params,
-            "bits_per_param": self.bits_per_param,
+            "bits_per_param": SOURCE_BITS,
             "spans": [
                 {"name": s.name, "offset": s.offset, "length": s.length}
                 for s in self.spans
@@ -214,25 +211,30 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """Parse and check a manifest; any inconsistency is a FormatError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
         try:
-            spans = tuple(
-                Span(str(s["name"]), int(s["offset"]), int(s["length"]))
-                for s in doc["spans"]
-            )
-            return cls(
+            if doc["bits_per_param"] != SOURCE_BITS:
+                raise ValueError(f"bits_per_param must be {SOURCE_BITS}")
+            manifest = cls(
                 model_name=str(doc["model_name"]),
                 n_params=int(doc["n_params"]),
-                bits_per_param=int(doc["bits_per_param"]),
-                spans=spans,
+                spans=tuple(
+                    Span(str(s["name"]), int(s["offset"]), int(s["length"]))
+                    for s in doc["spans"]
+                ),
                 checksums=dict(doc["checksums"]),
                 curvature_source=doc.get("curvature_source"),
             )
+            _validate_spans(manifest.spans, manifest.n_params)
+            if manifest.curvature_source is not None:
+                CurvatureSource(manifest.curvature_source)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"manifest is missing or corrupt: {exc}") from exc
+        return manifest
 
 
 def _sha256(data: bytes) -> str:
@@ -293,7 +295,6 @@ def save_model(
     manifest = Manifest(
         model_name=model_name,
         n_params=ps.n,
-        bits_per_param=ps.source_bits,
         spans=ps.spans,
         checksums={name: _sha256(data) for name, data in payloads.items()},
         curvature_source=curvature.source.value if curvature is not None else None,
@@ -355,7 +356,7 @@ def load_model(path) -> tuple[ParamSet, CurvatureDiag | None, PruneMask | None]:
     values = np.frombuffer(raw, dtype="<f4")
     if not np.all(np.isfinite(values)):
         raise FormatError("non-finite parameter value in payload")
-    ps = ParamSet(values, manifest.spans, manifest.bits_per_param)
+    ps = ParamSet(values, manifest.spans)
 
     curvature = None
     if CURVATURE_FILE in manifest.checksums:

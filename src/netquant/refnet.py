@@ -56,10 +56,6 @@ class MlpSpec:
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
     def param_count(self) -> int:
         return sum(
             din * dout + dout
@@ -378,37 +374,32 @@ def _batches(rng, n: int, batch_size: int, steps: int):
         cursor += batch_size
 
 
+# Adam's decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 500
     batch_size: int = 64
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """Optimizer moments captured at the end of training."""
+    """Step count and second moments captured at the end of training."""
 
     step: int
-    m: np.ndarray
     v: np.ndarray
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.v, dtype=np.float64)
         if np.any(v < 0):
             raise ValueError("second moments must be nonnegative")
         object.__setattr__(self, "v", v)
-        object.__setattr__(
-            self, "m", np.ascontiguousarray(self.m, dtype=np.float64)
-        )
 
 
 @dataclass(frozen=True)
@@ -446,18 +437,17 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
             loss, grad = forward_loss(spec, w, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss became non-finite at step {t}")
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-            mhat = m / (1.0 - cfg.beta1**t)
-            vhat = v / (1.0 - cfg.beta2**t)
-            w -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1**t)
+            vhat = v / (1.0 - ADAM_BETA2**t)
+            w -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     final_loss, _ = forward_loss(spec, w, train_x, train_y)
     params = ParamSet(w, spec.spans())
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, params, eval_x, eval_y)
-    state = AdamState(cfg.steps, m, v, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    return TrainedModel(params, final_loss, acc, state)
+    return TrainedModel(params, final_loss, acc, AdamState(cfg.steps, v))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +559,7 @@ def adam_curvature(state: AdamState) -> CurvatureDiag:
     below ``CURVATURE_FLOOR``, zero moments included, read as the floor.
     """
     if state.step > 0:
-        vhat = state.v / (1.0 - state.beta2**state.step)
+        vhat = state.v / (1.0 - ADAM_BETA2**state.step)
     else:
         vhat = np.zeros_like(state.v)
     return CurvatureDiag(np.sqrt(vhat), CurvatureSource.ADAM_SQRT_MOMENT)
@@ -624,14 +614,14 @@ def fine_tune_centers(
     ds: Dataset,
     cfg: FineTuneConfig,
     positions=None,
-) -> tuple[Codebook, float]:
+) -> Codebook:
     """Plain SGD on the shared cluster centers, assignments frozen.
 
     Each center's gradient is the sum of the gradients of its member
     parameters (the chain rule for a shared value). Pruned parameters stay
     exactly zero: ``positions`` maps assignment entries to their slots in
     the full vector of ``spec.param_count()`` parameters. Returns the
-    updated codebook and the evaluation accuracy of the fine-tuned model.
+    updated codebook; :func:`eval_accuracy` scores the tuned model.
     """
     a = np.ascontiguousarray(assignment, dtype=np.int64)
     n = spec.param_count()
@@ -654,10 +644,4 @@ def fine_tune_centers(
             raise DivergenceError(f"fine-tuning loss became non-finite at step {t}")
         center_grad = np.bincount(a, weights=grad[pos], minlength=k)
         centers -= cfg.lr * center_grad
-
-    tuned = Codebook(centers, codebook.counts)
-    w_full = np.zeros(n)
-    w_full[pos] = tuned.centers[a]
-    eval_x, eval_y = ds.split("eval")
-    acc = eval_accuracy(spec, w_full, eval_x, eval_y)
-    return tuned, acc
+    return Codebook(centers, codebook.counts)

@@ -1,8 +1,11 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -777,3 +780,121 @@ class TestOptionFuzz:
         assert code in (0, 2, 3, 4, 5)
         if code != 0:
             assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _json_paths(child, (*prefix, key))
+
+
+def _damage(model_dir, out, name: str, path: tuple, value):
+    """A copy of ``model_dir`` whose file ``name`` holds ``value`` at ``path``."""
+    damaged = out / "damaged"
+    shutil.copytree(model_dir, damaged)
+    doc = json.loads((damaged / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (damaged / name).write_text(json.dumps(doc))
+    return damaged
+
+
+# Values that replace one field of a stored JSON file: null, wrong types and
+# out-of-range numbers.
+DAMAGE_VALUES = [None, "x", [1, 2], {}, True, -1, 0, 0.5, 1e308, 2**63]
+
+# Damaged fields of the 6-16-3 test net that must end in a FormatError (exit
+# 3), with the commands that read the file: report reads refnet.json, not the
+# manifest, and a net of another size than its encoded model is a config error.
+_MANIFEST_READERS = ["quantize", "prune"]
+_REFNET_READERS = ["quantize", "report"]
+DAMAGED_DIRS = {
+    "span-gap": ("manifest.json", ("spans", 1, "offset"), 5, _MANIFEST_READERS),
+    "duplicate-span": (
+        "manifest.json", ("spans", 1, "name"), "layer0.weight", _MANIFEST_READERS
+    ),
+    "curvature-source": ("manifest.json", ("curvature_source",), "x", _MANIFEST_READERS),
+    "bits-0": ("manifest.json", ("bits_per_param",), 0, _MANIFEST_READERS),
+    "bits-16": ("manifest.json", ("bits_per_param",), 16, _MANIFEST_READERS),
+    "samples-null": ("refnet.json", ("dataset", "synth_samples"), None, _REFNET_READERS),
+    "dataset-list": ("refnet.json", ("dataset",), [1, 2], _REFNET_READERS),
+    "noise-text": ("refnet.json", ("dataset", "synth_noise"), "x", _REFNET_READERS),
+    "fractional-width": ("refnet.json", ("layer_widths", 0), 6.5, _REFNET_READERS),
+    "hidden-width": ("refnet.json", ("layer_widths", 1), 17, ["quantize"]),
+}
+
+
+class TestDamagedModelDir:
+    """A model directory with one damaged field in ``manifest.json`` or
+    ``refnet.json`` ends in a documented exit code, and a failure prints one
+    ``error:`` line and leaves no output."""
+
+    @pytest.fixture(scope="class")
+    def encoded(self, model_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("damaged-q")
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "4",
+        ]) == 0
+        return out / "model.nq"
+
+    @staticmethod
+    def _run(command, damaged, encoded, out) -> tuple[int, str]:
+        args = {
+            "quantize": ["--model-dir", damaged, "--out-dir", out / "q",
+                         "--dataset", "synth", "--quantizer", "kmeans", "--k", "4",
+                         "--curvature", "exact", "--fine-tune", "true", "--ft-steps", "2"],
+            "prune": ["--model-dir", damaged, "--out-dir", out / "q",
+                      "--prune-fraction", "0.5"],
+            "report": ["--model-nq", encoded, "--model-dir", damaged,
+                       "--dataset", "synth", "--out", out / "q" / "report.json"],
+        }[command]  # fmt: skip
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([command, *args])
+        return code, err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_damaged_field(self, model_dir, encoded, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(["manifest.json", "refnet.json"]))
+        doc = json.loads((model_dir / name).read_text())
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        old = doc
+        for key in path:
+            old = old[key]
+        values = [
+            v for v in DAMAGE_VALUES
+            if not (v == 2**63 and (path[-1] in SIZING_KEYS or path[0] == "layer_widths"))
+        ]  # fmt: skip
+        if type(old) is int:
+            values.append(old + 1)
+        value = data.draw(st.sampled_from(values))
+        command = data.draw(st.sampled_from(["quantize", "prune", "report"]))
+
+        out = tmp_path_factory.mktemp("damaged")
+        damaged = _damage(model_dir, out, name, path, value)
+        code, err = self._run(command, damaged, encoded, out)
+        assert code in (0, 2, 3, 4, 5)
+        if code != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not [p for p in (out / "q").rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("probe", sorted(DAMAGED_DIRS))
+    def test_known_damage_is_format_error(self, model_dir, encoded, tmp_path, probe):
+        name, path, value, commands = DAMAGED_DIRS[probe]
+        damaged = _damage(model_dir, tmp_path, name, path, value)
+        for command in commands:
+            code, err = self._run(command, damaged, encoded, tmp_path)
+            assert code == cli.EXIT_IO, (command, err)
+            assert err.startswith("error: ") and err.count("\n") == 1
+

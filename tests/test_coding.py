@@ -308,6 +308,16 @@ class TestEncodeDecode:
         with pytest.raises(FormatError):
             decode_assignments(bytes(data))
 
+    @pytest.mark.parametrize("bits", [0, 16, 64])
+    def test_center_precision_other_than_32_rejected(self, bits):
+        rng = np.random.default_rng(13)
+        assignment, cb = random_instance(rng)
+        data = bytearray(encode_assignments(assignment, cb, build_huffman(cb)).data)
+        assert data[6] == 32  # source_bits field, after magic, scheme and flags
+        data[6] = bits
+        with pytest.raises(FormatError, match="precision"):
+            decode_assignments(bytes(data))
+
     @pytest.mark.parametrize("length", [0, 63, 200, 255])
     def test_length_outside_1_to_62_rejected(self, length):
         assignment = np.repeat([0, 1], [300, 100])

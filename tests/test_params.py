@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def test_roundtrip_tiny(tmp_path):
     ps = ParamSet.from_flat([0.5, -1.25])
     manifest = save_model(ps, tmp_path)
     assert manifest.n_params == 2
-    assert manifest.bits_per_param == 32
+    assert json.loads((tmp_path / MANIFEST_FILE).read_text())["bits_per_param"] == 32
     loaded, cv, mask = load_model(tmp_path)
     assert np.array_equal(loaded.values, ps.values)
     assert loaded.spans == ps.spans
@@ -127,6 +129,31 @@ def test_manifest_count_mismatch_is_format_error(tmp_path):
     save_model(ps, tmp_path)
     text = (tmp_path / MANIFEST_FILE).read_text()
     (tmp_path / MANIFEST_FILE).write_text(text.replace('"n_params": 16', '"n_params": 15'))
+    with pytest.raises(FormatError):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("spans", 1, "offset"), 5),
+        (("spans", 1, "name"), "a"),
+        (("curvature_source",), "bogus"),
+        (("bits_per_param",), 0),
+        (("bits_per_param",), 16),
+        (("spans",), []),
+    ],
+    ids=["span-gap", "duplicate-span", "curvature-source", "bits-0", "bits-16", "no-spans"],
+)
+def test_damaged_manifest_is_format_error(tmp_path, path, value):
+    ps = ParamSet(np.arange(8, dtype=np.float32), (Span("a", 0, 3), Span("b", 3, 5)))
+    save_model(ps, tmp_path, curvature=CurvatureDiag(np.ones(8), CurvatureSource.IDENTITY))
+    doc = json.loads((tmp_path / MANIFEST_FILE).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / MANIFEST_FILE).write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_model(tmp_path)
 

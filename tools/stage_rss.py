@@ -35,8 +35,6 @@ STAGES = (
     ("params", "save_model"),
     ("cli", "_masked_values"),
     ("cli", "_resolve_curvature"),
-    ("params", "compact_unpruned"),
-    ("cli", "_compact_inputs"),
     ("cli", "_prepare_inputs"),
     ("quantizers", "uniform_quantize"),
     ("quantizers", "kmeans_sweep"),
