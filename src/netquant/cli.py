@@ -299,9 +299,10 @@ def _read_refnet_doc(model_dir: Path) -> dict | None:
 def _spec_from_doc(doc: dict) -> refnet.MlpSpec:
     try:
         widths = doc["layer_widths"]
-        if not isinstance(widths, list) or any(type(w) is not int for w in widths):
+        if not isinstance(widths, list):
             raise ValueError(f"layer_widths must be a list of integers; got {widths!r}")
-        return refnet.MlpSpec(tuple(widths), doc["activation"], doc["loss"])
+        widths = tuple(params.json_int(w, "a layer width") for w in widths)
+        return refnet.MlpSpec(widths, doc["activation"], doc["loss"])
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
 
@@ -512,10 +513,13 @@ def _spec_and_dataset(
     dataset = None
     if cfg["dataset"] is not None:
         dataset = _load_dataset(cfg, refnet_doc)
+        # A dataset stored beside the net that does not fit it is damage.
+        stored = cfg["dataset"] == "synth" and "dataset" in (refnet_doc or {})
+        error = FormatError if stored else ConfigError
         if spec is not None and dataset.n_features != spec.layer_widths[0]:
-            raise ConfigError("dataset feature width disagrees with the model spec")
+            raise error("dataset feature width disagrees with the model spec")
         if spec is not None and dataset.n_classes > spec.layer_widths[-1]:
-            raise ConfigError(
+            raise error(
                 f"dataset needs {dataset.n_classes} outputs, the model has "
                 f"{spec.layer_widths[-1]}"
             )
@@ -816,9 +820,7 @@ def cmd_report(args) -> int:
     em = coding.EncodedModel(
         data=data,
         scheme=decoded.code.scheme,
-        k=decoded.codebook.k,
         n_params=int(decoded.assignment.size),
-        total_params=decoded.total_params,
         breakdown=decoded.breakdown,
     )
     report = coding.build_report(em, decoded.codebook.counts, decoded.code, accuracy)

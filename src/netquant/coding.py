@@ -574,9 +574,7 @@ class EncodedModel:
 
     data: bytes
     scheme: str
-    k: int
     n_params: int
-    total_params: int
     breakdown: dict
 
     @property
@@ -675,9 +673,7 @@ def encode_assignments(
     return EncodedModel(
         data=data,
         scheme=code.scheme,
-        k=k,
         n_params=int(a.size),
-        total_params=int(total_params),
         breakdown=breakdown,
     )
 

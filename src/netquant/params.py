@@ -88,6 +88,14 @@ def _validate_spans(spans: tuple[Span, ...], n: int) -> None:
         raise ValueError(f"spans cover {expected} entries, expected {n}")
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool raises
+    ``ValueError`` rather than being truncated or converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer; got {value!r}")
+    return value
+
+
 def _frozen_f32(values) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float32)
     if arr.ndim != 1:
@@ -217,13 +225,17 @@ class Manifest:
         except json.JSONDecodeError as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
         try:
-            if doc["bits_per_param"] != SOURCE_BITS:
+            if json_int(doc["bits_per_param"], "bits_per_param") != SOURCE_BITS:
                 raise ValueError(f"bits_per_param must be {SOURCE_BITS}")
             manifest = cls(
                 model_name=str(doc["model_name"]),
-                n_params=int(doc["n_params"]),
+                n_params=json_int(doc["n_params"], "n_params"),
                 spans=tuple(
-                    Span(str(s["name"]), int(s["offset"]), int(s["length"]))
+                    Span(
+                        str(s["name"]),
+                        json_int(s["offset"], "span offset"),
+                        json_int(s["length"], "span length"),
+                    )
                     for s in doc["spans"]
                 ),
                 checksums=dict(doc["checksums"]),

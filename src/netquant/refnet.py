@@ -309,19 +309,20 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     layers, pre, acts = _forward(spec, w, inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
 
-    grad = np.zeros_like(w)
+    grad = np.empty_like(w)
     glayers = _unpack(spec, grad)
     for l in range(len(layers) - 1, -1, -1):
         gW, gb = glayers[l]
-        gW += acts[l].T @ delta
-        gb += delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if l > 0:
             delta = (delta @ layers[l][0].T) * _act_grad(spec, pre[l - 1], acts[l])
     return loss, grad
 
 
-# Bytes of float64 activations one row block of eval_accuracy may hold per layer.
-_EVAL_BLOCK_BYTES = 256 << 10
+# Bytes of float64 one block may hold: a row block of eval_accuracy's
+# activations per layer, or one of train_adam's two scratch buffers.
+_BLOCK_BYTES = 256 << 10
 
 
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
@@ -329,7 +330,7 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
 
     ``params`` may be a flat vector or a ParamSet. Only the logits are
     needed, so the samples go through in row blocks of at most
-    ``_EVAL_BLOCK_BYTES`` of activations per layer, each activation applied
+    ``_BLOCK_BYTES`` of activations per layer, each activation applied
     in place. BLAS may pick its kernel by matrix size, so a block's logits
     can differ from a whole-batch pass in the last bits; that moves an
     argmax only at a tie to within rounding.
@@ -344,7 +345,7 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     if len(x) != y.size:
         raise ValueError("inputs and labels disagree on sample count")
     layers = _unpack(spec, w)
-    rows = max(1, _EVAL_BLOCK_BYTES // (8 * max(spec.layer_widths)))
+    rows = max(1, _BLOCK_BYTES // (8 * max(spec.layer_widths)))
     hits = 0
     for lo in range(0, y.size, rows):
         a = np.ascontiguousarray(x[lo : lo + rows], dtype=np.float64)
@@ -414,36 +415,71 @@ class TrainedModel:
             raise ValueError("accuracy out of range")
 
 
+def _adam_step(spec: MlpSpec, w, m, v, x, y, t: int, lr: float, scratch) -> float:
+    """Step ``t`` of Adam on batch ``(x, y)``: the batch loss, and ``w``,
+    ``m`` and ``v`` updated in place unless that loss is non-finite.
+
+    The update goes through the model a block at a time in the two scratch
+    buffers, with the IEEE operations of ``m = b1*m + (1-b1)*g``, ``v =
+    b2*v + (1-b2)*g*g`` and ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in their
+    order, so the result does not depend on the block size.
+    """
+    loss, g = forward_loss(spec, w, x, y)
+    if not np.isfinite(loss):
+        return loss
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    for lo in range(0, w.size, scratch[0].size):
+        hi = lo + scratch[0].size
+        wb, mb, vb, gb = w[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
+        a, b = scratch[0][: wb.size], scratch[1][: wb.size]
+        mb *= ADAM_BETA1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
+        mb += a
+        vb *= ADAM_BETA2
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, c1, out=a)
+        a *= lr
+        np.divide(vb, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        wb -= a
+    return loss
+
+
 def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
     """Mini-batch Adam, bit-reproducible for a fixed config and seed.
 
     Batches are drawn by reshuffling the training split every epoch with the
     config's RNG. Aborts with :class:`DivergenceError` if the loss goes
     non-finite. With ``steps == 0`` the initial parameters come back
-    untouched.
+    untouched. Besides the batch's gradient, only the parameters and the
+    two moments span the whole model; the update runs in blocks of
+    ``_BLOCK_BYTES``.
     """
     if ds.n_features != spec.layer_widths[0]:
         raise ValueError("dataset feature width disagrees with the spec")
     w = init_params(spec, cfg.seed).as_f64()
     m = np.zeros_like(w)
     v = np.zeros_like(w)
+    scratch = np.empty((2, min(w.size, _BLOCK_BYTES // 8)))
     rng = np.random.default_rng(cfg.seed + 1)
 
     train_x, train_y = ds.split("train")
     for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
+        x, y = train_x[batch], train_y[batch]
         # A diverging step overflows on its way to a non-finite loss, which
         # the check below reports; numpy's warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad = forward_loss(spec, w, train_x[batch], train_y[batch])
-            if not np.isfinite(loss):
-                raise DivergenceError(f"training loss became non-finite at step {t}")
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            mhat = m / (1.0 - ADAM_BETA1**t)
-            vhat = v / (1.0 - ADAM_BETA2**t)
-            w -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            loss = _adam_step(spec, w, m, v, x, y, t, cfg.lr, scratch)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"training loss became non-finite at step {t}")
 
-    final_loss, _ = forward_loss(spec, w, train_x, train_y)
+    # The loss alone: the whole split's gradient would go unused.
+    logits = _forward(spec, w, train_x)[2][-1]
+    final_loss, _ = _loss_and_delta(spec, logits, train_y)
     params = ParamSet(w, spec.spans())
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, params, eval_x, eval_y)
@@ -635,8 +671,8 @@ def fine_tune_centers(
     k = codebook.k
     rng = np.random.default_rng(cfg.seed)
     train_x, train_y = ds.split("train")
+    w_full = np.zeros(n)  # pruned slots are never written and stay zero
     for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
-        w_full = np.zeros(n)
         w_full[pos] = centers[a]
         with np.errstate(over="ignore", invalid="ignore"):  # as in train_adam
             loss, grad = forward_loss(spec, w_full, train_x[batch], train_y[batch])

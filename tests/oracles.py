@@ -8,9 +8,18 @@ import heapq
 
 import numpy as np
 
-from netquant import Codebook, FormatError, QuantizeResult, forward_loss
+from netquant import Codebook, FormatError, QuantizeResult, forward_loss, init_params
 from netquant.coding import MAGIC, build_huffman, entropy_bits
-from netquant.refnet import _forward
+from netquant.refnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _act_grad,
+    _batches,
+    _forward,
+    _loss_and_delta,
+    _unpack,
+)
 from netquant.quantizers import (
     _ECSQ_MAX_ITERS,
     _MOVE_REL_TOL,
@@ -232,6 +241,60 @@ def eval_accuracy_whole(spec, w, inputs, labels) -> float:
     """Accuracy from one forward pass over every evaluation row at once."""
     _, _, acts = _forward(spec, np.asarray(w, dtype=np.float64), inputs)
     return float(np.mean(np.argmax(acts[-1], axis=1) == np.asarray(labels)))
+
+
+def forward_loss_whole(spec, w, inputs, labels):
+    """Batch loss and gradient, each layer's product added into a
+    zero-filled gradient vector."""
+    layers, pre, acts = _forward(spec, w, inputs)
+    loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
+    grad = np.zeros_like(w)
+    glayers = _unpack(spec, grad)
+    for l in range(len(layers) - 1, -1, -1):
+        gW, gb = glayers[l]
+        gW += acts[l].T @ delta
+        gb += delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ layers[l][0].T) * _act_grad(spec, pre[l - 1], acts[l])
+    return loss, grad
+
+
+def train_adam_whole(spec, ds, cfg):
+    """Adam on whole-array expressions, a fresh vector per term and step.
+    Returns the float32 parameters, the second moments and the loss over
+    the training split."""
+    w = init_params(spec, cfg.seed).as_f64()
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    rng = np.random.default_rng(cfg.seed + 1)
+    train_x, train_y = ds.split("train")
+    for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
+        loss, grad = forward_loss_whole(spec, w, train_x[batch], train_y[batch])
+        assert np.isfinite(loss)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        w -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    final_loss, _ = forward_loss_whole(spec, w, train_x, train_y)
+    return w.astype(np.float32), v, final_loss
+
+
+def fine_tune_centers_whole(spec, assignment, codebook, ds, cfg, positions=None):
+    """Centers after SGD steps that each rebuild the full parameter vector
+    from zeros; returns the centers."""
+    a = np.asarray(assignment)
+    n = spec.param_count()
+    pos = np.arange(n) if positions is None else np.asarray(positions)
+    centers = codebook.centers.copy()
+    rng = np.random.default_rng(cfg.seed)
+    train_x, train_y = ds.split("train")
+    for _, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
+        w_full = np.zeros(n)
+        w_full[pos] = centers[a]
+        _, grad = forward_loss_whole(spec, w_full, train_x[batch], train_y[batch])
+        centers -= cfg.lr * np.bincount(a, weights=grad[pos], minlength=codebook.k)
+    return centers
 
 
 def accuracy_range_whole(spec, w, inputs, labels, rel_tol=1e-9) -> tuple[float, float]:

@@ -223,6 +223,19 @@ class TestQuantize:
         assert code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    def test_csv_of_another_feature_width_is_config_error(self, model_dir, tmp_path):
+        data = tmp_path / "narrow.csv"  # 5 features for a net with 6 inputs
+        rng = np.random.default_rng(0)
+        np.savetxt(data, [[c, *rng.normal(size=5)] for c in range(3) for _ in range(5)],
+                   delimiter=",")  # fmt: skip
+        out = tmp_path / "out"
+        code = run([
+            "quantize", "--quantizer", "kmeans", "--k", "4", "--model-dir", model_dir,
+            "--dataset", data, "--out-dir", out,
+        ])  # fmt: skip
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+
     @pytest.mark.parametrize("quantizer", ["uniform", "kmeans", "hw-kmeans"])
     def test_huge_k_allocates_per_value_not_per_cluster(
         self, model_dir, tmp_path, quantizer
@@ -830,6 +843,14 @@ DAMAGED_DIRS = {
     "noise-text": ("refnet.json", ("dataset", "synth_noise"), "x", _REFNET_READERS),
     "fractional-width": ("refnet.json", ("layer_widths", 0), 6.5, _REFNET_READERS),
     "hidden-width": ("refnet.json", ("layer_widths", 1), 17, ["quantize"]),
+    # JSON numbers that are not integers, which int() would truncate or parse.
+    "n-params-float": ("manifest.json", ("n_params",), 163.7, _MANIFEST_READERS),
+    "n-params-text": ("manifest.json", ("n_params",), "163", _MANIFEST_READERS),
+    "offset-float": ("manifest.json", ("spans", 1, "offset"), 96.2, _MANIFEST_READERS),
+    "bits-float": ("manifest.json", ("bits_per_param",), 32.0, _MANIFEST_READERS),
+    # A stored dataset that does not fit the stored net.
+    "dataset-features": ("refnet.json", ("dataset", "synth_features"), 7, _REFNET_READERS),
+    "dataset-classes": ("refnet.json", ("dataset", "synth_classes"), 4, _REFNET_READERS),
 }
 
 

@@ -129,6 +129,23 @@ class TestTraining:
         assert np.array_equal(m1.adam.v, m2.adam.v)
         assert m1.final_loss == m2.final_loss
 
+    @pytest.mark.parametrize("activation", refnet.ACTIVATIONS)
+    @pytest.mark.parametrize("loss", refnet.LOSSES)
+    def test_final_loss_is_the_training_split_loss(self, monkeypatch, activation, loss):
+        # The trained float64 parameters are the last vector wrapped in a ParamSet.
+        wrapped = []
+
+        class Recorded(ParamSet):
+            def __post_init__(self):
+                wrapped.append(np.array(self.values, dtype=np.float64))
+                super().__post_init__()
+
+        monkeypatch.setattr(refnet, "ParamSet", Recorded)
+        ds = make_blobs(120, 3, 4, seed=2)
+        spec = MlpSpec((4, 10, 3), activation, loss)
+        model = train_adam(spec, ds, TrainConfig(steps=40, seed=9))
+        assert model.final_loss == forward_loss(spec, wrapped[-1], *ds.split("train"))[0]
+
     def test_divergent_lr_aborts(self):
         # Adam's update sizes are bounded by lr, so divergence means the
         # squared-error loss itself overflowing to infinity.
