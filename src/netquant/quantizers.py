@@ -22,8 +22,11 @@ Both k-means variants are solved exactly: in one dimension an optimal
 partition is a set of contiguous runs of the sorted values, which dynamic
 programming finds without iteration or repair passes. Their trace is the
 one-element ``[objective]``. Layer j of that DP holds the optimal j-run cost
-of every prefix, so one call answers a whole list of cluster counts from the
-layers of the largest one.
+of every prefix that leaves room for the remaining runs, so one call answers
+a whole list of cluster counts from the layers of the largest one. Each
+layer is solved by divide and conquer on a fixed row schedule, ties going to
+the lowest split, and keeps its splits over its own rows: k (m - k + 1)
+entries for k clusters over m distinct values.
 
 The rate-penalized solver runs two phases from a fixed start: a Lloyd
 phase, then one polish by single-point transfers (Hartigan & Wong 1979),
@@ -119,6 +122,8 @@ def _values64(x) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a flat 1-d vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite")
     return arr
 
 
@@ -398,47 +403,73 @@ def _stabilize(
             return stats.assign, moves
 
 
-def _dp_layer(
-    prev: np.ndarray, lo: int, hi: int, cost
-) -> tuple[np.ndarray, np.ndarray]:
-    """One layer of the k-means recurrence over prefix lengths ``lo..hi``.
+def _gaps(s: np.ndarray, rows, cnt, t) -> np.ndarray:
+    """``s[i] - s[t]`` for each candidate ``t``, ``i`` being each of
+    ``rows`` repeated ``cnt`` times."""
+    d = s[rows].repeat(cnt)
+    d -= s[t]
+    return d
 
-    ``cur[i] = min over t in [lo-1, i-1] of prev[t] + cost(t, i)``, with the
-    lowest minimizing ``t`` as ``split[i]``. The k-means segment cost obeys
-    the quadrangle inequality, so ``split`` is non-decreasing in ``i``:
-    every pass solves the middle row of each open row range over its
-    candidate range, then halves both, which bounds the work per pass by
-    the number of rows plus ranges.
-    """
+
+def _row_passes(n: int) -> list:
+    """The divide-and-conquer schedule of a layer with rows ``1..n``: per
+    pass, the middle rows of the open row ranges, ascending, and the
+    nearest rows solved before them on the left and on the right (0 and
+    ``n + 1`` stand for the fixed candidate ends)."""
+    passes = []
+    lo, hi = np.array([1]), np.array([n])
+    while lo.size:
+        mid = (lo + hi) // 2
+        passes.append((mid, lo - 1, hi + 1))
+        # Each range's left half, then its right half, keeps rows ascending.
+        lo, hi = np.stack([lo, mid + 1], 1).ravel(), np.stack([mid - 1, hi], 1).ravel()
+        lo, hi = lo[lo <= hi], hi[lo <= hi]
+    return passes
+
+
+def _dp_layer(prev: np.ndarray, lo: int, hi: int, sums, passes) -> tuple:
+    """One layer of the k-means recurrence over prefix lengths ``lo..hi``:
+    ``cur[i] = min over t in [lo-1, i-1] of prev[t] + cost(t, i)``, and the
+    lowest minimizing ``t`` as ``split[i - lo]``. The run cost obeys the
+    quadrangle inequality, so the splits are non-decreasing and each pass of
+    ``passes`` (see :func:`_row_passes`) solves its rows over the candidates
+    between their solved neighbours' splits."""
+    # Rows and candidates count from lo - 1: row p is prefix length p + lo - 1.
     cur = np.full(prev.size, np.inf)
-    split = np.zeros(prev.size, dtype=np.int32)
-    rlo, rhi = np.array([lo]), np.array([hi])
-    tlo, thi = np.array([lo - 1]), np.array([hi - 1])
-    while rlo.size:
-        mid = (rlo + rhi) // 2
-        cnt = np.minimum(thi, mid - 1) - tlo + 1
+    sums, prev, out = [s[lo - 1 :] for s in sums], prev[lo - 1 :], cur[lo - 1 :]
+    bound = np.empty(hi - lo + 3, dtype=np.int64)
+    bound[0], bound[-1] = 0, hi - lo
+    for mid, left, right in passes:
+        tl = bound[left]
+        cnt = np.minimum(bound[right], mid - 1) - tl + 1
         starts = np.cumsum(cnt) - cnt
-        seg = np.repeat(np.arange(mid.size), cnt)
-        t = np.arange(seg.size) - np.repeat(starts - tlo, cnt)
-        val = prev[t] + cost(t, mid[seg])
-        best = np.minimum.reduceat(val, starts)
-        pos = np.where(val == best[seg], np.arange(val.size), val.size)
-        arg = t[np.minimum.reduceat(pos, starts)]
-        cur[mid], split[mid] = best, arg
-        left, right = rlo < mid, mid < rhi
-        rlo, rhi, tlo, thi = (
-            np.concatenate([rlo[left], mid[right] + 1]),
-            np.concatenate([mid[left] - 1, rhi[right]]),
-            np.concatenate([tlo[left], arg[right]]),
-            np.concatenate([arg[left], thi[right]]),
-        )
-    return cur, split
+        t = np.arange(starts[-1] + cnt[-1])
+        t += np.repeat(tl - starts, cnt)
+        # Weighted squared error of each run x[t:i]; a run whose weight is
+        # lost in the rounding of the sums divides by 0, and fmax maps the
+        # NaN or -inf to cost 0. Each term is freed once used.
+        d1 = _gaps(sums[1], mid, cnt, t)
+        d1 *= d1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 /= _gaps(sums[0], mid, cnt, t)
+            val = _gaps(sums[2], mid, cnt, t)
+            val -= d1
+            del d1
+            np.fmax(val, 0.0, out=val)
+        val += prev[t]
+        out[mid] = best = np.minimum.reduceat(val, starts)
+        hit = np.flatnonzero(val == best.repeat(cnt))
+        if hit.size > mid.size:  # ties: keep each row's first hit
+            hit = hit[np.diff(np.searchsorted(starts, hit, "right"), prepend=0) > 0]
+        bound[mid] = t[hit]
+    return cur, (bound[1:-1] + (lo - 1)).astype(np.int32)
 
 
 def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
     """Run boundaries ``0 = b_0 < ... < b_k = m`` of the optimal k-partition
     of the sorted distinct values ``x`` (weights ``w``) into contiguous runs,
     for each ``k`` in ``ks`` (each in ``1..m``), from one pass of the DP.
+    Ties between partitions go to the lowest split.
     """
     m = x.size
     # The only m-partition puts each value in its own run; the DP would
@@ -449,31 +480,33 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
         return out
     # Centering on the weighted mean limits cancellation in the sums.
     u = x - np.dot(w, x) / w.sum()
-    s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u))
-
-    def cost(t, i):  # weighted squared error of the run x[t:i]
-        # A run whose weight is lost in the rounding of s0 costs nothing
-        # the sums can resolve: call it 0 rather than dividing by 0.
-        d0, d1 = s0[i] - s0[t], s1[i] - s1[t]
-        sse = s2[i] - s2[t] - d1 * d1 / np.where(d0 > 0, d0, 1.0)
-        return np.where(d0 > 0, np.maximum(sse, 0.0), 0.0)
+    sums = [np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u)]
+    if not all(np.isfinite(s[-1]) for s in sums):
+        raise ValueError("weighted squared deviations overflow float64")
 
     # Layer j holds the best j-run cost of each prefix length that leaves
     # room for k_j - j more runs, k_j the smallest requested k >= j; that
     # covers every requested k >= j, and with one k it is exactly that k's
-    # range. Each k then backtracks through the same splits.
-    prev = np.full(m + 1, np.inf)
-    prev[1 : m - min(ks) + 2] = cost(0, np.arange(1, m - min(ks) + 2))
-    splits = []
-    for j in range(2, max(ks) + 1):
-        k_j = min(k for k in ks if k >= j)
-        prev, split = _dp_layer(prev, j, m - k_j + j, cost)
-        splits.append(split)
+    # range, over which its splits are stored. Each k then backtracks
+    # through the same splits. Layer 1 is one pass in which each row's one
+    # candidate is t = 0; the layers of one k_j share a row schedule, built
+    # for the first of them and dropped after the last.
+    n = m - min(ks) + 1
+    prev, _ = _dp_layer(
+        np.r_[0.0, np.full(m, np.inf)], 1, n, sums, [(np.arange(1, n + 1), 0, 0)]
+    )
+    splits, done = [], 1
+    for k_j in sorted(set(ks) - {1}):
+        passes = _row_passes(m - k_j + 1)
+        for j in range(done + 1, k_j + 1):
+            prev, split = _dp_layer(prev, j, j + m - k_j, sums, passes)
+            splits.append(split)
+        done = k_j
     for k in set(ks):
         bounds = np.empty(k + 1, dtype=np.int64)
         bounds[0], bounds[k] = 0, m
         for j in range(k, 1, -1):
-            bounds[j - 1] = splits[j - 2][bounds[j]]
+            bounds[j - 1] = splits[j - 2][bounds[j] - j]
         out[k] = bounds
     return out
 

@@ -240,19 +240,12 @@ def _params64(spec: MlpSpec, params) -> np.ndarray:
     return w
 
 
-def _act(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
+def _act(spec: MlpSpec, z: np.ndarray, out=None) -> np.ndarray:
     if spec.activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if spec.activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
-
-
-def _act_inplace(spec: MlpSpec, z: np.ndarray) -> None:
-    if spec.activation == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif spec.activation == "tanh":
-        np.tanh(z, out=z)
 
 
 def _act_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -272,6 +265,20 @@ def _forward(spec: MlpSpec, w: np.ndarray, inputs):
         pre.append(z)
         acts.append(_act(spec, z) if l < len(layers) - 1 else z)
     return layers, pre, acts
+
+
+def _logits(spec: MlpSpec, w: np.ndarray, inputs) -> np.ndarray:
+    """The net's outputs, one activation alive at a time: each layer's
+    product is offset and activated in place, with :func:`_forward`'s
+    operations in its order."""
+    layers = _unpack(spec, w)
+    a = np.ascontiguousarray(inputs, dtype=np.float64)
+    for l, (W, b) in enumerate(layers):
+        a = a @ W
+        a += b
+        if l < len(layers) - 1:
+            _act(spec, a, out=a)
+    return a
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -344,17 +351,11 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
         raise ValueError("empty evaluation split")
     if len(x) != y.size:
         raise ValueError("inputs and labels disagree on sample count")
-    layers = _unpack(spec, w)
     rows = max(1, _BLOCK_BYTES // (8 * max(spec.layer_widths)))
     hits = 0
     for lo in range(0, y.size, rows):
-        a = np.ascontiguousarray(x[lo : lo + rows], dtype=np.float64)
-        for l, (W, b) in enumerate(layers):
-            a = a @ W
-            a += b
-            if l < len(layers) - 1:
-                _act_inplace(spec, a)
-        hits += int(np.count_nonzero(np.argmax(a, axis=1) == y[lo : lo + rows]))
+        logits = _logits(spec, w, x[lo : lo + rows])
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[lo : lo + rows]))
     return hits / y.size
 
 
@@ -478,8 +479,7 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
             raise DivergenceError(f"training loss became non-finite at step {t}")
 
     # The loss alone: the whole split's gradient would go unused.
-    logits = _forward(spec, w, train_x)[2][-1]
-    final_loss, _ = _loss_and_delta(spec, logits, train_y)
+    final_loss, _ = _loss_and_delta(spec, _logits(spec, w, train_x), train_y)
     params = ParamSet(w, spec.spans())
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, params, eval_x, eval_y)

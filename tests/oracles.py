@@ -453,3 +453,64 @@ def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
     counts = np.bincount(assign, minlength=k)
     trace.append(objective(assign, centers, counts))
     return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
+
+
+def dp_layer_ranges(prev, lo: int, hi: int, cost):
+    """One layer of the k-means recurrence by divide and conquer over
+    explicit row and candidate ranges; split table over ``0..m``."""
+    cur = np.full(prev.size, np.inf)
+    split = np.zeros(prev.size, dtype=np.int32)
+    rlo, rhi = np.array([lo]), np.array([hi])
+    tlo, thi = np.array([lo - 1]), np.array([hi - 1])
+    while rlo.size:
+        mid = (rlo + rhi) // 2
+        cnt = np.minimum(thi, mid - 1) - tlo + 1
+        starts = np.cumsum(cnt) - cnt
+        seg = np.repeat(np.arange(mid.size), cnt)
+        t = np.arange(seg.size) - np.repeat(starts - tlo, cnt)
+        val = prev[t] + cost(t, mid[seg])
+        best = np.minimum.reduceat(val, starts)
+        pos = np.where(val == best[seg], np.arange(val.size), val.size)
+        arg = t[np.minimum.reduceat(pos, starts)]
+        cur[mid], split[mid] = best, arg
+        left, right = rlo < mid, mid < rhi
+        rlo, rhi, tlo, thi = (
+            np.concatenate([rlo[left], mid[right] + 1]),
+            np.concatenate([mid[left] - 1, rhi[right]]),
+            np.concatenate([tlo[left], arg[right]]),
+            np.concatenate([arg[left], thi[right]]),
+        )
+    return cur, split
+
+
+def optimal_bounds_ranges(x, w, ks) -> dict:
+    """Run boundaries of the optimal k-partitions of the sorted distinct
+    values ``x`` for each ``k`` in ``ks``, from :func:`dp_layer_ranges`
+    and a cost function with ``np.where`` guards."""
+    m = x.size
+    out = {m: np.arange(m + 1)} if m in ks else {}
+    ks = [k for k in ks if k < m]
+    if not ks:
+        return out
+    u = x - np.dot(w, x) / w.sum()
+    s0, s1, s2 = (np.concatenate([[0.0], np.cumsum(a)]) for a in (w, w * u, w * u * u))
+
+    def cost(t, i):  # weighted squared error of the run x[t:i], 0 without weight
+        d0, d1 = s0[i] - s0[t], s1[i] - s1[t]
+        sse = s2[i] - s2[t] - d1 * d1 / np.where(d0 > 0, d0, 1.0)
+        return np.where(d0 > 0, np.maximum(sse, 0.0), 0.0)
+
+    prev = np.full(m + 1, np.inf)
+    prev[1 : m - min(ks) + 2] = cost(0, np.arange(1, m - min(ks) + 2))
+    splits = []
+    for j in range(2, max(ks) + 1):
+        k_j = min(k for k in ks if k >= j)
+        prev, split = dp_layer_ranges(prev, j, m - k_j + j, cost)
+        splits.append(split)
+    for k in set(ks):
+        bounds = np.empty(k + 1, dtype=np.int64)
+        bounds[0], bounds[k] = 0, m
+        for j in range(k, 1, -1):
+            bounds[j - 1] = splits[j - 2][bounds[j]]
+        out[k] = bounds
+    return out

@@ -31,6 +31,7 @@ from oracles import (
     global_optimum,
     lagrangian_cost,
     one_move_stable,
+    optimal_bounds_ranges,
     weighted_cost,
 )
 
@@ -620,6 +621,119 @@ class TestKmeansSweep:
             kmeans_sweep([1.0, 2.0], None, [])
         with pytest.raises(ValueError):
             kmeans_sweep([1.0, 2.0], None, [2, 0])
+
+    def test_split_table_covers_the_live_range_only(self):
+        """k = m - 8 leaves 9 rows per layer: about 72 kB of splits, where
+        a table over every prefix length would take 16 MB."""
+        x = np.random.default_rng(11).normal(size=2000)
+        tracemalloc.start()
+        try:
+            res = kmeans_sweep(x, None, [1992])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(res.codebook.counts) == 1992
+        assert peak < 2 << 20
+
+
+@st.composite
+def dp_cases(draw):
+    """Values with repeats on a coarse grid, weights of 1 beside weights
+    near 1e-30 (which vanish in the running weight sums), and a k-list that
+    may be unsorted and repeat entries, each k in ``1..m`` for the ``m``
+    distinct values."""
+    n = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=n, unique=True))
+    v = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))) / 8.0
+    h = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(1.0), st.floats(0.5, 2.0), st.floats(1e-31, 1e-29)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    m = np.unique(v).size
+    ks = draw(st.lists(st.integers(1, m), min_size=1, max_size=6))
+    return v, h, ks
+
+
+class TestDpOracle:
+    """The pass kernel gives the bounds of the divide and conquer over
+    explicit row and candidate ranges, ties included."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(dp_cases())
+    def test_bounds_equal_the_range_oracle(self, case):
+        v, h, ks = case
+        x, inverse = np.unique(v, return_inverse=True)
+        for w in (np.ones(x.size), np.bincount(inverse, weights=h)):
+            got = quantizers._optimal_bounds(x, w, ks)
+            want = optimal_bounds_ranges(x, w, ks)
+            assert got.keys() == want.keys()
+            for k in want:
+                assert np.array_equal(got[k], want[k])
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(dp_cases())
+    def test_sweep_results_bit_identical(self, case):
+        v, h, ks = case
+        for curvature in (None, h):
+            got = kmeans_sweep(v, curvature, ks)
+            with mock.patch.object(quantizers, "_optimal_bounds", optimal_bounds_ranges):
+                want = kmeans_sweep(v, curvature, ks)
+            for a, b in zip(got, want):
+                assert a.assignment.tobytes() == b.assignment.tobytes()
+                assert a.codebook.centers.tobytes() == b.codebook.centers.tobytes()
+                assert a.codebook.counts.tobytes() == b.codebook.counts.tobytes()
+                assert a.trace.tobytes() == b.trace.tobytes()
+
+    def test_ties_go_to_the_lowest_split(self):
+        # Five equally spaced values: cutting after the second or the
+        # third costs 0.5 + 2 either way, exactly; the lower cut wins.
+        x = np.arange(5.0)
+        bounds = quantizers._optimal_bounds(x, np.ones(5), [2])[2]
+        assert bounds.tolist() == [0, 2, 5]
+        assert bounds.tolist() == optimal_bounds_ranges(x, np.ones(5), [2])[2].tolist()
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite value is refused before any solver runs, and so
+    are values whose weighted sums overflow in the k-means DP."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda v, h: kmeans_sweep(v, None, [2]),
+            lambda v, h: kmeans_sweep(v, h, [2, 3]),
+            lambda v, h: uniform_quantize(v, k=4),
+            lambda v, h: uniform_quantize(v, h, k=4, center_rule="hessian_weighted_mean"),
+            lambda v, h: ecsq_iterate(v, h, 4, 0.0),
+            lambda v, h: ecsq_iterate(v, h, 4, 1e-3),
+            lambda v, h: solve_lambda(v, h, 4, 1.0),
+        ],
+        ids=["kmeans", "hw-kmeans", "uniform", "uniform-hw", "ecsq-0", "ecsq", "lambda"],
+    )
+    def test_raises_value_error(self, solve, bad):
+        v = np.linspace(-1.0, 1.0, 30)
+        v[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                solve(v, np.ones(30))
+
+    @pytest.mark.parametrize(
+        "v, h",
+        [([1e200, -1e200, 0.0, 5.0], None), ([0.0, 1.0, 2.0, 3.0], [1e308, 1e308, 1.0, 1.0])],
+        ids=["squares", "weight-sum"],
+    )
+    def test_overflowing_sums_raise_value_error(self, v, h):
+        """Finite inputs whose weighted sums overflow would make every run
+        cost look alike; the DP refuses them."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            kmeans_sweep(np.array(v), h, [2])
 
 
 class TestSolveLambda:
