@@ -77,7 +77,13 @@ assert np.array_equal(
 )
 print("\ndecode reproduces the fine-tuned quantized model exactly")
 
-ratio_q = nq.compression_ratio_exact(assignment.size, 32, tuned.counts, code)
+# 7. every accounting number follows from the serialized bytes alone
+report = nq.coding.build_report(
+    nq.EncodedModel(encoded.data, decoded.breakdown), decoded.codebook.counts, decoded.code
+)
+assert report == nq.coding.build_report(encoded, tuned.counts, code)
+ratio_q = nq.compression_ratio_exact(tuned.counts, code)
+assert ratio_q == report.ratio_exact
 ratio_all = model.params.n * 32 / encoded.total_bits
 print(f"compression of stored survivors: {ratio_q:.2f}x")
 print(f"whole model vs serialized file (incl. index gaps): {ratio_all:.2f}x")

@@ -31,6 +31,7 @@ from .quantizers import (
     compact_codebook,
     dequantize,
     ecsq_iterate,
+    entropy_bits,
     hw_distortion,
     kmeans_sweep,
     msqe,
@@ -49,7 +50,6 @@ from .coding import (
     compression_ratio_exact,
     decode_assignments,
     encode_assignments,
-    entropy_bits,
     fixed_length_code,
     huffman_lengths,
     index_diff_code,

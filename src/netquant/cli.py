@@ -139,7 +139,8 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     "curvature": ("identity", _one_of(("exact", "gauss-newton", "adam", "identity"))),
     "coding": ("huffman", _one_of(("fixed", "huffman"))),
     "k": (None, _int_from(1, 2**63)),
-    "target_ratio": (None, _float_in(32 / sys.float_info.max)),  # finite budget
+    # the entropy budget SOURCE_BITS / target_ratio must be finite
+    "target_ratio": (None, _float_in(params.SOURCE_BITS / sys.float_info.max)),
     "lam": (None, _float_in(0.0, closed_low=True)),
     "prune_fraction": (0.0, _float_in(0.0, 1.0, closed_low=True)),
     "fine_tune": (False, _parse_bool),
@@ -365,7 +366,7 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
         res = solved[k]
     else:  # ecsq, with exactly one of k (plus lam) and target_ratio set
         if cfg["target_ratio"] is not None:
-            budget = 32 / cfg["target_ratio"]  # bits per parameter against float32
+            budget = params.SOURCE_BITS / cfg["target_ratio"]  # bits per parameter
             k = 2 ** min(6, math.ceil(budget) + 1)
             found = quantizers.solve_lambda(
                 values, curvature, k=k, target_entropy=budget
@@ -792,13 +793,15 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     cfg = _resolve_config(args)
     nq_path = Path(_require(cfg, "model_nq", "report"))
+    if (cfg["dataset"] is None) != (cfg["model_dir"] is None):
+        raise ConfigError("report measures accuracy only with both --dataset and --model-dir")
     if not nq_path.is_file():
         raise FormatError(f"no encoded model at {nq_path}")
     data = nq_path.read_bytes()
     decoded = coding.decode_assignments(data)
 
     accuracy = None
-    if cfg["dataset"] is not None and cfg["model_dir"] is not None:
+    if cfg["dataset"] is not None:
         refnet_doc = _read_refnet_doc(Path(cfg["model_dir"]))
         if refnet_doc is None:
             raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
@@ -817,12 +820,7 @@ def cmd_report(args) -> int:
         eval_x, eval_y = dataset.split("eval")
         accuracy = refnet.eval_accuracy(spec, w, eval_x, eval_y)
 
-    em = coding.EncodedModel(
-        data=data,
-        scheme=decoded.code.scheme,
-        n_params=int(decoded.assignment.size),
-        breakdown=decoded.breakdown,
-    )
+    em = coding.EncodedModel(data, decoded.breakdown)
     report = coding.build_report(em, decoded.codebook.counts, decoded.code, accuracy)
     doc = report.as_dict()
     doc["accuracy"] = accuracy

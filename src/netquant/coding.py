@@ -54,15 +54,14 @@ however large the model is.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import SOURCE_BITS, FormatError
-from .quantizers import Codebook
+from .quantizers import Codebook, entropy_bits
 
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
@@ -80,6 +79,11 @@ _PACK_BLOCK = 1 << 13
 
 # Longest codeword length; a left-aligned codeword then fits an int64.
 _MAX_CODE_BITS = 62
+
+
+def _fixed_width(k: int) -> int:
+    """ceil(log2 k) bits, and 1 bit for a single cluster."""
+    return max(1, (k - 1).bit_length())
 
 
 def _canonical_values(lengths: np.ndarray) -> np.ndarray:
@@ -129,10 +133,8 @@ class PrefixCode:
             raise ValueError("empty code")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "values", _canonical_values(np.array(lengths, np.int64)))
-        if self.scheme == "fixed":
-            width = max(1, math.ceil(math.log2(len(lengths)))) if len(lengths) > 1 else 1
-            if any(l != width for l in lengths):
-                raise ValueError("fixed scheme requires equal ceil(log2 k) lengths")
+        if self.scheme == "fixed" and set(lengths) != {_fixed_width(len(lengths))}:
+            raise ValueError("fixed scheme requires equal ceil(log2 k) lengths")
 
     @property
     def codewords(self) -> tuple[str, ...]:
@@ -208,35 +210,16 @@ def huffman_lengths(counts) -> list[int]:
 
 def build_huffman(codebook_or_counts) -> PrefixCode:
     """Canonical Huffman code for a codebook's cluster-size distribution."""
-    counts = (
-        codebook_or_counts.counts
-        if isinstance(codebook_or_counts, Codebook)
-        else codebook_or_counts
-    )
-    return PrefixCode(tuple(huffman_lengths(counts)), scheme="huffman")
+    if isinstance(codebook_or_counts, Codebook):
+        codebook_or_counts = codebook_or_counts.counts
+    return PrefixCode(tuple(huffman_lengths(codebook_or_counts)), scheme="huffman")
 
 
 def fixed_length_code(k: int) -> PrefixCode:
     """All codewords ceil(log2 k) bits; a single cluster still gets 1 bit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    width = max(1, math.ceil(math.log2(k))) if k > 1 else 1
-    return PrefixCode(tuple([width] * k), scheme="fixed")
-
-
-def entropy_bits(codebook_or_counts) -> float:
-    """Shannon entropy of the cluster-size distribution, in bits."""
-    counts = (
-        codebook_or_counts.counts
-        if isinstance(codebook_or_counts, Codebook)
-        else np.asarray(codebook_or_counts)
-    )
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty count vector")
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    return PrefixCode((_fixed_width(k),) * k, scheme="fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +227,37 @@ def entropy_bits(codebook_or_counts) -> float:
 # ---------------------------------------------------------------------------
 
 
-def compression_ratio_exact(n_params: int, source_bits: int, counts, code: PrefixCode) -> float:
+def compression_ratio_exact(counts, code: PrefixCode) -> float:
     """Original bits over stored bits, counting the full lookup table.
 
-    Stored bits are one codeword per parameter, one stored codeword per
-    cluster, and one ``source_bits``-wide center per cluster.
+    The ``n = sum(counts)`` parameters were ``SOURCE_BITS`` wide. Stored
+    bits are one codeword per parameter, one stored codeword per cluster,
+    and one ``SOURCE_BITS``-wide center per cluster.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (code.k,):
         raise ValueError("counts length disagrees with the code")
-    if int(counts.sum()) != n_params:
-        raise ValueError("counts do not sum to n_params")
     lengths = np.asarray(code.lengths, dtype=np.int64)
-    denom = int(np.dot(counts + 1, lengths)) + code.k * source_bits
-    return n_params * source_bits / denom
+    denom = int(np.dot(counts + 1, lengths)) + code.k * SOURCE_BITS
+    return int(counts.sum()) * SOURCE_BITS / denom
 
 
 class EntropyRatio(NamedTuple):
     with_overhead: float
     approx: float
+
+
+def compression_ratio_entropy(counts, code: PrefixCode) -> EntropyRatio:
+    """Rate-based compression ratio, with and without table overhead.
+
+    The overhead form divides ``SOURCE_BITS`` by the average codeword
+    length plus the per-parameter share of the lookup table; the
+    approximation drops the table term (valid when parameters vastly
+    outnumber clusters).
+    """
+    avg = code.avg_bits(counts)
+    overhead = (sum(code.lengths) + code.k * SOURCE_BITS) / int(np.sum(counts))
+    return EntropyRatio(SOURCE_BITS / (avg + overhead), SOURCE_BITS / avg)
 
 
 @dataclass(frozen=True)
@@ -290,21 +285,7 @@ class CompressionReport:
     accuracy_post_finetune: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "entropy_bits": self.entropy_bits,
-            "avg_codeword_bits": self.avg_codeword_bits,
-            "ratio_exact": self.ratio_exact,
-            "ratio_entropy_overhead": self.ratio_entropy_overhead,
-            "ratio_entropy_approx": self.ratio_entropy_approx,
-            "ratio_measured": self.ratio_measured,
-            "k_effective": self.k_effective,
-            "n_params": self.n_params,
-            "source_bits": self.source_bits,
-            "scheme": self.scheme,
-            "bit_breakdown": dict(self.bit_breakdown),
-            "accuracy_pre_finetune": self.accuracy_pre_finetune,
-            "accuracy_post_finetune": self.accuracy_post_finetune,
-        }
+        return asdict(self)
 
 
 def build_report(
@@ -314,47 +295,29 @@ def build_report(
     accuracy_pre: float | None = None,
     accuracy_post: float | None = None,
 ) -> CompressionReport:
-    """Assemble the standard report for an encoded model."""
+    """Assemble the standard report for an encoded model.
+
+    Reads only ``em``'s bit breakdown and size; the parameter count comes
+    from ``counts`` and the scheme from ``code``.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    h = entropy_bits(counts)
-    avg = code.avg_bits(counts)
-    exact = compression_ratio_exact(em.n_params, SOURCE_BITS, counts, code)
-    ent = compression_ratio_entropy(
-        SOURCE_BITS, avg, code.k, int(sum(code.lengths)), em.n_params
-    )
-    measured = em.n_params * SOURCE_BITS / em.total_bits
+    n = int(counts.sum())
+    ent = compression_ratio_entropy(counts, code)
     return CompressionReport(
-        entropy_bits=h,
-        avg_codeword_bits=avg,
-        ratio_exact=exact,
+        entropy_bits=entropy_bits(counts),
+        avg_codeword_bits=code.avg_bits(counts),
+        ratio_exact=compression_ratio_exact(counts, code),
         ratio_entropy_overhead=ent.with_overhead,
         ratio_entropy_approx=ent.approx,
-        ratio_measured=measured,
+        ratio_measured=n * SOURCE_BITS / em.total_bits,
         k_effective=code.k,
-        n_params=em.n_params,
+        n_params=n,
         source_bits=SOURCE_BITS,
-        scheme=em.scheme,
+        scheme=code.scheme,
         bit_breakdown=dict(em.breakdown),
         accuracy_pre_finetune=accuracy_pre,
         accuracy_post_finetune=accuracy_post,
     )
-
-
-def compression_ratio_entropy(
-    source_bits: int, avg_bits: float, k: int, sum_lengths: int, n_params: int
-) -> EntropyRatio:
-    """Rate-based compression ratio, with and without table overhead.
-
-    The overhead form divides ``b`` by the average codeword length plus the
-    per-parameter share of the lookup table; the approximation drops the
-    table term (valid when parameters vastly outnumber clusters).
-    """
-    if n_params <= 0:
-        raise ValueError("n_params must be positive")
-    overhead = (sum_lengths + k * source_bits) / n_params
-    with_overhead = source_bits / (avg_bits + overhead)
-    approx = source_bits / avg_bits if avg_bits > 0 else math.inf
-    return EntropyRatio(with_overhead, approx)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +472,8 @@ def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> Prefix
     lengths = reader.uints(count, 8)
     if not count:
         raise FormatError(f"empty {what} table")
-    if lengths.min() < 1 or lengths.max() > 62:
-        raise FormatError(f"{what} table has a codeword length outside 1..62")
+    if lengths.min() < 1 or lengths.max() > _MAX_CODE_BITS:
+        raise FormatError(f"{what} table has a codeword length outside 1..{_MAX_CODE_BITS}")
     try:
         return PrefixCode(tuple(lengths.tolist()), scheme=scheme)
     except ValueError as exc:
@@ -573,8 +536,6 @@ class EncodedModel:
     """
 
     data: bytes
-    scheme: str
-    n_params: int
     breakdown: dict
 
     @property
@@ -628,9 +589,11 @@ def encode_assignments(
         if pos.size != a.size:
             raise ValueError("positions length disagrees with the assignment")
         idx = index_diff_code(pos, total_params)
+    elif total_params not in (None, a.size):
+        raise ValueError(f"{a.size} parameters encoded of {total_params} without positions")
     else:
         idx = None
-        total_params = a.size if total_params is None else total_params
+        total_params = a.size
 
     lengths = np.asarray(code.lengths, dtype=np.int64)
     sections = {
@@ -670,12 +633,7 @@ def encode_assignments(
         o += size
     data = np.packbits(bits).tobytes()
     breakdown["padding"] = 8 * len(data) - int(bits.size)
-    return EncodedModel(
-        data=data,
-        scheme=code.scheme,
-        n_params=int(a.size),
-        breakdown=breakdown,
-    )
+    return EncodedModel(data, breakdown)
 
 
 def decode_assignments(encoded) -> DecodedModel:

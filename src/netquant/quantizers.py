@@ -220,11 +220,15 @@ def _distortion(v, h, assign, centers) -> float:
     return float(np.sum(h * r * r))
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
+def entropy_bits(codebook_or_counts) -> float:
+    """Shannon entropy of the cluster-size distribution, in bits."""
+    if isinstance(codebook_or_counts, Codebook):
+        codebook_or_counts = codebook_or_counts.counts
+    counts = np.asarray(codebook_or_counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / float(total)
+        raise ValueError("empty count vector")
+    p = counts[counts > 0] / total
     return float(-np.sum(p * np.log2(p)))
 
 
@@ -660,9 +664,7 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
         return _column_argmin(n, np.flatnonzero(p > 0).tolist(), block)[0]
 
     def objective(assign, centers, counts):
-        return _distortion(v, h, assign, centers) / n + lam * _entropy_from_counts(
-            counts
-        )
+        return _distortion(v, h, assign, centers) / n + lam * entropy_bits(counts)
 
     assign = assign_step(centers, np.full(k, 1.0 / k))
     centers, _ = _weighted_centers(v, h, assign, k, centers)
@@ -711,14 +713,14 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
 
     budget = target_entropy + _LAMBDA_SLACK
     res0 = run(0.0)
-    h0 = _entropy_from_counts(res0.codebook.counts)
+    h0 = entropy_bits(res0.codebook.counts)
     if h0 <= budget:
         return LambdaResult(0.0, res0, True, h0)
 
     # Beyond this the rate term dominates any distortion difference.
     lam_max = 10.0 * float(h.max()) * (float(v.max()) - float(v.min())) ** 2
     res_hi = run(lam_max)
-    h_hi = _entropy_from_counts(res_hi.codebook.counts)
+    h_hi = entropy_bits(res_hi.codebook.counts)
     if h_hi > budget:
         return LambdaResult(lam_max, res_hi, False, h_hi)
 
@@ -734,7 +736,7 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
         t_mid = 0.5 * (t_lo + t_hi)
         mid = lam_max * 2.0**t_mid
         res = run(mid)
-        h_mid = _entropy_from_counts(res.codebook.counts)
+        h_mid = entropy_bits(res.codebook.counts)
         if h_mid <= budget:
             t_hi, best_lam, best_res, best_h = t_mid, mid, res, h_mid
         else:

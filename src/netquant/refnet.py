@@ -560,11 +560,17 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
 def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     """Fast nonnegative curvature via one curvature-backpropagation pass.
 
-    Propagates the diagonal second derivative of the loss backward through
-    squared weights and squared activation slopes, dropping the term with
-    the activation's own second derivative. Costs the same order as a
-    gradient pass and is exact for a single linear layer under the
-    squared-error loss.
+    Propagates only the diagonal of the loss Hessian with respect to each
+    layer's outputs backward, through squared weights and squared
+    activation slopes. So it drops the off-diagonal entries of every such
+    Hessian (softmax cross entropy has them already at the net's output)
+    as well as the term with the activation's own second derivative, which
+    relu and the identity do not have. Costs the same order as a gradient
+    pass. It equals :func:`hessian_diag_exact` for a net without hidden
+    layers, and under squared error with one hidden layer of relu or no
+    activation. Otherwise the two differ: for a 6-8-4 relu net after 50
+    Adam steps on blobs, under softmax cross entropy, by a median of 15%
+    per entry and up to 239%.
     """
     w = _params64(spec, params)
     layers, pre, acts = _forward(spec, w, inputs)

@@ -8,7 +8,14 @@ import heapq
 
 import numpy as np
 
-from netquant import Codebook, FormatError, QuantizeResult, forward_loss, init_params
+from netquant import (
+    Codebook,
+    DivergenceError,
+    FormatError,
+    QuantizeResult,
+    forward_loss,
+    init_params,
+)
 from netquant.coding import MAGIC, build_huffman, entropy_bits
 from netquant.refnet import (
     ADAM_BETA1,
@@ -24,7 +31,6 @@ from netquant.quantizers import (
     _ECSQ_MAX_ITERS,
     _MOVE_REL_TOL,
     _distortion,
-    _entropy_from_counts,
     _MoveStats,
     _weighted_centers,
 )
@@ -282,17 +288,21 @@ def train_adam_whole(spec, ds, cfg):
 
 def fine_tune_centers_whole(spec, assignment, codebook, ds, cfg, positions=None):
     """Centers after SGD steps that each rebuild the full parameter vector
-    from zeros; returns the centers."""
+    from zeros; returns the centers. A non-finite loss raises the
+    DivergenceError that ``fine_tune_centers`` raises at that step."""
     a = np.asarray(assignment)
     n = spec.param_count()
     pos = np.arange(n) if positions is None else np.asarray(positions)
     centers = codebook.centers.copy()
     rng = np.random.default_rng(cfg.seed)
     train_x, train_y = ds.split("train")
-    for _, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
+    for t, batch in _batches(rng, train_x.shape[0], cfg.batch_size, cfg.steps):
         w_full = np.zeros(n)
         w_full[pos] = centers[a]
-        _, grad = forward_loss_whole(spec, w_full, train_x[batch], train_y[batch])
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = forward_loss_whole(spec, w_full, train_x[batch], train_y[batch])
+        if not np.isfinite(loss):
+            raise DivergenceError(f"fine-tuning loss became non-finite at step {t}")
         centers -= cfg.lr * np.bincount(a, weights=grad[pos], minlength=codebook.k)
     return centers
 
@@ -412,9 +422,7 @@ def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
         return _table_argmin(h[rows] * (v[rows] - centers) ** 2 + penalty)[0]
 
     def objective(assign, centers, counts):
-        return _distortion(v, h, assign, centers) / n + lam * _entropy_from_counts(
-            counts
-        )
+        return _distortion(v, h, assign, centers) / n + lam * entropy_bits(counts)
 
     def stabilize(assign, obj_scale):
         stats = _MoveStats(v, h, assign, k)

@@ -76,7 +76,7 @@ def test_c01_formula_fidelity():
                 fixed_length_code(k) if scheme == "fixed" else build_huffman(codebook)
             )
             em = encode_assignments(assignment, codebook, code)
-            ratio = compression_ratio_exact(n, 32, counts, code)
+            ratio = compression_ratio_exact(counts, code)
             assert ratio == n * 32 / em.table_bits
 
 
@@ -360,7 +360,7 @@ def test_c09_pipeline_fidelity():
         assert em.breakdown["index_section"] == index_diff_code(
             positions, model.params.n
         ).total_bits
-        ratio = compression_ratio_exact(assignment.size, 32, codebook.counts, code)
+        ratio = compression_ratio_exact(codebook.counts, code)
         assert ratio == assignment.size * 32 / em.table_bits
 
 

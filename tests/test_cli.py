@@ -288,7 +288,7 @@ class TestQuantize:
             decoded.code.avg_bits(counts)
         )
         assert report["ratio_exact"] == pytest.approx(
-            compression_ratio_exact(int(counts.sum()), 32, counts, decoded.code)
+            compression_ratio_exact(counts, decoded.code)
         )
 
 
@@ -538,6 +538,25 @@ class TestReport:
             "report", "--model-nq", out / "model.nq",
             "--model-dir", other, "--dataset", "synth", "--out", rpt,
         ]) == cli.EXIT_CONFIG
+        assert not rpt.exists()
+
+    @pytest.mark.parametrize(
+        "half",
+        [["--dataset", "synth"], ["--model-dir", "MODEL"], ["--dataset", "/nonexistent.csv"]],
+    )
+    def test_half_an_accuracy_request_is_config_error(self, model_dir, tmp_path, half):
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "4",
+        ]) == 0
+        half = [model_dir if a == "MODEL" else a for a in half]
+        rpt = tmp_path / "r.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run(["report", "--model-nq", out / "model.nq", *half, "--out", rpt])
+        assert code == cli.EXIT_CONFIG
+        assert stdout.getvalue() == ""
         assert not rpt.exists()
 
     def test_undecodable_file_is_io_error(self, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from netquant import (
     Codebook,
+    EncodedModel,
     FormatError,
     PrefixCode,
     build_huffman,
@@ -25,6 +26,7 @@ from netquant import (
 )
 from netquant import coding
 from netquant.coding import build_report, huffman_lengths
+from netquant.params import SOURCE_BITS
 from oracles import (
     canonical_codewords,
     canonical_decode,
@@ -151,6 +153,11 @@ class TestFixedLength:
 
     def test_ceiling(self):
         assert fixed_length_code(5).lengths == (3,) * 5
+        for k in [*range(2, 300), 2**12, 2**12 + 1]:
+            width = math.ceil(math.log2(k))
+            assert fixed_length_code(k).lengths == (width,) * k
+            with pytest.raises(ValueError, match="fixed scheme"):
+                PrefixCode((width + 1,) * k, scheme="fixed")
 
     def test_k1_convention(self):
         assert fixed_length_code(1).lengths == (1,)
@@ -181,37 +188,30 @@ class TestCompressionRatio:
     def test_hand_case(self):
         code = fixed_length_code(4)
         counts = np.array([250, 250, 250, 250])
-        ratio = compression_ratio_exact(1000, 32, counts, code)
+        ratio = compression_ratio_exact(counts, code)
         assert ratio == pytest.approx(32000 / 2136)
 
     def test_single_cluster_limit(self):
         n = 100000
         code = fixed_length_code(1)
-        ratio = compression_ratio_exact(n, 32, np.array([n]), code)
+        ratio = compression_ratio_exact(np.array([n]), code)
         assert ratio == pytest.approx(32 * n / (n + 1 + 32))
         assert ratio == pytest.approx(32.0, rel=1e-3)
 
     def test_entropy_form(self):
-        with_overhead, approx = compression_ratio_entropy(32, 2.0, 4, 8, 10**9)
+        counts = np.full(4, 250_000_000)
+        with_overhead, approx = compression_ratio_entropy(counts, fixed_length_code(4))
         assert approx == pytest.approx(16.0)
         assert with_overhead == pytest.approx(16.0, rel=1e-6)
-
-    def test_entropy_budget_from_target(self):
-        # a target ratio of 16 at 32-bit originals allows 2 bits/parameter
-        assert 32 / 16 == pytest.approx(2.0)
 
     def test_entropy_form_matches_exact_with_overhead(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             k = int(rng.integers(1, 12))
             counts = rng.integers(1, 400, size=k)
-            n = int(counts.sum())
             code = build_huffman(counts)
-            exact = compression_ratio_exact(n, 32, counts, code)
-            avg = code.avg_bits(counts)
-            with_overhead, _ = compression_ratio_entropy(
-                32, avg, k, int(sum(code.lengths)), n
-            )
+            exact = compression_ratio_exact(counts, code)
+            with_overhead, _ = compression_ratio_entropy(counts, code)
             assert with_overhead == pytest.approx(exact, rel=1e-12)
 
 
@@ -379,6 +379,16 @@ class TestEncodeDecode:
         cb = Codebook([0.0, 1.0], [2, 2])
         with pytest.raises(ValueError):
             encode_assignments([0, 0, 0, 1], cb, fixed_length_code(2))
+
+    @pytest.mark.parametrize("total", [3, 5, 10])
+    def test_total_params_without_positions_must_match(self, total):
+        # A header of 4 parameters encoded of another total with no index
+        # section is a stream the decoder rejects, so it is never written.
+        cb = Codebook([0.0, 1.0], [2, 2])
+        with pytest.raises(ValueError, match="without positions"):
+            encode_assignments([0, 1, 0, 1], cb, fixed_length_code(2), total_params=total)
+        em = encode_assignments([0, 1, 0, 1], cb, fixed_length_code(2), total_params=4)
+        assert decode_assignments(em.data).total_params == 4
 
 
 @st.composite
@@ -550,6 +560,38 @@ class TestPackerOracle:
 
 
 class TestAccountingIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 64),
+        pruned=st.booleans(),
+        scheme=st.sampled_from(["fixed", "huffman"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_from_artifact_alone(self, k, pruned, scheme, seed):
+        # The report is a function of the serialized bytes: the decoder's
+        # breakdown, counts and code rebuild it exactly.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k, 4 * k + 50))
+        assignment = rng.permutation(
+            np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        )
+        cb = Codebook(
+            rng.normal(size=k).astype(np.float32).astype(np.float64),
+            np.bincount(assignment, minlength=k),
+        )
+        code = fixed_length_code(k) if scheme == "fixed" else build_huffman(cb)
+        positions = total = None
+        if pruned:
+            total = n + int(rng.integers(0, 3 * n))
+            positions = np.sort(rng.choice(total, size=n, replace=False))
+        em = encode_assignments(assignment, cb, code, positions, total)
+        decoded = decode_assignments(em.data)
+        again = build_report(
+            EncodedModel(em.data, decoded.breakdown), decoded.codebook.counts, decoded.code
+        )
+        assert again.as_dict() == build_report(em, cb.counts, code).as_dict()
+        assert compression_ratio_exact(cb.counts, code) == n * SOURCE_BITS / em.table_bits
+
     def test_table_bits_equal_ratio_denominator(self):
         rng = np.random.default_rng(13)
         for scheme in ("fixed", "huffman"):
@@ -561,8 +603,8 @@ class TestAccountingIdentity:
                     else build_huffman(cb)
                 )
                 em = encode_assignments(assignment, cb, code)
-                ratio = compression_ratio_exact(em.n_params, 32, cb.counts, code)
-                assert ratio == em.n_params * 32 / em.table_bits
+                ratio = compression_ratio_exact(cb.counts, code)
+                assert ratio == assignment.size * 32 / em.table_bits
 
     def test_report_consistency(self):
         rng = np.random.default_rng(14)
