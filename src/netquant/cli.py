@@ -1,7 +1,7 @@
 """Batch command-line pipeline over the library.
 
 Subcommands mirror the compression workflow: ``train-ref`` produces a
-reference model directory, ``prune`` and ``curvature`` enrich it,
+reference model directory, ``prune`` adds a prune mask to it,
 ``quantize`` runs load -> (prune+compact) -> curvature -> cluster -> code
 -> (fine-tune) -> evaluate and writes the encoded model plus a JSON report,
 ``sweep`` repeats that over a list of cluster counts or rate penalties into
@@ -163,13 +163,13 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     "ft_batch_size": (64, _int_from(1)),
     "ft_lr": (1e-5, _float_in(0.0)),
     # synthetic dataset
-    "synth_samples": (2000, int),
-    "synth_classes": (4, int),
-    "synth_features": (10, int),
+    "synth_samples": (2000, _int_from(1)),
+    "synth_classes": (4, _int_from(1)),
+    "synth_features": (10, _int_from(1)),
     "synth_noise": (1.0, _FINITE),
     "synth_spread": (3.0, _FINITE),
     "synth_scale": (1.0, _FINITE),
-    "synth_seed": (0, int),
+    "synth_seed": (0, _int_from(0)),
     "eval_frac": (0.3, _float_in(0.0, 1.0)),
     # report
     "model_nq": (None, str),
@@ -321,11 +321,6 @@ def _round_codebook_f32(codebook: quantizers.Codebook) -> quantizers.Codebook:
     )
 
 
-def _cluster_count(cfg: dict, knob, why: str) -> int:
-    """A sweep point's ``k`` knob, else the configured ``k``."""
-    return _require(cfg, "k", why) if knob is None else _option("k", knob)
-
-
 def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
     """k -> exact ``quantizer`` result for each k in ``ks``, from one DP.
 
@@ -344,7 +339,7 @@ def _ecsq_count(cfg: dict, n_values: int) -> int:
     return k
 
 
-def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
+def _quantize_values(values, curvature, cfg: dict, solved=None):
     """Run the configured quantizer; returns (assignment, codebook, extras).
 
     ``solved`` holds a k-means quantizer's results by k, or the error its
@@ -353,12 +348,12 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
     quantizer = cfg["quantizer"]
     extras: dict = {}
     if quantizer == "uniform":
-        k = _cluster_count(cfg, knob, "uniform")
+        k = _require(cfg, "k", "uniform")
         res = quantizers.uniform_quantize(
             values, curvature, k=k, center_rule=cfg["center_rule"]
         )
     elif quantizer in KMEANS_QUANTIZERS:
-        k = _cluster_count(cfg, knob, quantizer)
+        k = _require(cfg, "k", quantizer)
         if solved is None:
             solved = _solve_kmeans(values, curvature, quantizer, [k])
         if isinstance(solved, Exception):
@@ -380,7 +375,7 @@ def _quantize_values(values, curvature, cfg: dict, knob=None, solved=None):
             extras["entropy_budget"] = budget
             extras["lambda"] = found.lam
         else:
-            lam = _option("lam", knob) if knob is not None else (cfg["lam"] or 0.0)
+            lam = cfg["lam"] or 0.0
             k = _ecsq_count(cfg, values.size)
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(values, curvature, k, lam)
@@ -392,35 +387,6 @@ def _build_code(scheme: str, codebook: quantizers.Codebook) -> coding.PrefixCode
     if scheme == "fixed":
         return coding.fixed_length_code(codebook.k)
     return coding.build_huffman(codebook)
-
-
-def _resolve_curvature(
-    cfg: dict,
-    values_full: np.ndarray,
-    stored: params.CurvatureDiag | None,
-    spec: refnet.MlpSpec | None,
-    dataset: refnet.Dataset | None,
-) -> params.CurvatureDiag:
-    """Curvature for the full (pre-compaction) parameter vector."""
-    source = cfg["curvature"]
-    cap = cfg["hessian_samples"]
-    if source == "identity":
-        return refnet.identity_curvature(values_full.size)
-    if source == "adam":
-        if stored is None or stored.source != params.CurvatureSource.ADAM_SQRT_MOMENT:
-            raise ConfigError(
-                "curvature=adam needs a model directory with stored "
-                "adam_sqrt_moment curvature (run train-ref)"
-            )
-        return stored
-    if spec is None or dataset is None:
-        raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
-    x, y = dataset.split("hessian")
-    if cap:
-        x, y = x[:cap], y[:cap]
-    if source == "exact":
-        return refnet.hessian_diag_exact(spec, values_full, x, y)
-    return refnet.hessian_diag_gn(spec, values_full, x, y)
 
 
 @dataclass(frozen=True)
@@ -453,10 +419,10 @@ class Point:
     extras: dict
 
 
-def _run_quantize_point(cfg: dict, inputs: Inputs, knob=None, solved=None) -> Point:
+def _run_quantize_point(cfg: dict, inputs: Inputs, solved=None) -> Point:
     """One full quantize -> code -> (fine-tune) -> evaluate pass, in memory."""
     assignment, codebook, extras = _quantize_values(
-        inputs.values, inputs.curvature, cfg, knob, solved
+        inputs.values, inputs.curvature, cfg, solved
     )
     code = _build_code(cfg["coding"], codebook)
 
@@ -527,29 +493,47 @@ def _spec_and_dataset(
     return spec, dataset
 
 
-def _masked_values(ps: params.ParamSet, mask: params.PruneMask | None) -> np.ndarray:
-    values = ps.as_f64()
-    return values if mask is None else values * mask.kept
-
-
 def _prepare_inputs(cfg: dict) -> Inputs:
-    """Load the model directory and derive the quantizer inputs."""
+    """Load the model directory and derive the quantizer inputs.
+
+    The run's curvature is chosen here. ``identity`` is built at the kept
+    length. ``adam`` is the full-length curvature that ``train-ref`` stored;
+    ``exact`` and ``gauss-newton`` evaluate the pruned net, the full vector
+    with its pruned slots zeroed. Those three are then read at ``positions``.
+    """
     fraction = cfg["prune_fraction"]
+    source = cfg["curvature"]
     model_dir = Path(_require(cfg, "model_dir", "this command"))
-    ps, stored_cv, stored_mask = params.load_model(model_dir)
+    ps, stored, stored_mask = params.load_model(model_dir)
     spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir), ps.n)
     if cfg["fine_tune"] and (spec is None or dataset is None):
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
     positions = None if mask is None else np.flatnonzero(mask.kept)
     kept = ps.values if positions is None else ps.values[positions]
-    if cfg["curvature"] == "identity":
+    if source == "identity":
         curvature = refnet.identity_curvature(kept.size)
     else:
-        # Only exact and gauss-newton evaluate the (pruned) net, so only they
-        # need the full masked vector; adam reads the stored curvature.
-        full = ps.values if cfg["curvature"] == "adam" else _masked_values(ps, mask)
-        curvature = _resolve_curvature(cfg, full, stored_cv, spec, dataset)
+        if source == "adam":
+            adam = params.CurvatureSource.ADAM_SQRT_MOMENT
+            if stored is None or stored.source != adam:
+                raise ConfigError(
+                    "curvature=adam needs a model directory with stored "
+                    "adam_sqrt_moment curvature (run train-ref)"
+                )
+            curvature = stored
+        elif spec is None or dataset is None:
+            raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
+        else:
+            x, y = dataset.split("hessian")
+            cap = cfg["hessian_samples"]
+            if cap:
+                x, y = x[:cap], y[:cap]
+            full = ps.as_f64() if mask is None else ps.as_f64() * mask.kept
+            if source == "exact":
+                curvature = refnet.hessian_diag_exact(spec, full, x, y)
+            else:
+                curvature = refnet.hessian_diag_gn(spec, full, x, y)
         if positions is not None:
             curvature = params.CurvatureDiag(
                 curvature.values[positions], curvature.source
@@ -560,28 +544,6 @@ def _prepare_inputs(cfg: dict) -> Inputs:
 def _write_outputs(out_dir: Path, files: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     params.write_files(out_dir, files)
-
-
-def _save_model_dir(
-    cfg: dict,
-    model_dir: Path,
-    ps: params.ParamSet,
-    curvature: params.CurvatureDiag | None,
-    mask: params.PruneMask | None,
-    refnet_doc: dict | None,
-) -> Path:
-    """Save to --out-dir (default: in place) under the manifest's model name.
-
-    A different directory also gets a copy of the model's refnet.json.
-    """
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
-    model_name = params.read_manifest(model_dir).model_name
-    params.save_model(
-        ps, out_dir, curvature=curvature, mask=mask, model_name=model_name
-    )
-    if refnet_doc is not None and out_dir != model_dir:
-        params.write_files(out_dir, {REFNET_FILE: _dumps(refnet_doc) + "\n"})
-    return out_dir
 
 
 def _dumps(doc: dict) -> str:
@@ -668,24 +630,17 @@ def cmd_prune(args) -> int:
         raise ConfigError("prune needs a --prune-fraction above 0")
     ps, curvature, _ = params.load_model(model_dir)
     mask = refnet.prune_magnitude(ps, fraction)
-    out_dir = _save_model_dir(
-        cfg, model_dir, ps, curvature, mask, _read_refnet_doc(model_dir)
-    )
-    print(_dumps({"n_params": ps.n, "n_kept": mask.n_kept, "out_dir": str(out_dir)}))
-    return EXIT_OK
-
-
-def cmd_curvature(args) -> int:
-    cfg = _resolve_config(args)
-    model_dir = Path(_require(cfg, "model_dir", "curvature"))
-    if cfg["curvature"] == "adam":
-        raise ConfigError("adam curvature is captured by train-ref, not recomputed")
-    ps, _, mask = params.load_model(model_dir)
     refnet_doc = _read_refnet_doc(model_dir)
-    spec, dataset = _spec_and_dataset(cfg, refnet_doc, ps.n)
-    curvature = _resolve_curvature(cfg, _masked_values(ps, mask), None, spec, dataset)
-    out_dir = _save_model_dir(cfg, model_dir, ps, curvature, mask, refnet_doc)
-    print(_dumps({"source": curvature.source.value, "out_dir": str(out_dir)}))
+    # Saved to --out-dir (default: in place) under the manifest's model
+    # name; a different directory also gets a copy of refnet.json.
+    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
+    model_name = params.read_manifest(model_dir).model_name
+    params.save_model(
+        ps, out_dir, curvature=curvature, mask=mask, model_name=model_name
+    )
+    if refnet_doc is not None and out_dir != model_dir:
+        params.write_files(out_dir, {REFNET_FILE: _dumps(refnet_doc) + "\n"})
+    print(_dumps({"n_params": ps.n, "n_kept": mask.n_kept, "out_dir": str(out_dir)}))
     return EXIT_OK
 
 
@@ -768,8 +723,10 @@ def cmd_sweep(args) -> int:
             "seed": cfg["seed"],
         }
         try:
+            key = "lam" if quantizer == "ecsq" else "k"
+            point_cfg[key] = _option(key, knob)
             report = _run_quantize_point(
-                point_cfg, inputs, knob, solved.get(quantizer)
+                point_cfg, inputs, solved.get(quantizer)
             ).report
         except (NetQuantError, ValueError) as exc:
             row["status"] = f"error:{type(exc).__name__}"
@@ -832,7 +789,7 @@ def cmd_report(args) -> int:
     print(text)
     if cfg["out"]:
         out = Path(cfg["out"])
-        params.write_files(out.parent, {out.name: text + "\n"})
+        _write_outputs(out.parent, {out.name: text + "\n"})
     return EXIT_OK
 
 
@@ -896,10 +853,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="add a magnitude prune mask to a model dir")
     _add_options(p, _COMMON + _SYNTH + ["prune_fraction"])
     p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("curvature", help="compute and store a curvature vector")
-    _add_options(p, _COMMON + _SYNTH + ["curvature", "hessian_samples"])
-    p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("quantize", help="run the full compression pipeline")
     _add_options(p, _COMMON + _SYNTH + _QUANT)

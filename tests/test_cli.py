@@ -3,8 +3,10 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -12,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netquant import cli, decode_assignments, kmeans_sweep, load_model, params
+from netquant import (
+    cli,
+    decode_assignments,
+    hessian_diag_exact,
+    hessian_diag_gn,
+    kmeans_sweep,
+    load_model,
+    params,
+)
 
 TRAIN_ARGS = [
     "--dataset", "synth",
@@ -192,6 +202,11 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", "--target-ratio", "-1"],
             ["--quantizer", "kmeans", "--k", "4", "--lam", "nan"],
             ["--quantizer", "kmeans", "--k", "4", "--center-rule", "foo"],
+            # synthetic-dataset keys are checked without --dataset too
+            ["--quantizer", "kmeans", "--k", "4", "--synth-seed=-1"],
+            ["--quantizer", "kmeans", "--k", "4", "--synth-classes", "0"],
+            ["--quantizer", "kmeans", "--k", "4", "--synth-samples=-3"],
+            ["--quantizer", "kmeans", "--k", "4", "--synth-features=-2"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -207,9 +222,9 @@ class TestQuantize:
             ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "exact"],
             ["quantize", "--quantizer", "kmeans", "--k", "4", "--fine-tune", "true"],
             ["sweep", "--quantizers", "kmeans", "--k-list", "4"],
-            ["curvature", "--curvature", "exact"],
+            ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton"],
         ],
-        ids=["quantize", "exact-curvature", "fine-tune", "sweep", "curvature"],
+        ids=["quantize", "exact-curvature", "fine-tune", "sweep", "gauss-newton-curvature"],
     )
     def test_labels_beyond_model_outputs_are_config_error(
         self, model_dir, tmp_path, args
@@ -350,6 +365,33 @@ class TestPrepareInputs:
             assert np.all(np.diff(inputs.positions) > 0)
             assert np.array_equal(inputs.values, ps.values[kept])
 
+    @pytest.mark.parametrize(
+        "source, diag",
+        [("exact", hessian_diag_exact), ("gauss-newton", hessian_diag_gn)],
+        ids=["exact", "gauss-newton"],
+    )
+    def test_data_curvature_is_masked_full_vector_at_positions(
+        self, model_dir, tmp_path, source, diag
+    ):
+        """On a pruned directory, a data curvature is the one of the pruned
+        net, the full vector with pruned slots zeroed, read at the kept
+        positions."""
+        pruned = tmp_path / "pruned"
+        assert run([
+            "prune", "--model-dir", model_dir, "--out-dir", pruned,
+            "--prune-fraction", "0.5",
+        ]) == 0
+        args = cli._build_parser().parse_args([
+            "quantize", "--model-dir", str(pruned), "--out-dir", str(tmp_path / "q"),
+            "--curvature", source, "--dataset", "synth",
+        ])
+        inputs = cli._prepare_inputs(cli._resolve_config(args))
+        ps, _, mask = load_model(pruned)
+        full = diag(inputs.spec, ps.as_f64() * mask.kept, *inputs.dataset.split("hessian"))
+        assert np.array_equal(inputs.positions, np.flatnonzero(mask.kept))
+        assert inputs.curvature.source == full.source
+        assert np.array_equal(inputs.curvature.values, full.values[inputs.positions])
+
 
 class TestSweep:
     def test_row_count_and_determinism(self, model_dir, tmp_path):
@@ -421,6 +463,44 @@ class TestSweep:
             assert int(row["k_effective"]) == report["k_effective"]
             for key in ("ratio_exact", "entropy_bits"):
                 assert row[key] == cli._csv_number(report[key])
+
+    def test_rows_match_quantize(self, model_dir, tmp_path):
+        """Each row is the quantize run with that row's settings; ecsq rows
+        take k=8 without --k and ignore --target-ratio."""
+        common = [
+            "--model-dir", model_dir, "--dataset", "synth", "--curvature", "adam",
+            "--coding", "huffman",
+        ]  # fmt: skip
+        assert run([
+            "sweep", *common, "--out-dir", tmp_path / "s", "--target-ratio", "4",
+            "--quantizers", "kmeans,hw-kmeans,uniform,ecsq", "--k-list", "3,8",
+            "--lambda-list", "0,1e-3",
+        ]) == 0
+        text = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(text))
+        assert [r["quantizer"] for r in rows] == [
+            q for q in ("kmeans", "hw-kmeans", "uniform", "ecsq") for _ in range(2)
+        ]
+        columns = {
+            "entropy_bits": "entropy_bits",
+            "avg_codeword_bits": "avg_codeword_bits",
+            "ratio_exact": "ratio_exact",
+            "accuracy_pre_ft": "accuracy_pre_finetune",
+        }
+        for row in rows:
+            if row["quantizer"] == "ecsq":
+                knob = ["--k", "8", "--lam", row["knob"]]
+            else:
+                knob = ["--k", row["knob"]]
+            out = tmp_path / f"q-{row['index']}"
+            assert run([
+                "quantize", *common, "--out-dir", out, "--quantizer", row["quantizer"],
+                *knob,
+            ]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert row["status"] == "ok"
+            for column, key in columns.items():
+                assert row[column] == cli._csv_number(report[key]), (row["index"], column)
 
     def test_huge_k_rows_match_k_equal_to_n(self, model_dir, tmp_path):
         n = load_model(model_dir)[0].n
@@ -559,6 +639,17 @@ class TestReport:
         assert stdout.getvalue() == ""
         assert not rpt.exists()
 
+    def test_out_into_a_new_directory(self, model_dir, tmp_path, capsys):
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "4",
+        ]) == 0
+        rpt = tmp_path / "new" / "deeper" / "check.json"
+        capsys.readouterr()
+        assert run(["report", "--model-nq", out / "model.nq", "--out", rpt]) == 0
+        assert rpt.read_text() == capsys.readouterr().out
+
     def test_undecodable_file_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.nq"
         bad.write_bytes(b"not a model")
@@ -658,50 +749,15 @@ class TestConfigRoundTrip:
         assert cli._option(key, line.partition("=")[2]) == default
 
 
-class TestCurvatureCommand:
-    def test_gauss_newton_stored(self, model_dir, tmp_path):
-        out = tmp_path / "m2"
-        assert run([
-            "curvature", "--model-dir", model_dir, "--out-dir", out,
-            "--curvature", "gauss-newton", "--dataset", "synth",
-        ]) == 0
-        _, cv, _ = load_model(out)
-        assert cv.source.value == "gauss_newton"
-
-    def test_pruned_dir_matches_quantize_curvature(self, model_dir, tmp_path):
-        pruned, out = tmp_path / "pruned", tmp_path / "gn"
-        assert run([
-            "prune", "--model-dir", model_dir, "--out-dir", pruned,
-            "--prune-fraction", "0.5",
-        ]) == 0
-        assert run([
-            "curvature", "--model-dir", pruned, "--out-dir", out,
-            "--curvature", "gauss-newton", "--dataset", "synth",
-        ]) == 0
-        ps, cv, mask = load_model(out)
-        _, _, pruned_mask = load_model(pruned)
-        assert np.array_equal(mask.kept, pruned_mask.kept)
-        refnet_json = (model_dir / "refnet.json").read_bytes()
-        assert (out / "refnet.json").read_bytes() == refnet_json
-
-        args = cli._build_parser().parse_args([
-            "quantize", "--model-dir", str(pruned), "--out-dir", str(tmp_path / "q"),
-            "--curvature", "gauss-newton", "--dataset", "synth",
-        ])
-        cfg = cli._resolve_config(args)
-        inputs = cli._prepare_inputs(cfg)
-        full = cli._resolve_curvature(
-            cfg, cli._masked_values(ps, mask), None, inputs.spec, inputs.dataset
-        )
-        assert cv.source == full.source
-        assert np.array_equal(cv.values, full.values)
-        assert np.array_equal(cv.values[inputs.positions], inputs.curvature.values)
-
-    def test_adam_recompute_rejected(self, model_dir, tmp_path):
-        assert run([
-            "curvature", "--model-dir", model_dir, "--out-dir", tmp_path / "m",
-            "--curvature", "adam",
-        ]) == cli.EXIT_CONFIG
+class TestCommands:
+    def test_curvature_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["curvature", "--curvature", "exact"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "invalid choice: 'curvature'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        assert "{train-ref,prune,quantize,sweep,report}" in capsys.readouterr().out
 
 
 class TestPruneCommand:
@@ -756,6 +812,28 @@ HUGE_KEYS = {
 }  # fmt: skip
 
 
+def _just_below(parse) -> str | None:
+    """The value just below the lower bound of a parser that ``_int_from`` or
+    ``_float_in`` built, or None for a parser without a lower bound."""
+    if not inspect.isfunction(parse):
+        return None
+    bound = inspect.getclosurevars(parse).nonlocals
+    low = bound.get("low")
+    if low is None or low == -math.inf:
+        return None
+    if "closed_low" not in bound:  # an integer parser
+        return str(low - 1)
+    return repr(float(np.nextafter(low, -math.inf)) if bound["closed_low"] else low)
+
+
+BELOW_BOUND = [
+    (command, key, value)
+    for command, keys in sorted(FUZZ_KEYS.items())
+    for key in keys
+    if (value := _just_below(cli.OPTION_TABLE[key][1])) is not None
+]
+
+
 def _boundary_values(key: str) -> list:
     values = [v for v in BOUNDARY if not (key in SIZING_KEYS and v == "1e308")]
     if key in HUGE_KEYS:
@@ -783,8 +861,6 @@ class TestOptionFuzz:
         return {
             "train-ref": ["--out-dir", out, *tiny],
             "prune": ["--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5"],
-            "curvature": ["--model-dir", model_dir, "--out-dir", out,
-                          "--curvature", "gauss-newton", "--dataset", "synth"],
             "quantize": ["--model-dir", model_dir, "--out-dir", out,
                          "--quantizer", "ecsq", "--k", "4", "--lam", "1e-4"],
             "sweep": ["--model-dir", model_dir, "--out-dir", out,
@@ -792,6 +868,20 @@ class TestOptionFuzz:
                       "--lambda-list", "1e-4", "--k", "4"],
             "report": ["--model-nq", encoded, "--out", out / "report.json"],
         }[command]  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "command, key, value", BELOW_BOUND, ids=[f"{c}-{k}" for c, k, _ in BELOW_BOUND]
+    )
+    def test_value_below_lower_bound_is_config_error(
+        self, model_dir, encoded, tmp_path, capfd, command, key, value
+    ):
+        """Whether or not the command uses the key."""
+        flag = f"--{key.replace('_', '-')}"
+        out = tmp_path / "out"
+        base = self._base(command, model_dir, encoded, out)
+        assert run([command, *base, f"{flag}={value}"]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err.startswith(f"error: flag {flag}: ")
+        assert not out.exists()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -860,6 +950,8 @@ DAMAGED_DIRS = {
     "samples-null": ("refnet.json", ("dataset", "synth_samples"), None, _REFNET_READERS),
     "dataset-list": ("refnet.json", ("dataset",), [1, 2], _REFNET_READERS),
     "noise-text": ("refnet.json", ("dataset", "synth_noise"), "x", _REFNET_READERS),
+    "seed-negative": ("refnet.json", ("dataset", "synth_seed"), -1, _REFNET_READERS),
+    "classes-0": ("refnet.json", ("dataset", "synth_classes"), 0, _REFNET_READERS),
     "fractional-width": ("refnet.json", ("layer_widths", 0), 6.5, _REFNET_READERS),
     "hidden-width": ("refnet.json", ("layer_widths", 1), 17, ["quantize"]),
     # JSON numbers that are not integers, which int() would truncate or parse.

@@ -28,13 +28,14 @@ import resource
 import sys
 
 # (module, function) pairs in pipeline order; absent names are skipped, so
-# the tool runs unchanged against older or newer trees.
+# the tool runs unchanged against older or newer trees (tests/test_tools.py
+# checks that the current package defines every one).
 STAGES = (
     ("params", "load_model"),
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
-    ("cli", "_masked_values"),
-    ("cli", "_resolve_curvature"),
+    ("refnet", "hessian_diag_exact"),
+    ("refnet", "hessian_diag_gn"),
     ("cli", "_prepare_inputs"),
     ("quantizers", "uniform_quantize"),
     ("quantizers", "kmeans_sweep"),
