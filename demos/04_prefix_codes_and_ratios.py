@@ -55,13 +55,10 @@ assert np.array_equal(decoded.codebook.centers, codebook.centers)
 print("decode reproduces assignment and centers exactly")
 
 # --- the ratio formula equals the measurement ----------------------------
-# Both ratios follow from the cluster counts and the code alone; the
+# The ratio follows from the cluster counts and the code alone; the
 # decoded model carries the same counts and code as the encoder's.
 ratio = nq.compression_ratio_exact(codebook.counts, code)
 assert ratio == nq.compression_ratio_exact(decoded.codebook.counts, decoded.code)
 measured = n * 32 / encoded.table_bits
 print(f"\ncompression ratio, formula:  {ratio:.4f}")
 print(f"compression ratio, measured: {measured:.4f}  (identical by construction)")
-overhead, approx = nq.compression_ratio_entropy(codebook.counts, code)
-print(f"rate-based estimate: {overhead:.4f} with table overhead, "
-      f"{approx:.4f} ignoring it")

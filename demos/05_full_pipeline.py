@@ -84,6 +84,5 @@ report = nq.coding.build_report(
 assert report == nq.coding.build_report(encoded, tuned.counts, code)
 ratio_q = nq.compression_ratio_exact(tuned.counts, code)
 assert ratio_q == report.ratio_exact
-ratio_all = model.params.n * 32 / encoded.total_bits
 print(f"compression of stored survivors: {ratio_q:.2f}x")
-print(f"whole model vs serialized file (incl. index gaps): {ratio_all:.2f}x")
+print(f"whole model vs serialized file (incl. index gaps): {report.ratio_overall:.2f}x")

@@ -42,11 +42,9 @@ from .quantizers import (
 from .coding import (
     DecodedModel,
     EncodedModel,
-    EntropyRatio,
     IndexDiffCode,
     PrefixCode,
     build_huffman,
-    compression_ratio_entropy,
     compression_ratio_exact,
     decode_assignments,
     encode_assignments,

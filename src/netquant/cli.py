@@ -410,12 +410,15 @@ class Inputs:
 class Point:
     """The outcome of one quantize -> code -> (fine-tune) -> evaluate pass.
 
-    ``encoded_preft`` is the model before fine-tuning, ``None`` without it.
+    ``encoded_preft`` is the model before fine-tuning, ``None`` without it;
+    an accuracy is ``None`` when it was not measured.
     """
 
     encoded: coding.EncodedModel
     encoded_preft: coding.EncodedModel | None
     report: coding.CompressionReport
+    accuracy_pre: float | None
+    accuracy_post: float | None
     extras: dict
 
 
@@ -461,10 +464,8 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, solved=None) -> Point:
         encoded_preft, encoded = encoded, encode(codebook)
         accuracy_post = accuracy(codebook)
 
-    report = coding.build_report(
-        encoded, codebook.counts, code, accuracy_pre, accuracy_post
-    )
-    return Point(encoded, encoded_preft, report, extras)
+    report = coding.build_report(encoded, codebook.counts, code)
+    return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
 
 
 def _spec_and_dataset(
@@ -551,18 +552,15 @@ def _dumps(doc: dict) -> str:
 
 
 def _report_doc(cfg: dict, inputs: Inputs, point: Point) -> dict:
-    pruned = inputs.positions is not None
     doc = {
         "quantizer": cfg["quantizer"],
         "coding": cfg["coding"],
         "seed": cfg["seed"],
-        "n_params_total": inputs.total_params,
-        "pruned": pruned,
+        "pruned": inputs.positions is not None,
         "prune_fraction": cfg["prune_fraction"],
+        "accuracy_pre_finetune": point.accuracy_pre,
+        "accuracy_post_finetune": point.accuracy_post,
     }
-    if pruned:
-        em = point.encoded
-        doc["ratio_overall"] = inputs.total_params * params.SOURCE_BITS / em.total_bits
     doc.update(point.extras)
     doc.update(point.report.as_dict())
     return doc
@@ -725,19 +723,18 @@ def cmd_sweep(args) -> int:
         try:
             key = "lam" if quantizer == "ecsq" else "k"
             point_cfg[key] = _option(key, knob)
-            report = _run_quantize_point(
-                point_cfg, inputs, solved.get(quantizer)
-            ).report
+            point = _run_quantize_point(point_cfg, inputs, solved.get(quantizer))
         except (NetQuantError, ValueError) as exc:
             row["status"] = f"error:{type(exc).__name__}"
         else:
+            report = point.report
             row.update(
                 k_effective=report.k_effective,
                 entropy_bits=_csv_number(report.entropy_bits),
                 avg_codeword_bits=_csv_number(report.avg_codeword_bits),
                 ratio_exact=_csv_number(report.ratio_exact),
-                accuracy_pre_ft=_csv_number(report.accuracy_pre_finetune),
-                accuracy_post_ft=_csv_number(report.accuracy_post_finetune),
+                accuracy_pre_ft=_csv_number(point.accuracy_pre),
+                accuracy_post_ft=_csv_number(point.accuracy_post),
                 status="ok",
             )
         writer.writerow(row)
@@ -778,13 +775,8 @@ def cmd_report(args) -> int:
         accuracy = refnet.eval_accuracy(spec, w, eval_x, eval_y)
 
     em = coding.EncodedModel(data, decoded.breakdown)
-    report = coding.build_report(em, decoded.codebook.counts, decoded.code, accuracy)
-    doc = report.as_dict()
+    doc = coding.build_report(em, decoded.codebook.counts, decoded.code).as_dict()
     doc["accuracy"] = accuracy
-    del doc["accuracy_pre_finetune"], doc["accuracy_post_finetune"]
-    doc["n_params_total"] = decoded.total_params
-    if decoded.positions is not None:
-        doc["ratio_overall"] = decoded.total_params * params.SOURCE_BITS / em.total_bits
     text = _dumps(doc)
     print(text)
     if cfg["out"]:

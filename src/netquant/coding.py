@@ -66,6 +66,8 @@ from .quantizers import Codebook, entropy_bits
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEMES.items()}
+# Header field widths: magic, scheme, flags, source_bits, k, n, total_params.
+_HEADER_WIDTHS = (32, 8, 8, 8, 32, 32, 32)
 # Bit positions whose codeword windows are decoded at once (about 40 B each).
 _DECODE_BLOCK = 1 << 16
 # Fields packed at once; each output bit takes 16 B of int64 temporaries.
@@ -242,81 +244,51 @@ def compression_ratio_exact(counts, code: PrefixCode) -> float:
     return int(counts.sum()) * SOURCE_BITS / denom
 
 
-class EntropyRatio(NamedTuple):
-    with_overhead: float
-    approx: float
-
-
-def compression_ratio_entropy(counts, code: PrefixCode) -> EntropyRatio:
-    """Rate-based compression ratio, with and without table overhead.
-
-    The overhead form divides ``SOURCE_BITS`` by the average codeword
-    length plus the per-parameter share of the lookup table; the
-    approximation drops the table term (valid when parameters vastly
-    outnumber clusters).
-    """
-    avg = code.avg_bits(counts)
-    overhead = (sum(code.lengths) + code.k * SOURCE_BITS) / int(np.sum(counts))
-    return EntropyRatio(SOURCE_BITS / (avg + overhead), SOURCE_BITS / avg)
-
-
 @dataclass(frozen=True)
 class CompressionReport:
-    """Everything a compression run claims about itself, in one record.
+    """What the encoded bytes determine about a compression run, in one record.
 
-    ``ratio_exact`` is the formula value (payload, stored codewords, and
-    center table); ``ratio_measured`` divides the same original size by the
-    full serialized bit count, so it is at most ``ratio_exact``. Accuracies
-    are ``None`` when no evaluation data was supplied.
+    ``ratio_exact`` is the formula value over the kept parameters (payload,
+    stored codewords, and center table). ``ratio_overall`` divides the
+    original size of all ``n_params_total`` parameters, pruned ones
+    included, by the full serialized bit count.
     """
 
     entropy_bits: float
     avg_codeword_bits: float
     ratio_exact: float
-    ratio_entropy_overhead: float
-    ratio_entropy_approx: float
-    ratio_measured: float
+    ratio_overall: float
     k_effective: int
     n_params: int
+    n_params_total: int
     source_bits: int
     scheme: str
     bit_breakdown: dict
-    accuracy_pre_finetune: float | None = None
-    accuracy_post_finetune: float | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def build_report(
-    em: "EncodedModel",
-    counts,
-    code: PrefixCode,
-    accuracy_pre: float | None = None,
-    accuracy_post: float | None = None,
-) -> CompressionReport:
+def build_report(em: "EncodedModel", counts, code: PrefixCode) -> CompressionReport:
     """Assemble the standard report for an encoded model.
 
-    Reads only ``em``'s bit breakdown and size; the parameter count comes
-    from ``counts`` and the scheme from ``code``.
+    The kept count comes from ``counts`` and the scheme from ``code``; the
+    total count is read from the header of ``em.data``, and the size and
+    bit breakdown from ``em``.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts.sum())
-    ent = compression_ratio_entropy(counts, code)
+    total_params = _read_header(_BitReader(em.data[: sum(_HEADER_WIDTHS) // 8]))[-1]
     return CompressionReport(
         entropy_bits=entropy_bits(counts),
         avg_codeword_bits=code.avg_bits(counts),
         ratio_exact=compression_ratio_exact(counts, code),
-        ratio_entropy_overhead=ent.with_overhead,
-        ratio_entropy_approx=ent.approx,
-        ratio_measured=n * SOURCE_BITS / em.total_bits,
+        ratio_overall=total_params * SOURCE_BITS / em.total_bits,
         k_effective=code.k,
-        n_params=n,
+        n_params=int(counts.sum()),
+        n_params_total=total_params,
         source_bits=SOURCE_BITS,
         scheme=code.scheme,
         bit_breakdown=dict(em.breakdown),
-        accuracy_pre_finetune=accuracy_pre,
-        accuracy_post_finetune=accuracy_post,
     )
 
 
@@ -467,6 +439,24 @@ class _BitReader:
         return found
 
 
+def _read_header(reader: _BitReader) -> tuple[str, int, int, int, int]:
+    """Read and check the header: scheme, index flag, k, n, total_params."""
+    magic, scheme_id, has_index, source_bits, k, n, total_params = (
+        reader.uint(w) for w in _HEADER_WIDTHS
+    )
+    if magic != int.from_bytes(MAGIC, "big"):
+        raise FormatError("bad magic; not an encoded model")
+    if scheme_id not in _SCHEME_NAMES:
+        raise FormatError(f"unknown coding scheme id {scheme_id}")
+    if source_bits != SOURCE_BITS:
+        raise FormatError(f"unsupported center precision {source_bits}")
+    if k == 0:
+        raise FormatError("header declares zero clusters")
+    if not has_index and n != total_params:
+        raise FormatError(f"{n} parameters encoded of {total_params} without an index")
+    return _SCHEME_NAMES[scheme_id], has_index, k, n, total_params
+
+
 def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> PrefixCode:
     """Read a table of ``count`` one-byte codeword lengths into a code."""
     lengths = reader.uints(count, 8)
@@ -600,7 +590,7 @@ def encode_assignments(
         "header": _fields(
             [int.from_bytes(MAGIC, "big"), _SCHEMES[code.scheme], idx is not None,
              SOURCE_BITS, k, a.size, total_params],
-            [32, 8, 8, 8, 32, 32, 32],
+            _HEADER_WIDTHS,
         ),  # fmt: skip
         # each float32 center is its four little-endian bytes as one field
         "centers": _fields(codebook.centers.astype("<f4").view(">u4"), 32),
@@ -646,22 +636,7 @@ def decode_assignments(encoded) -> DecodedModel:
     """
     data = encoded.data if isinstance(encoded, EncodedModel) else bytes(encoded)
     reader = _BitReader(data)
-    if reader.uint(32) != int.from_bytes(MAGIC, "big"):
-        raise FormatError("bad magic; not an encoded model")
-    scheme_id = reader.uint(8)
-    if scheme_id not in _SCHEME_NAMES:
-        raise FormatError(f"unknown coding scheme id {scheme_id}")
-    has_index = reader.uint(8)
-    source_bits = reader.uint(8)
-    if source_bits != SOURCE_BITS:
-        raise FormatError(f"unsupported center precision {source_bits}")
-    k = reader.uint(32)
-    if k == 0:
-        raise FormatError("header declares zero clusters")
-    n = reader.uint(32)
-    total_params = reader.uint(32)
-    if not has_index and n != total_params:
-        raise FormatError(f"{n} parameters encoded of {total_params} without an index")
+    scheme, has_index, k, n, total_params = _read_header(reader)
     header_bits = reader.pos
 
     centers = reader.uints(k, 32).astype(">u4").view("<f4")
@@ -669,7 +644,7 @@ def decode_assignments(encoded) -> DecodedModel:
         raise FormatError("non-finite cluster center")
     centers = centers.astype(np.float64)
     center_end = reader.pos
-    code = _read_code(reader, k, _SCHEME_NAMES[scheme_id], "code")
+    code = _read_code(reader, k, scheme, "code")
     length_end = reader.pos
     if not np.array_equal(reader.take(sum(code.lengths)), _pack(code.values, code.lengths)):
         raise FormatError("stored codeword disagrees with canonical code")

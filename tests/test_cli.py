@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from netquant import (
     cli,
+    coding,
     decode_assignments,
     hessian_diag_exact,
     hessian_diag_gn,
@@ -649,6 +651,34 @@ class TestReport:
         capsys.readouterr()
         assert run(["report", "--model-nq", out / "model.nq", "--out", rpt]) == 0
         assert rpt.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--coding", "fixed"],
+            ["--coding", "huffman"],
+            ["--coding", "fixed", "--prune-fraction", "0.5"],
+            ["--coding", "huffman", "--prune-fraction", "0.5"],
+            ["--coding", "huffman", "--prune-fraction", "0.5", "--dataset", "synth",
+             "--fine-tune", "true", "--ft-steps", "20"],
+        ],
+    )  # fmt: skip
+    def test_document_matches_quantize_report(self, model_dir, tmp_path, flags):
+        """Every key report derives from model.nq has the value quantize wrote."""
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "kmeans", "--k", "6", *flags,
+        ]) == 0
+        rpt = tmp_path / "r.json"
+        assert run(["report", "--model-nq", out / "model.nq", "--out", rpt]) == 0
+        doc = json.loads(rpt.read_text())
+        written = json.loads((out / "report.json").read_text())
+        assert doc.pop("accuracy") is None
+        assert set(doc) == {f.name for f in dataclasses.fields(coding.CompressionReport)}
+        assert doc == {key: written[key] for key in doc}
+        assert written["pruned"] == (written["n_params"] < written["n_params_total"])
+        assert not {"ratio_measured", "ratio_entropy_overhead", "ratio_entropy_approx"} & set(written)
 
     def test_undecodable_file_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.nq"

@@ -15,7 +15,6 @@ from netquant import (
     FormatError,
     PrefixCode,
     build_huffman,
-    compression_ratio_entropy,
     compression_ratio_exact,
     decode_assignments,
     encode_assignments,
@@ -197,22 +196,6 @@ class TestCompressionRatio:
         ratio = compression_ratio_exact(np.array([n]), code)
         assert ratio == pytest.approx(32 * n / (n + 1 + 32))
         assert ratio == pytest.approx(32.0, rel=1e-3)
-
-    def test_entropy_form(self):
-        counts = np.full(4, 250_000_000)
-        with_overhead, approx = compression_ratio_entropy(counts, fixed_length_code(4))
-        assert approx == pytest.approx(16.0)
-        assert with_overhead == pytest.approx(16.0, rel=1e-6)
-
-    def test_entropy_form_matches_exact_with_overhead(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            k = int(rng.integers(1, 12))
-            counts = rng.integers(1, 400, size=k)
-            code = build_huffman(counts)
-            exact = compression_ratio_exact(counts, code)
-            with_overhead, _ = compression_ratio_entropy(counts, code)
-            assert with_overhead == pytest.approx(exact, rel=1e-12)
 
 
 def random_instance(rng, n_max=3000, k_max=16):
@@ -591,6 +574,8 @@ class TestAccountingIdentity:
         )
         assert again.as_dict() == build_report(em, cb.counts, code).as_dict()
         assert compression_ratio_exact(cb.counts, code) == n * SOURCE_BITS / em.table_bits
+        assert again.n_params_total == decoded.total_params == (total or n)
+        assert again.ratio_overall == again.n_params_total * SOURCE_BITS / (8 * len(em.data))
 
     def test_table_bits_equal_ratio_denominator(self):
         rng = np.random.default_rng(13)
@@ -612,7 +597,7 @@ class TestAccountingIdentity:
         code = build_huffman(cb)
         em = encode_assignments(assignment, cb, code)
         report = build_report(em, cb.counts, code)
-        assert report.ratio_measured <= report.ratio_exact
+        assert report.ratio_overall <= report.ratio_exact
         if cb.k >= 2:
             assert report.entropy_bits - 1e-12 <= report.avg_codeword_bits
             assert report.avg_codeword_bits < report.entropy_bits + 1.0
