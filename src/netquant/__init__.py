@@ -21,7 +21,6 @@ from .params import (
     PruneMask,
     Span,
     load_model,
-    read_manifest,
     save_model,
 )
 from .quantizers import (

@@ -260,52 +260,63 @@ def _synth_dataset(cfg: dict) -> refnet.Dataset:
         raise ConfigError(f"synthetic dataset: {exc}") from exc
 
 
-def _load_dataset(cfg: dict, refnet_doc: dict | None) -> refnet.Dataset:
-    name = _require(cfg, "dataset", "this command")
-    if name == "synth":
-        if refnet_doc is None or "dataset" not in refnet_doc:
-            return _synth_dataset(cfg)
+def _load_dataset(
+    cfg: dict, refnet_doc: dict | None = None, spec: refnet.MlpSpec | None = None
+) -> refnet.Dataset | None:
+    """The configured dataset, or None. ``--dataset synth`` takes the keys
+    that ``refnet_doc`` stores; the dataset must fit the net ``spec``."""
+    name = cfg["dataset"]
+    if name is None:
+        return None
+    stored = name == "synth" and "dataset" in (refnet_doc or {})
+    if stored:
         # The values train-ref stored must parse, as JSON text, like config values.
-        block, stored = refnet_doc["dataset"], dict(cfg)
+        block, stored_cfg = refnet_doc["dataset"], dict(cfg)
         if not isinstance(block, dict) or not block.keys() <= set(_DATASET_KEYS):
             raise FormatError(f"bad {REFNET_FILE}: dataset is not an object of dataset keys")
         try:
             for key, value in block.items():
-                stored[key] = _option(key, json.dumps(value), f"dataset key {key}")
-            return _synth_dataset(stored)
+                stored_cfg[key] = _option(key, json.dumps(value), f"dataset key {key}")
+            dataset = _synth_dataset(stored_cfg)
         except ConfigError as exc:
             raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
-    path = Path(name)
-    if not path.is_file():
-        raise ConfigError(f"dataset file not found: {path}")
+    elif name == "synth":
+        dataset = _synth_dataset(cfg)
+    elif not Path(name).is_file():
+        raise ConfigError(f"dataset file not found: {name}")
+    else:
+        try:
+            dataset = refnet.load_csv(name, eval_frac=cfg["eval_frac"], seed=cfg["synth_seed"])
+        except ValueError as exc:
+            raise ConfigError(f"bad dataset {name}: {exc}") from exc
+    # A dataset stored beside the net that does not fit it is damage.
+    error = FormatError if stored else ConfigError
+    if spec is not None and dataset.n_features != spec.layer_widths[0]:
+        raise error("dataset feature width disagrees with the model spec")
+    if spec is not None and dataset.n_classes > spec.layer_widths[-1]:
+        raise error(
+            f"dataset needs {dataset.n_classes} outputs, the model has "
+            f"{spec.layer_widths[-1]}"
+        )
+    return dataset
+
+
+def _open_model_dir(path) -> tuple[params.ModelDir, dict | None, refnet.MlpSpec | None]:
+    """The model directory at ``path``, its ``refnet.json`` document and the
+    net that describes, both None without the file: the one reader of it."""
+    model = params.open_model(path)
+    refnet_path = model.path / REFNET_FILE
+    if not refnet_path.is_file():
+        return model, None, None
     try:
-        return refnet.load_csv(path, eval_frac=cfg["eval_frac"], seed=cfg["synth_seed"])
-    except ValueError as exc:
-        raise ConfigError(f"bad dataset {path}: {exc}") from exc
-
-
-def _read_refnet_doc(model_dir: Path) -> dict | None:
-    path = model_dir / REFNET_FILE
-    if not path.is_file():
-        return None
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path} is not a JSON object")
-    return doc
-
-
-def _spec_from_doc(doc: dict) -> refnet.MlpSpec:
-    try:
-        widths = doc["layer_widths"]
-        if not isinstance(widths, list):
-            raise ValueError(f"layer_widths must be a list of integers; got {widths!r}")
-        widths = tuple(params.json_int(w, "a layer width") for w in widths)
-        return refnet.MlpSpec(widths, doc["activation"], doc["loss"])
+        doc = json.loads(refnet_path.read_text())
+        widths = tuple(params.json_int(w, "a layer width") for w in doc["layer_widths"])
+        spec = refnet.MlpSpec(widths, doc["activation"], doc["loss"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad {REFNET_FILE}: {exc}") from exc
+        raise FormatError(f"bad {refnet_path}: {exc}") from exc
+    if spec.param_count() != model.manifest.n_params:
+        raise FormatError(f"{REFNET_FILE} and the manifest disagree on the parameter count")
+    return model, doc, spec
 
 
 # ---------------------------------------------------------------------------
@@ -468,32 +479,6 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, solved=None) -> Point:
     return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
 
 
-def _spec_and_dataset(
-    cfg: dict, refnet_doc: dict | None, n_params: int | None
-) -> tuple[refnet.MlpSpec | None, refnet.Dataset | None]:
-    """The model's architecture, if described, and the dataset, if configured.
-
-    ``n_params``, unless None, is the manifest's count beside ``refnet_doc``.
-    """
-    spec = _spec_from_doc(refnet_doc) if refnet_doc is not None else None
-    if spec is not None and n_params not in (None, spec.param_count()):
-        raise FormatError(f"{REFNET_FILE} and the manifest disagree on the parameter count")
-    dataset = None
-    if cfg["dataset"] is not None:
-        dataset = _load_dataset(cfg, refnet_doc)
-        # A dataset stored beside the net that does not fit it is damage.
-        stored = cfg["dataset"] == "synth" and "dataset" in (refnet_doc or {})
-        error = FormatError if stored else ConfigError
-        if spec is not None and dataset.n_features != spec.layer_widths[0]:
-            raise error("dataset feature width disagrees with the model spec")
-        if spec is not None and dataset.n_classes > spec.layer_widths[-1]:
-            raise error(
-                f"dataset needs {dataset.n_classes} outputs, the model has "
-                f"{spec.layer_widths[-1]}"
-            )
-    return spec, dataset
-
-
 def _prepare_inputs(cfg: dict) -> Inputs:
     """Load the model directory and derive the quantizer inputs.
 
@@ -505,11 +490,12 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     fraction = cfg["prune_fraction"]
     source = cfg["curvature"]
     model_dir = Path(_require(cfg, "model_dir", "this command"))
-    ps, stored, stored_mask = params.load_model(model_dir)
-    spec, dataset = _spec_and_dataset(cfg, _read_refnet_doc(model_dir), ps.n)
+    model, refnet_doc, spec = _open_model_dir(model_dir)
+    ps = model.params()
+    dataset = _load_dataset(cfg, refnet_doc, spec)
     if cfg["fine_tune"] and (spec is None or dataset is None):
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
-    mask = refnet.prune_magnitude(ps, fraction) if fraction else stored_mask
+    mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
     positions = None if mask is None else np.flatnonzero(mask.kept)
     kept = ps.values if positions is None else ps.values[positions]
     if source == "identity":
@@ -517,12 +503,12 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     else:
         if source == "adam":
             adam = params.CurvatureSource.ADAM_SQRT_MOMENT
-            if stored is None or stored.source != adam:
+            curvature = model.curvature()
+            if curvature is None or curvature.source != adam:
                 raise ConfigError(
                     "curvature=adam needs a model directory with stored "
                     "adam_sqrt_moment curvature (run train-ref)"
                 )
-            curvature = stored
         elif spec is None or dataset is None:
             raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
         else:
@@ -574,7 +560,8 @@ def _report_doc(cfg: dict, inputs: Inputs, point: Point) -> dict:
 def cmd_train_ref(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "train-ref"))
-    dataset = _load_dataset(cfg, None)
+    _require(cfg, "dataset", "train-ref")
+    dataset = _load_dataset(cfg)
     widths = (dataset.n_features, *cfg["hidden"], dataset.n_classes)
     try:
         spec = refnet.MlpSpec(widths, cfg["activation"], cfg["loss"])
@@ -626,16 +613,13 @@ def cmd_prune(args) -> int:
     fraction = cfg["prune_fraction"]
     if fraction == 0.0:
         raise ConfigError("prune needs a --prune-fraction above 0")
-    ps, curvature, _ = params.load_model(model_dir)
+    model, refnet_doc, _ = _open_model_dir(model_dir)
+    ps, name = model.params(), model.manifest.model_name
     mask = refnet.prune_magnitude(ps, fraction)
-    refnet_doc = _read_refnet_doc(model_dir)
     # Saved to --out-dir (default: in place) under the manifest's model
     # name; a different directory also gets a copy of refnet.json.
     out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else model_dir
-    model_name = params.read_manifest(model_dir).model_name
-    params.save_model(
-        ps, out_dir, curvature=curvature, mask=mask, model_name=model_name
-    )
+    params.save_model(ps, out_dir, model.curvature(), mask, model_name=name)
     if refnet_doc is not None and out_dir != model_dir:
         params.write_files(out_dir, {REFNET_FILE: _dumps(refnet_doc) + "\n"})
     print(_dumps({"n_params": ps.n, "n_kept": mask.n_kept, "out_dir": str(out_dir)}))
@@ -756,10 +740,10 @@ def cmd_report(args) -> int:
 
     accuracy = None
     if cfg["dataset"] is not None:
-        refnet_doc = _read_refnet_doc(Path(cfg["model_dir"]))
-        if refnet_doc is None:
+        _, refnet_doc, spec = _open_model_dir(Path(cfg["model_dir"]))
+        if spec is None:
             raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
-        spec, dataset = _spec_and_dataset(cfg, refnet_doc, None)
+        dataset = _load_dataset(cfg, refnet_doc, spec)
         if decoded.total_params != spec.param_count():
             raise ConfigError(
                 f"{nq_path} encodes {decoded.total_params} parameters, "

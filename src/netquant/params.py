@@ -218,21 +218,22 @@ class Manifest:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        """Parse and check a manifest; any inconsistency is a FormatError."""
+    def from_json(cls, text: str | bytes) -> "Manifest":
+        """Parse and check a manifest; any inconsistency, including text that
+        is not JSON, is a FormatError."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-        try:
             if json_int(doc["bits_per_param"], "bits_per_param") != SOURCE_BITS:
                 raise ValueError(f"bits_per_param must be {SOURCE_BITS}")
+            names = [doc["model_name"], *(s["name"] for s in doc["spans"])]
+            if any(type(name) is not str for name in names):
+                raise ValueError("model_name and span names must be JSON strings")
             manifest = cls(
-                model_name=str(doc["model_name"]),
+                model_name=doc["model_name"],
                 n_params=json_int(doc["n_params"], "n_params"),
                 spans=tuple(
                     Span(
-                        str(s["name"]),
+                        s["name"],
                         json_int(s["offset"], "span offset"),
                         json_int(s["length"], "span length"),
                     )
@@ -335,61 +336,73 @@ def save_model(
     return manifest
 
 
-def read_manifest(path) -> Manifest:
+@dataclass(frozen=True)
+class ModelDir:
+    """A model directory whose manifest is read and checked; each payload is
+    read only when its method is called."""
+
+    path: Path
+    manifest: Manifest
+
+    def _payload(self, name: str, dtype: str) -> np.ndarray | None:
+        """The payload ``name`` as a flat ``dtype`` array, or None if the
+        manifest lists none. Its size is checked before it is read, its
+        checksum after."""
+        expected = self.manifest.checksums.get(name)
+        if expected is None:
+            return None
+        fpath = self.path / name
+        if not fpath.is_file():
+            raise FormatError(f"missing payload file {fpath}")
+        size = np.dtype(dtype).itemsize * self.manifest.n_params
+        if (found := fpath.stat().st_size) != size:
+            raise FormatError(f"{name} holds {found} bytes, not the manifest's {size}")
+        data = fpath.read_bytes()
+        if (actual := _sha256(data)) != expected:
+            raise ChecksumError(f"{name}: sha256 {actual} != manifest {expected}")
+        return np.frombuffer(data, dtype=dtype)
+
+    def params(self) -> ParamSet:
+        values = self._payload(PARAMS_FILE, "<f4")
+        return _checked(PARAMS_FILE, ParamSet, values, self.manifest.spans)
+
+    def curvature(self) -> CurvatureDiag | None:
+        values = self._payload(CURVATURE_FILE, "<f4")
+        if values is None:
+            return None
+        source = self.manifest.curvature_source or "identity"
+        return _checked(CURVATURE_FILE, CurvatureDiag, values, source)
+
+    def mask(self) -> PruneMask | None:
+        mbytes = self._payload(MASK_FILE, "u1")
+        if mbytes is None:
+            return None
+        if mbytes.max() > 1:
+            raise FormatError(f"{MASK_FILE}: mask bytes must be 0 or 1")
+        return _checked(MASK_FILE, PruneMask, mbytes.view(bool))
+
+
+def _checked(name: str, record, *args):
+    """``record(*args)``; a ``ValueError`` it raises is damage in payload ``name``."""
+    try:
+        return record(*args)
+    except ValueError as exc:
+        raise FormatError(f"{name}: {exc}") from exc
+
+
+def open_model(path) -> ModelDir:
+    """Open a model directory written by :func:`save_model`, reading and
+    checking only its manifest."""
     manifest_path = Path(path) / MANIFEST_FILE
     if not manifest_path.is_file():
         raise FormatError(f"no manifest at {manifest_path}")
-    return Manifest.from_json(manifest_path.read_text())
-
-
-def _read_payload(path: Path, name: str, expected_sha: str) -> bytes:
-    fpath = path / name
-    if not fpath.is_file():
-        raise FormatError(f"missing payload file {fpath}")
-    data = fpath.read_bytes()
-    actual = _sha256(data)
-    if actual != expected_sha:
-        raise ChecksumError(f"{name}: sha256 {actual} != manifest {expected_sha}")
-    return data
+    manifest = Manifest.from_json(manifest_path.read_bytes())
+    if PARAMS_FILE not in manifest.checksums:
+        raise FormatError("manifest lists no parameter payload")
+    return ModelDir(Path(path), manifest)
 
 
 def load_model(path) -> tuple[ParamSet, CurvatureDiag | None, PruneMask | None]:
     """Read a model directory written by :func:`save_model`."""
-    path = Path(path)
-    manifest = read_manifest(path)
-    if PARAMS_FILE not in manifest.checksums:
-        raise FormatError("manifest lists no parameter payload")
-
-    raw = _read_payload(path, PARAMS_FILE, manifest.checksums[PARAMS_FILE])
-    if len(raw) != 4 * manifest.n_params:
-        raise FormatError(
-            f"payload holds {len(raw) // 4} values, manifest says {manifest.n_params}"
-        )
-    values = np.frombuffer(raw, dtype="<f4")
-    if not np.all(np.isfinite(values)):
-        raise FormatError("non-finite parameter value in payload")
-    ps = ParamSet(values, manifest.spans)
-
-    curvature = None
-    if CURVATURE_FILE in manifest.checksums:
-        raw = _read_payload(path, CURVATURE_FILE, manifest.checksums[CURVATURE_FILE])
-        if len(raw) != 4 * manifest.n_params:
-            raise FormatError("curvature payload length disagrees with manifest")
-        cvals = np.frombuffer(raw, dtype="<f4")
-        if not np.all(np.isfinite(cvals)):
-            raise FormatError("non-finite curvature value in payload")
-        source = CurvatureSource(manifest.curvature_source or "identity")
-        curvature = CurvatureDiag(cvals, source)
-
-    mask = None
-    if MASK_FILE in manifest.checksums:
-        raw = _read_payload(path, MASK_FILE, manifest.checksums[MASK_FILE])
-        if len(raw) != manifest.n_params:
-            raise FormatError("mask payload length disagrees with manifest")
-        mbytes = np.frombuffer(raw, dtype=np.uint8)
-        if mbytes.max() > 1:
-            raise FormatError("mask bytes must be 0 or 1")
-        mask = PruneMask(mbytes.view(bool))
-
-    return ps, curvature, mask
-
+    model = open_model(path)
+    return model.params(), model.curvature(), model.mask()

@@ -1,13 +1,16 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import math
+import pathlib
 import shutil
 
 import numpy as np
@@ -947,16 +950,21 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, (*prefix, key))
 
 
-def _damage(model_dir, out, name: str, path: tuple, value):
-    """A copy of ``model_dir`` whose file ``name`` holds ``value`` at ``path``."""
-    damaged = out / "damaged"
-    shutil.copytree(model_dir, damaged)
-    doc = json.loads((damaged / name).read_text())
+def _set_field(directory, name: str, path: tuple, value) -> None:
+    """Store ``value`` at ``path`` in the JSON file ``name`` of ``directory``."""
+    doc = json.loads((directory / name).read_text())
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    (damaged / name).write_text(json.dumps(doc))
+    (directory / name).write_text(json.dumps(doc))
+
+
+def _damage(model_dir, out, name: str, path: tuple, value):
+    """A copy of ``model_dir`` whose file ``name`` holds ``value`` at ``path``."""
+    damaged = out / "damaged"
+    shutil.copytree(model_dir, damaged)
+    _set_field(damaged, name, path, value)
     return damaged
 
 
@@ -965,9 +973,8 @@ def _damage(model_dir, out, name: str, path: tuple, value):
 DAMAGE_VALUES = [None, "x", [1, 2], {}, True, -1, 0, 0.5, 1e308, 2**63]
 
 # Damaged fields of the 6-16-3 test net that must end in a FormatError (exit
-# 3), with the commands that read the file: report reads refnet.json, not the
-# manifest, and a net of another size than its encoded model is a config error.
-_MANIFEST_READERS = ["quantize", "prune"]
+# 3), with the commands that read the file: prune reads no dataset block.
+_MANIFEST_READERS = ["quantize", "prune", "report"]
 _REFNET_READERS = ["quantize", "report"]
 DAMAGED_DIRS = {
     "span-gap": ("manifest.json", ("spans", 1, "offset"), 5, _MANIFEST_READERS),
@@ -982,23 +989,33 @@ DAMAGED_DIRS = {
     "noise-text": ("refnet.json", ("dataset", "synth_noise"), "x", _REFNET_READERS),
     "seed-negative": ("refnet.json", ("dataset", "synth_seed"), -1, _REFNET_READERS),
     "classes-0": ("refnet.json", ("dataset", "synth_classes"), 0, _REFNET_READERS),
-    "fractional-width": ("refnet.json", ("layer_widths", 0), 6.5, _REFNET_READERS),
-    "hidden-width": ("refnet.json", ("layer_widths", 1), 17, ["quantize"]),
+    "fractional-width": (
+        "refnet.json", ("layer_widths", 0), 6.5, [*_REFNET_READERS, "prune"]
+    ),
+    "hidden-width": ("refnet.json", ("layer_widths", 1), 17, ["quantize", "prune"]),
     # JSON numbers that are not integers, which int() would truncate or parse.
     "n-params-float": ("manifest.json", ("n_params",), 163.7, _MANIFEST_READERS),
     "n-params-text": ("manifest.json", ("n_params",), "163", _MANIFEST_READERS),
     "offset-float": ("manifest.json", ("spans", 1, "offset"), 96.2, _MANIFEST_READERS),
     "bits-float": ("manifest.json", ("bits_per_param",), 32.0, _MANIFEST_READERS),
+    # Names must be JSON strings, not values that str() would turn into one.
+    "model-name-null": ("manifest.json", ("model_name",), None, _MANIFEST_READERS),
+    "span-name-null": ("manifest.json", ("spans", 0, "name"), None, _MANIFEST_READERS),
     # A stored dataset that does not fit the stored net.
     "dataset-features": ("refnet.json", ("dataset", "synth_features"), 7, _REFNET_READERS),
     "dataset-classes": ("refnet.json", ("dataset", "synth_classes"), 4, _REFNET_READERS),
 }
 
 
+def _nested(a: tuple, b: tuple) -> bool:
+    """Whether one JSON path lies within the other (or they are the same)."""
+    return a[: len(b)] == b or b[: len(a)] == a
+
+
 class TestDamagedModelDir:
-    """A model directory with one damaged field in ``manifest.json`` or
-    ``refnet.json`` ends in a documented exit code, and a failure prints one
-    ``error:`` line and leaves no output."""
+    """A model directory with one or two damaged fields in ``manifest.json``
+    or ``refnet.json`` ends in a documented exit code, and a failure prints
+    one ``error:`` line and leaves no output."""
 
     @pytest.fixture(scope="class")
     def encoded(self, model_dir, tmp_path_factory):
@@ -1028,23 +1045,32 @@ class TestDamagedModelDir:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_one_damaged_field(self, model_dir, encoded, tmp_path_factory, data):
-        name = data.draw(st.sampled_from(["manifest.json", "refnet.json"]))
-        doc = json.loads((model_dir / name).read_text())
-        path = data.draw(st.sampled_from(list(_json_paths(doc))))
-        old = doc
-        for key in path:
-            old = old[key]
-        values = [
-            v for v in DAMAGE_VALUES
-            if not (v == 2**63 and (path[-1] in SIZING_KEYS or path[0] == "layer_widths"))
-        ]  # fmt: skip
-        if type(old) is int:
-            values.append(old + 1)
-        value = data.draw(st.sampled_from(values))
+        docs = {
+            name: json.loads((model_dir / name).read_text())
+            for name in ("manifest.json", "refnet.json")
+        }
+        fields = [(name, path) for name, doc in docs.items() for path in _json_paths(doc)]
+        first = data.draw(st.sampled_from(fields))
+        # A second field, if any, lies neither within the first nor around it.
+        apart = [f for f in fields if f[0] != first[0] or not _nested(f[1], first[1])]
+        damage = []
+        for name, path in [first, *data.draw(st.lists(st.sampled_from(apart), max_size=1))]:
+            old = docs[name]
+            for key in path:
+                old = old[key]
+            values = [
+                v for v in DAMAGE_VALUES
+                if not (v == 2**63 and (path[-1] in SIZING_KEYS or path[0] == "layer_widths"))
+            ]  # fmt: skip
+            if type(old) is int:
+                values += [old + 1, str(old)]
+            damage.append((name, path, data.draw(st.sampled_from(values))))
         command = data.draw(st.sampled_from(["quantize", "prune", "report"]))
 
         out = tmp_path_factory.mktemp("damaged")
-        damaged = _damage(model_dir, out, name, path, value)
+        damaged = _damage(model_dir, out, *damage[0])
+        for field in damage[1:]:
+            _set_field(damaged, *field)
         code, err = self._run(command, damaged, encoded, out)
         assert code in (0, 2, 3, 4, 5)
         if code != 0:
@@ -1060,3 +1086,113 @@ class TestDamagedModelDir:
             assert code == cli.EXIT_IO, (command, err)
             assert err.startswith("error: ") and err.count("\n") == 1
 
+
+
+class TestModelDirReads:
+    """A command reads each file of a model directory at most once, and a
+    payload only when its run uses it."""
+
+    @pytest.fixture(scope="class")
+    def pruned(self, model_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reads") / "pruned"
+        assert run([
+            "prune", "--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5",
+        ]) == 0
+        return out
+
+    @staticmethod
+    def _reads(monkeypatch, args) -> collections.Counter:
+        """File name -> the ``Path.read_bytes``/``read_text`` calls of one
+        successful command."""
+        reads = collections.Counter()
+        for method in ("read_bytes", "read_text"):
+            original = getattr(pathlib.Path, method)
+
+            def counted(self, *args, _original=original, **kwargs):
+                reads[self.name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, method, counted)
+        assert run(args) == 0
+        monkeypatch.undo()
+        return reads
+
+    @pytest.mark.parametrize("curvature", ["identity", "exact", "adam"])
+    def test_quantize(self, pruned, tmp_path, monkeypatch, curvature):
+        reads = self._reads(monkeypatch, [
+            "quantize", "--model-dir", pruned, "--out-dir", tmp_path / "q",
+            "--dataset", "synth", "--quantizer", "kmeans", "--k", "4",
+            "--curvature", curvature,
+        ])  # fmt: skip
+        used = ["manifest.json", "refnet.json", "params.f32le", "mask.u8"]
+        if curvature == "adam":
+            used.append("curvature.f32le")
+        assert reads == collections.Counter(used)
+
+    def test_prune_reads_no_mask(self, pruned, tmp_path, monkeypatch):
+        reads = self._reads(monkeypatch, [
+            "prune", "--model-dir", pruned, "--out-dir", tmp_path / "p",
+            "--prune-fraction", "0.25",
+        ])  # fmt: skip
+        assert reads == collections.Counter(
+            ["manifest.json", "refnet.json", "params.f32le", "curvature.f32le"]
+        )
+
+    def test_report_reads_no_payload(self, pruned, tmp_path, monkeypatch):
+        q = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", pruned, "--out-dir", q, "--quantizer", "kmeans",
+            "--k", "4",
+        ]) == 0
+        reads = self._reads(monkeypatch, [
+            "report", "--model-nq", q / "model.nq", "--model-dir", pruned,
+            "--dataset", "synth",
+        ])  # fmt: skip
+        assert reads == collections.Counter(["model.nq", "manifest.json", "refnet.json"])
+
+    def test_corrupted_curvature_fails_only_runs_that_read_it(self, pruned, tmp_path):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(pruned, damaged)
+        payload = bytearray((damaged / "curvature.f32le").read_bytes())
+        payload[5] ^= 0xFF
+        (damaged / "curvature.f32le").write_bytes(bytes(payload))
+        quantize = ["quantize", "--quantizer", "kmeans", "--k", "4"]
+        assert run([*quantize, "--model-dir", pruned, "--out-dir", tmp_path / "a"]) == 0
+        assert run([*quantize, "--model-dir", damaged, "--out-dir", tmp_path / "b"]) == 0
+        model_nq = [(tmp_path / side / "model.nq").read_bytes() for side in "ab"]
+        assert model_nq[0] == model_nq[1]
+        assert run([
+            *quantize, "--model-dir", damaged, "--out-dir", tmp_path / "c",
+            "--curvature", "adam",
+        ]) == cli.EXIT_IO
+        assert run([
+            "prune", "--model-dir", damaged, "--out-dir", tmp_path / "d",
+            "--prune-fraction", "0.5",
+        ]) == cli.EXIT_IO
+        assert not (tmp_path / "c").exists() and not (tmp_path / "d").exists()
+
+    def test_all_zero_mask_is_format_error(self, pruned, tmp_path, capfd):
+        """A mask that prunes every parameter, under a checksum that matches."""
+        damaged = tmp_path / "damaged"
+        shutil.copytree(pruned, damaged)
+        zeros = bytes((damaged / "mask.u8").stat().st_size)
+        (damaged / "mask.u8").write_bytes(zeros)
+        _set_field(
+            damaged, "manifest.json", ("checksums", "mask.u8"), hashlib.sha256(zeros).hexdigest()
+        )
+        code = run([
+            "quantize", "--model-dir", damaged, "--out-dir", tmp_path / "q",
+            "--quantizer", "kmeans", "--k", "4",
+        ])  # fmt: skip
+        assert code == cli.EXIT_IO
+        assert capfd.readouterr().err == "error: mask.u8: mask prunes every parameter\n"
+
+    @pytest.mark.parametrize("name", ["manifest.json", "refnet.json"])
+    def test_text_that_is_not_utf8_is_format_error(self, pruned, tmp_path, capfd, name):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(pruned, damaged)
+        (damaged / name).write_bytes(b"\xff\xfe\x00{")
+        for command in (["prune", "--prune-fraction", "0.5"], ["quantize", "--k", "4"]):
+            code = run([*command, "--model-dir", damaged, "--out-dir", tmp_path / "q"])
+            assert code == cli.EXIT_IO
+            assert capfd.readouterr().err.count("\n") == 1

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +158,21 @@ def test_damaged_manifest_is_format_error(tmp_path, path, value):
     (tmp_path / MANIFEST_FILE).write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_model(tmp_path)
+
+
+def test_oversized_payload_refused_before_it_is_read(tmp_path):
+    """A sparse 64 MiB payload is refused by its size, without reading it."""
+    save_model(ParamSet.from_flat(np.arange(16, dtype=np.float32)), tmp_path)
+    os.truncate(tmp_path / PARAMS_FILE, 64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as raised:
+            load_model(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(raised.value, ChecksumError)
+    assert peak < 4 << 20
 
 
 def test_missing_payload_is_format_error(tmp_path):

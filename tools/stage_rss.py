@@ -12,9 +12,14 @@ replaced, in every module that binds it, by a wrapper that records the
 process's ``ru_maxrss`` when the call returns. After the command it prints
 one ``stage  MB`` line per completed call to stderr, between an ``import``
 line for the baseline before the command ran and an ``end`` line for the
-whole command. Stages nest (``load_model`` runs inside ``_prepare_inputs``),
-so a line reads as "the peak so far when this call returned". The exit
-code is the command's.
+whole command. Stages nest (``_open_model_dir`` runs inside
+``_prepare_inputs``), so a line reads as "the peak so far when this call
+returned". The exit code is the command's.
+
+``cli._open_model_dir`` opens the model directory and reads only
+``manifest.json`` and ``refnet.json``; each payload is read later, when the
+command asks for it (``quantize`` inside ``_prepare_inputs``). The CLI does
+not call ``params.load_model``, so that function is not a stage.
 
 ``ru_maxrss`` is a high-water mark: freed numpy buffers stay in the heap,
 so a stage's line also carries every earlier stage's transients.
@@ -31,7 +36,7 @@ import sys
 # the tool runs unchanged against older or newer trees (tests/test_tools.py
 # checks that the current package defines every one).
 STAGES = (
-    ("params", "load_model"),
+    ("cli", "_open_model_dir"),
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
     ("refnet", "hessian_diag_exact"),
