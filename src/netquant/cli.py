@@ -402,18 +402,16 @@ def _build_code(scheme: str, codebook: quantizers.Codebook) -> coding.PrefixCode
 
 @dataclass(frozen=True)
 class Inputs:
-    """A loaded model directory and the values its quantizer clusters.
+    """What a quantize point needs of a loaded model directory besides the
+    values its quantizer clusters.
 
-    ``values`` and ``curvature`` hold the unpruned parameters only;
-    ``positions`` maps them back into the full vector of ``total_params``
-    and is ``None`` when nothing is pruned.
+    ``positions`` maps the clustered (unpruned) values back into the full
+    vector of ``total_params`` and is ``None`` when nothing is pruned.
     """
 
     total_params: int
     spec: refnet.MlpSpec | None
     dataset: refnet.Dataset | None
-    values: np.ndarray
-    curvature: params.CurvatureDiag
     positions: np.ndarray | None
 
 
@@ -433,11 +431,10 @@ class Point:
     extras: dict
 
 
-def _run_quantize_point(cfg: dict, inputs: Inputs, solved=None) -> Point:
-    """One full quantize -> code -> (fine-tune) -> evaluate pass, in memory."""
-    assignment, codebook, extras = _quantize_values(
-        inputs.values, inputs.curvature, cfg, solved
-    )
+def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
+    """One code -> (fine-tune) -> evaluate pass, in memory, over the
+    (assignment, codebook, extras) that :func:`_quantize_values` returned."""
+    assignment, codebook, extras = quantized
     code = _build_code(cfg["coding"], codebook)
 
     def encode(codebook):
@@ -479,13 +476,16 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, solved=None) -> Point:
     return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
 
 
-def _prepare_inputs(cfg: dict) -> Inputs:
-    """Load the model directory and derive the quantizer inputs.
+def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag]:
+    """Load the model directory; returns its :class:`Inputs`, and the values
+    the quantizer clusters (the kept parameters, as float64) with their
+    curvature, so that a command can drop those two once it has clustered.
 
     The run's curvature is chosen here. ``identity`` is built at the kept
     length. ``adam`` is the full-length curvature that ``train-ref`` stored;
     ``exact`` and ``gauss-newton`` evaluate the pruned net, the full vector
-    with its pruned slots zeroed. Those three are then read at ``positions``.
+    with its pruned slots zeroed. Those three are then read at the kept
+    positions.
     """
     fraction = cfg["prune_fraction"]
     source = cfg["curvature"]
@@ -496,10 +496,12 @@ def _prepare_inputs(cfg: dict) -> Inputs:
     if cfg["fine_tune"] and (spec is None or dataset is None):
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
-    positions = None if mask is None else np.flatnonzero(mask.kept)
-    kept = ps.values if positions is None else ps.values[positions]
+    if mask is None:
+        values, positions = ps.as_f64(), None
+    else:
+        values, positions = quantizers.gather_kept(ps.values, mask.kept)
     if source == "identity":
-        curvature = refnet.identity_curvature(kept.size)
+        curvature = refnet.identity_curvature(values.size)
     else:
         if source == "adam":
             adam = params.CurvatureSource.ADAM_SQRT_MOMENT
@@ -521,11 +523,9 @@ def _prepare_inputs(cfg: dict) -> Inputs:
                 curvature = refnet.hessian_diag_exact(spec, full, x, y)
             else:
                 curvature = refnet.hessian_diag_gn(spec, full, x, y)
-        if positions is not None:
-            curvature = params.CurvatureDiag(
-                curvature.values[positions], curvature.source
-            )
-    return Inputs(ps.n, spec, dataset, kept.astype(np.float64), curvature, positions)
+        if mask is not None:
+            curvature = params.CurvatureDiag(curvature.values[mask.kept], curvature.source)
+    return Inputs(ps.n, spec, dataset, positions), values, curvature
 
 
 def _write_outputs(out_dir: Path, files: dict) -> None:
@@ -632,8 +632,10 @@ def cmd_quantize(args) -> int:
     if cfg["quantizer"] == "ecsq":
         if (cfg["k"] is None) == (cfg["target_ratio"] is None):
             raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
-    inputs = _prepare_inputs(cfg)
-    point = _run_quantize_point(cfg, inputs)
+    inputs, values, curvature = _prepare_inputs(cfg)
+    quantized = _quantize_values(values, curvature, cfg)
+    del values, curvature  # the rest of the run needs only the assignment
+    point = _run_quantize_point(cfg, inputs, quantized)
 
     doc = _report_doc(cfg, inputs, point)
     files = {
@@ -666,10 +668,10 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "sweep"))
     points = _sweep_points(cfg)
-    inputs = _prepare_inputs(cfg)
+    inputs, values, curvature = _prepare_inputs(cfg)
     # An ecsq k too large for the values fails the whole sweep.
     if any(q == "ecsq" for q, _ in points) and cfg["k"] is not None:
-        _ecsq_count(cfg, inputs.values.size)
+        _ecsq_count(cfg, values.size)
 
     # One DP per k-means quantizer serves all of its rows; a k below 1
     # still fails only its own row.
@@ -679,9 +681,7 @@ def cmd_sweep(args) -> int:
         if not ks:
             continue
         try:
-            solved[quantizer] = _solve_kmeans(
-                inputs.values, inputs.curvature, quantizer, ks
-            )
+            solved[quantizer] = _solve_kmeans(values, curvature, quantizer, ks)
         except (NetQuantError, ValueError) as exc:
             solved[quantizer] = exc
 
@@ -707,7 +707,8 @@ def cmd_sweep(args) -> int:
         try:
             key = "lam" if quantizer == "ecsq" else "k"
             point_cfg[key] = _option(key, knob)
-            point = _run_quantize_point(point_cfg, inputs, solved.get(quantizer))
+            quantized = _quantize_values(values, curvature, point_cfg, solved.get(quantizer))
+            point = _run_quantize_point(point_cfg, inputs, quantized)
         except (NetQuantError, ValueError) as exc:
             row["status"] = f"error:{type(exc).__name__}"
         else:

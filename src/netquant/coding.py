@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import SOURCE_BITS, FormatError
-from .quantizers import Codebook, entropy_bits
+from .quantizers import Codebook, cluster_counts, entropy_bits, index_dtype
 
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
@@ -395,7 +395,7 @@ class _BitReader:
         order = np.argsort(lengths, kind="stable")
         ends = np.cumsum(1 << (top - lengths[order]))
         hop_of_rank = np.append(lengths[order], 0).astype(np.int32)
-        found = np.empty(n, dtype=np.int64)
+        found = np.empty(n, dtype=index_dtype(code.k))
         i = p = 0
         while i < n:
             if p >= left:
@@ -488,19 +488,25 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
     The first gap is the first position itself; later gaps are successive
     differences. ``total_bits`` is the exact serialized size of the index
     section (two 32-bit counts, 32+8 bits per distinct gap value, plus the
-    gap payload). The distinct gaps and their counts are gathered a block
-    of ``_PACK_BLOCK`` gaps at a time.
+    gap payload). A gap is at most the last position, so ``diffs`` takes the
+    positions' own integer type. The gaps, their distinct values and counts
+    are worked out a block of ``_PACK_BLOCK`` gaps at a time, in int64.
     """
-    pos = np.ascontiguousarray(positions, dtype=np.int64)
+    pos = np.asarray(positions)
     if pos.ndim != 1 or pos.size < 1:
         raise ValueError("expected a non-empty position list")
-    diffs = np.empty_like(pos)
-    diffs[0] = pos[0]
-    np.subtract(pos[1:], pos[:-1], out=diffs[1:])
-    if pos.size > 1 and diffs[1:].min() <= 0:
-        raise ValueError("positions must be strictly increasing")
     if pos[0] < 0 or pos[-1] >= total_params:
         raise ValueError("positions out of range")
+    diffs = np.empty_like(pos)
+    prev = -1  # pos[0] >= 0 passes the check as a gap from -1
+    for b in _blocks(pos.size):
+        block = pos[b].astype(np.int64)
+        gaps = np.diff(block, prepend=prev)
+        if gaps.min() <= 0:
+            raise ValueError("positions must be strictly increasing")
+        diffs[b] = gaps
+        prev = block[-1]
+    diffs[0] = pos[0]  # the first gap is the first position itself
     parts = [np.unique(diffs[b], return_counts=True) for b in _blocks(diffs.size)]
     symbols, which = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
     counts = np.zeros(symbols.size, dtype=np.int64)
@@ -562,23 +568,24 @@ def encode_assignments(
     Centers are stored at 32-bit float precision; pass a codebook whose
     centers are already float32-representable for an exact round trip.
     ``positions`` (with ``total_params``) adds the pruned-index section.
+    Assignment and positions may be of any integer type; no array of
+    either is widened whole.
     """
-    a = np.ascontiguousarray(assignment, dtype=np.int64)
+    a = np.asarray(assignment)
     k = codebook.k
     if code.k != k:
         raise ValueError("code does not cover the codebook")
     if a.size and (a.min() < 0 or a.max() >= k):
         raise ValueError("assignment index out of range")
-    if np.any(codebook.counts[np.arange(k)] != np.bincount(a, minlength=k)):
+    if np.any(codebook.counts != cluster_counts(a, k)):
         raise ValueError("codebook counts disagree with the assignment")
 
     if positions is not None:
         if total_params is None:
             raise ValueError("total_params is required with positions")
-        pos = np.ascontiguousarray(positions, dtype=np.int64)
-        if pos.size != a.size:
+        if np.size(positions) != a.size:
             raise ValueError("positions length disagrees with the assignment")
-        idx = index_diff_code(pos, total_params)
+        idx = index_diff_code(positions, total_params)
     elif total_params not in (None, a.size):
         raise ValueError(f"{a.size} parameters encoded of {total_params} without positions")
     else:
@@ -662,18 +669,28 @@ def decode_assignments(encoded) -> DecodedModel:
             raise FormatError("index section length disagrees with the payload")
         symbols = reader.uints(n_symbols, 32)
         sym_code = _read_code(reader, n_symbols, "huffman", "index code")
-        gaps = symbols[reader.symbols(sym_code, n_positions)]
-        if np.any(gaps[1:] <= 0):
-            raise FormatError("index gaps after the first must be positive")
-        positions = np.cumsum(gaps)
-        if positions.size and positions[-1] >= total_params:
-            raise FormatError(f"position {positions[-1]} is past {total_params} params")
+        ranks = reader.symbols(sym_code, n_positions)
+        # Summed in int64 a block at a time; a checked block, increasing and
+        # below total_params, fits the narrow type.
+        positions = np.empty(n_positions, dtype=index_dtype(total_params))
+        end = 0
+        for b in _blocks(n_positions):
+            gaps = symbols[ranks[b]]
+            first = 1 if b.start == 0 else 0  # the first position may be 0
+            if np.any(gaps[first:] <= 0):
+                raise FormatError("index gaps after the first must be positive")
+            block = np.cumsum(gaps)
+            block += end
+            if block[-1] >= total_params:
+                raise FormatError(f"position {block[-1]} is past {total_params} params")
+            positions[b] = block
+            end = block[-1]
         index_bits = reader.pos - payload_end
 
     if reader.bits.size - reader.pos >= 8:
         raise FormatError("trailing data after the encoded model")
 
-    counts = np.bincount(assignment, minlength=k)
+    counts = cluster_counts(assignment, k)
     breakdown = {
         "header": header_bits,
         "length_table": length_end - center_end,

@@ -250,12 +250,12 @@ class Manifest:
         return manifest
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def write_files(directory, files: dict) -> None:
-    """Write ``files`` (name -> bytes or str) into ``directory`` without
+    """Write ``files`` (name -> bytes-like or str) into ``directory`` without
     ever leaving a partly written file under a real name.
 
     Every file goes to a temporary name beside its target first, then each
@@ -298,12 +298,13 @@ def save_model(
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    # asarray copies only on a big-endian host; the payloads are little-endian.
-    payloads: dict[str, bytes] = {PARAMS_FILE: np.asarray(ps.values, "<f4").tobytes()}
+    # Each payload is its array's own buffer; asarray copies only on a
+    # big-endian host, since the payloads are little-endian.
+    payloads = {PARAMS_FILE: memoryview(np.asarray(ps.values, "<f4"))}
     if curvature is not None:
-        payloads[CURVATURE_FILE] = np.asarray(curvature.values, "<f4").tobytes()
+        payloads[CURVATURE_FILE] = memoryview(np.asarray(curvature.values, "<f4"))
     if mask is not None:
-        payloads[MASK_FILE] = mask.kept.view(np.uint8).tobytes()
+        payloads[MASK_FILE] = memoryview(mask.kept.view(np.uint8))
 
     manifest = Manifest(
         model_name=model_name,

@@ -162,39 +162,102 @@ def dequantize(assignment, codebook: Codebook) -> np.ndarray:
     return codebook.centers[a]
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned integer type that holds every index below ``n``:
+    uint8 for up to 256 clusters, uint32 for positions in a model the
+    ``NQ01`` header can count."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def cluster_counts(assignment, k: int) -> np.ndarray:
+    """``np.bincount(assignment, minlength=k)``, with the assignment widened
+    to int64 ``_BLOCK_BYTES // 8`` entries at a time rather than whole."""
+    a = np.asarray(assignment)
+    counts = np.zeros(k, dtype=np.int64)
+    step = _BLOCK_BYTES // 8
+    for s in range(0, a.size, step):
+        counts += np.bincount(a[s : s + step].astype(np.int64), minlength=k)
+    return counts
+
+
+def gather_kept(values, kept) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``values`` where ``kept`` is True, as float64, and their
+    positions, in :func:`index_dtype` of the full length.
+
+    The inverse of :func:`scatter_dequantize`'s placement. Both outputs are
+    filled ``_BLOCK_BYTES // 8`` entries at a time, so no other array spans
+    the model.
+    """
+    values, kept = np.asarray(values), np.asarray(kept, dtype=bool)
+    if values.shape != kept.shape or kept.ndim != 1:
+        raise ValueError("values and mask must be flat vectors of one length")
+    n_kept = int(np.count_nonzero(kept))
+    out = np.empty(n_kept)
+    positions = np.empty(n_kept, dtype=index_dtype(kept.size))
+    o, step = 0, _BLOCK_BYTES // 8
+    for s in range(0, kept.size, step):
+        idx = np.flatnonzero(kept[s : s + step])
+        out[o : o + idx.size] = values[s : s + step][idx]
+        idx += s
+        positions[o : o + idx.size] = idx
+        o += idx.size
+    return out, positions
+
+
 def scatter_dequantize(
     total: int, assignment, codebook: Codebook, positions=None
 ) -> np.ndarray:
     """Dequantize into a length-``total`` vector, zeros where pruned.
 
-    With ``positions``, centers are scattered ``_BLOCK_BYTES // 8`` entries
-    at a time, so only the output spans the whole model.
+    Entry ``i`` goes to slot ``positions[i]``, or to slot ``i`` without
+    ``positions``. Centers are looked up and placed ``_BLOCK_BYTES // 8``
+    entries at a time, so only the output spans the whole model. Raises
+    ValueError for a position outside ``[0, total)``.
     """
+    a = np.asarray(assignment)
     if positions is None:
-        deq = dequantize(assignment, codebook)
-        if deq.size != total:
+        if a.size != total:
             raise ValueError("assignment length != total without positions")
-        return deq
-    a = np.ascontiguousarray(assignment, dtype=np.int64)
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.shape != a.shape:
-        raise ValueError("positions length disagrees with the assignment")
+    else:
+        pos = np.asarray(positions)
+        if pos.shape != a.shape:
+            raise ValueError("positions length disagrees with the assignment")
     out = np.zeros(total, dtype=np.float64)
     step = _BLOCK_BYTES // 8
     for s in range(0, a.size, step):
-        out[pos[s : s + step]] = dequantize(a[s : s + step], codebook)
+        centers = dequantize(a[s : s + step], codebook)
+        if positions is None:
+            out[s : s + step] = centers
+            continue
+        slots = pos[s : s + step]
+        if slots.min() < 0 or slots.max() >= total:
+            raise ValueError(f"position outside [0, {total})")
+        out[slots] = centers
     return out
 
 
 def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebook]:
-    """Drop zero-count clusters, renumbering the assignment to match."""
-    a = np.ascontiguousarray(assignment, dtype=np.int64)
+    """Drop zero-count clusters, renumbering the assignment to match.
+
+    The assignment comes back in :func:`index_dtype` of the kept cluster
+    count, renumbered ``_BLOCK_BYTES // 8`` entries at a time; one already
+    in that type with every cluster kept is returned as it is.
+    """
+    a = np.asarray(assignment)
     keep = codebook.counts > 0
-    if keep.all():
+    k = int(np.count_nonzero(keep))
+    if k == codebook.k and a.dtype == index_dtype(k):
         return a, codebook
-    remap = -np.ones(codebook.k, dtype=np.int64)
-    remap[keep] = np.arange(int(keep.sum()))
-    return remap[a], Codebook(codebook.centers[keep], codebook.counts[keep])
+    remap = np.full(codebook.k, -1, dtype=np.int64)
+    remap[keep] = np.arange(k)
+    out = np.empty(a.shape, dtype=index_dtype(k))
+    step = _BLOCK_BYTES // 8
+    for s in range(0, a.size, step):
+        block = remap[a[s : s + step]]
+        if block.min() < 0:
+            raise ValueError("assignment names a cluster with zero count")
+        out[s : s + step] = block
+    return out, Codebook(codebook.centers[keep], codebook.counts[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +269,22 @@ def _weighted_centers(
     v: np.ndarray, h: np.ndarray | None, assign: np.ndarray, k: int, fallback: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster weighted means (``h=None``: plain means) and weight sums;
-    a cluster without weight keeps its ``fallback`` center."""
-    wsum = np.bincount(assign, weights=h, minlength=k)
-    wval = np.bincount(assign, weights=v if h is None else h * v, minlength=k)
+    a cluster without weight keeps its ``fallback`` center.
+
+    Each sum adds its terms in index order, ``_BLOCK_BYTES // 8`` of them at
+    a time, which gives ``np.bincount``'s sums without widening a narrow
+    assignment whole.
+    """
+    wsum, wval = np.zeros(k), np.zeros(k)
+    step = _BLOCK_BYTES // 8
+    for s in range(0, v.size, step):
+        a, x = assign[s : s + step], v[s : s + step]
+        if h is None:
+            np.add.at(wsum, a, 1.0)
+        else:
+            np.add.at(wsum, a, h[s : s + step])
+            x = h[s : s + step] * x
+        np.add.at(wval, a, x)
     centers = fallback.copy()
     nz = wsum > 0
     centers[nz] = wval[nz] / wsum[nz]
@@ -590,7 +666,9 @@ def uniform_quantize(
         h = _curvature64(curvature, v.size)
 
     lo, hi = float(v.min()), float(v.max())
-    assign = np.zeros(v.size, dtype=np.int64)
+    # Bin numbers reach k - 1; with more bins than values, the occupied
+    # ones are renumbered below.
+    assign = np.zeros(v.size, dtype=index_dtype(k) if k <= v.size else np.int64)
     if hi > lo and k > 1:
         width = (hi - lo) / k
         step = _BLOCK_BYTES // 8
@@ -604,7 +682,7 @@ def uniform_quantize(
     k_bins = int(assign.max()) + 1
 
     centers, _ = _weighted_centers(v, h, assign, k_bins, np.zeros(k_bins))
-    counts = np.bincount(assign, minlength=k_bins)
+    counts = cluster_counts(assign, k_bins)
     assign, codebook = compact_codebook(assign, Codebook(centers, counts))
     return QuantizeResult(assign, codebook, np.asarray([], dtype=np.float64))
 

@@ -621,8 +621,10 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
     """Mark the ``floor(fraction * n)`` smallest-magnitude parameters pruned.
 
     Magnitude ties are broken by pruning the lower index first. Linear
-    time: a partition finds the threshold magnitude, everything below it
-    is pruned, then the lowest-index ties at it up to the count.
+    time: one in-place partition of a magnitude copy finds the threshold
+    magnitude and how many lie below it; the copy is then dropped, and the
+    values below the threshold and the lowest-index ties at it are marked
+    ``_BLOCK_BYTES // 8`` values at a time.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must be in [0, 1)")
@@ -633,11 +635,19 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
         # Widening float32 to float64 and taking magnitudes are both exact,
         # so float32 magnitudes give the same threshold and ties.
         mag = np.abs(ps.values)
-        threshold = np.partition(mag, n_prune - 1)[n_prune - 1]
-        below = mag < threshold
-        kept[below] = False
-        ties = np.flatnonzero(mag == threshold)
-        kept[ties[: n_prune - np.count_nonzero(below)]] = False
+        mag.partition(n_prune - 1)
+        threshold = mag[n_prune - 1]
+        # Everything below the threshold sits before it after the partition.
+        ties = n_prune - int(np.count_nonzero(mag[: n_prune - 1] < threshold))
+        del mag
+        step = _BLOCK_BYTES // 8
+        for s in range(0, n, step):
+            block = np.abs(ps.values[s : s + step])
+            np.greater_equal(block, threshold, out=kept[s : s + step])
+            if ties:
+                at = np.flatnonzero(block == threshold)[:ties]
+                kept[s + at] = False
+                ties -= at.size
     return PruneMask(kept)
 
 

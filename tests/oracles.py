@@ -129,6 +129,22 @@ def prune_mask_by_sort(values, fraction: float) -> np.ndarray:
     return kept
 
 
+def prune_magnitude_whole(values, fraction: float) -> np.ndarray:
+    """Kept mask of ``refnet.prune_magnitude`` from whole-array steps: a
+    partition of the magnitudes gives the threshold, then every value below
+    it and the lowest-index ties at it are pruned."""
+    mag = np.abs(np.asarray(values))
+    n_prune = int(fraction * mag.size)
+    kept = np.ones(mag.size, dtype=bool)
+    if n_prune:
+        threshold = np.partition(mag, n_prune - 1)[n_prune - 1]
+        below = mag < threshold
+        kept[below] = False
+        ties = np.flatnonzero(mag == threshold)
+        kept[ties[: n_prune - np.count_nonzero(below)]] = False
+    return kept
+
+
 def rounded32(codebook: Codebook) -> Codebook:
     """Centers at storage precision, the model the bitstream describes."""
     return Codebook(

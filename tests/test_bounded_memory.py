@@ -1,11 +1,11 @@
 """The codec pipeline and training in a bounded working set.
 
-The blocked stages (uniform binning, scattering, packing, index-gap
-coding, the accuracy pass and Adam's update) must give what their
-whole-array oracles give (the accuracy pass up to rows whose logits tie
-within rounding, everything else bit for bit), and ``prune``,
-``quantize`` and training must stay within a traced peak that the
-whole-array code exceeds.
+The blocked stages (magnitude pruning, uniform binning, scattering,
+packing, index-gap coding, decoding, the accuracy pass and Adam's update)
+must give what their whole-array oracles give (the accuracy pass up to rows
+whose logits tie within rounding, everything else bit for bit, also from
+narrow index types), and ``prune``, ``quantize``, ``report`` and training
+must stay within a traced peak that the whole-array code exceeds.
 """
 
 import tracemalloc
@@ -17,8 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netquant import cli, coding, quantizers, refnet
-from netquant.coding import build_huffman, encode_assignments, fixed_length_code
-from netquant.params import DivergenceError
+from netquant.coding import (
+    build_huffman,
+    decode_assignments,
+    encode_assignments,
+    fixed_length_code,
+)
+from netquant.params import DivergenceError, ParamSet
 from netquant.quantizers import scatter_dequantize, uniform_quantize
 from netquant.refnet import (
     FineTuneConfig,
@@ -33,6 +38,7 @@ from oracles import (
     encode_whole,
     eval_accuracy_whole,
     fine_tune_centers_whole,
+    prune_magnitude_whole,
     rounded32,
     train_adam_whole,
 )
@@ -76,14 +82,20 @@ class TestBlockedPipelineOracle:
         )
         x = rng.normal(size=(rows, widths[0]))
         y = rng.integers(0, widths[-1], rows)
+        # Narrow index types must give what the oracles' int64 path gives.
+        a_type = draws.draw(st.sampled_from([np.uint8, np.uint16, np.int64]), label="a type")
+        p_type = draws.draw(st.sampled_from([np.int32, np.uint32, np.int64]), label="p type")
+        narrow_positions = None if positions is None else positions.astype(p_type)
 
         with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * draws.draw(
             st.integers(1, 5), label="quantizer block"
         )):  # fmt: skip
             kept_values = values if positions is None else values[positions]
             res = uniform_quantize(kept_values, k=k)
+            assignment = res.assignment.astype(a_type)
             codebook = rounded32(res.codebook)
-            w = scatter_dequantize(n, res.assignment, codebook, positions)
+            w = scatter_dequantize(n, assignment, codebook, narrow_positions)
+        assert res.assignment.dtype == np.uint8
         lo, hi = kept_values.min(), kept_values.max()
         bins = np.zeros(kept_values.size)
         if hi > lo and k > 1:
@@ -100,10 +112,20 @@ class TestBlockedPipelineOracle:
         total = None if positions is None else n
         block = draws.draw(st.sampled_from([1, 2, 3, 7, 64]), label="pack block")
         with mock.patch.object(coding, "_PACK_BLOCK", block):
-            em = encode_assignments(res.assignment, codebook, code, positions, total)
+            em = encode_assignments(assignment, codebook, code, narrow_positions, total)
+            decoded = decode_assignments(em.data)
         data, breakdown = encode_whole(res.assignment, codebook, code, positions, total)
         assert em.data == data
         assert em.breakdown == breakdown
+        assert np.array_equal(decoded.assignment, res.assignment.astype(np.int64))
+        if positions is None:
+            assert decoded.positions is None
+        else:
+            assert np.array_equal(decoded.positions, positions)
+        assert np.array_equal(
+            scatter_dequantize(n, decoded.assignment, decoded.codebook, decoded.positions),
+            whole_w,
+        )
 
         # Row blocks can round a row's logits differently from one whole
         # pass, which matters only where logits tie (k = 1 ties them all).
@@ -115,16 +137,46 @@ class TestBlockedPipelineOracle:
             assert accuracy == eval_accuracy_whole(spec, whole_w, x, y)
 
 
+class TestBlockedPrune:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_mask_matches_whole_array_oracle(self, draws):
+        """A few magnitudes with both signs (so 0.0 and -0.0) make ties,
+        which small blocks split across block boundaries."""
+        magnitudes = draws.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1, max_size=4),
+            label="magnitudes",
+        )
+        signed = [sign * m for m in magnitudes for sign in (1.0, -1.0)]
+        values = draws.draw(
+            st.lists(st.sampled_from(signed), min_size=1, max_size=200), label="values"
+        )
+        fraction = draws.draw(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)), label="fraction"
+        )
+        ps = ParamSet.from_flat(values)
+        block = draws.draw(st.integers(1, 9), label="values per block")
+        with mock.patch.object(refnet, "_BLOCK_BYTES", 8 * block):
+            mask = refnet.prune_magnitude(ps, fraction)
+        assert np.array_equal(mask.kept, prune_magnitude_whole(ps.values, fraction))
+
+
 # Traced peak allowed per parameter of the unpruned net. A whole-array
-# pipeline measured 25.4 B (prune) and 70.0 B (quantize) on this net; the
-# blocked one 18.5 B and 30.5 B.
-PRUNE_BYTES_PER_PARAM = 22
-QUANTIZE_BYTES_PER_PARAM = 32
+# pipeline measured 25.4 B (prune) and 70.0 B (quantize) on this net. With
+# blocked stages that still held int64 indices, payload copies and the
+# quantizer's inputs to the end, the peaks were 18.5 B (prune), 30.2 B
+# (quantize) and 24.5 B (report with accuracy); with narrow indices and
+# each array dropped once used, 10.4 B, 18.8 B and 19.0 B.
+PRUNE_BYTES_PER_PARAM = 12
+QUANTIZE_BYTES_PER_PARAM = 21
+REPORT_BYTES_PER_PARAM = 21
 
 
 class TestWorkingSet:
-    """``prune`` then ``quantize --quantizer uniform --k 16`` on a net of
-    231,812 parameters, the codec workload's commands at desk scale."""
+    """``prune``, ``quantize --quantizer uniform --k 16`` and ``report`` on a
+    net of 231,812 parameters, the codec workload's commands at desk scale
+    (``report`` also measures accuracy, which adds the full-length
+    dequantized vector)."""
 
     @pytest.fixture(scope="class")
     def net(self, tmp_path_factory):
@@ -154,8 +206,13 @@ class TestWorkingSet:
             "quantize", "--model-dir", pruned, "--dataset", "synth",
             "--quantizer", "uniform", "--k", "16", "--out-dir", tmp_path / "q",
         ])  # fmt: skip
+        report_peak = self.traced_peak([
+            "report", "--model-nq", tmp_path / "q" / "model.nq",
+            "--model-dir", pruned, "--dataset", "synth",
+        ])  # fmt: skip
         assert prune_peak <= PRUNE_BYTES_PER_PARAM * n
         assert quantize_peak <= QUANTIZE_BYTES_PER_PARAM * n
+        assert report_peak <= REPORT_BYTES_PER_PARAM * n
 
 
 # A net of 198,724 parameters trained for three steps. Its parameters, two

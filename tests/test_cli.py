@@ -347,15 +347,18 @@ class TestPrepareInputs:
         return ps, cli._prepare_inputs(cli._resolve_config(args))
 
     def test_definition(self, tmp_path):
-        _, inputs = self._inputs(tmp_path, [1.0, 2.0, 3.0], [True, False, True])
-        assert np.array_equal(inputs.values, [1.0, 3.0])
-        assert np.array_equal(inputs.curvature.values, np.float32([1.0, 3.0]))
+        _, (inputs, values, curvature) = self._inputs(
+            tmp_path, [1.0, 2.0, 3.0], [True, False, True]
+        )
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [1.0, 3.0])
+        assert np.array_equal(curvature.values, np.float32([1.0, 3.0]))
         assert np.array_equal(inputs.positions, [0, 2])
         assert inputs.total_params == 3
 
     def test_all_kept_is_identity(self, tmp_path):
-        ps, inputs = self._inputs(tmp_path, [1.0, 2.0, 3.0], [True, True, True])
-        assert np.array_equal(inputs.values, ps.values)
+        ps, (inputs, values, _) = self._inputs(tmp_path, [1.0, 2.0, 3.0], [True, True, True])
+        assert np.array_equal(values, ps.values)
         assert np.array_equal(inputs.positions, [0, 1, 2])
 
     def test_popcount_and_monotone_positions(self, tmp_path):
@@ -364,11 +367,11 @@ class TestPrepareInputs:
             n = int(rng.integers(2, 200))
             kept = rng.random(n) > 0.5
             kept[int(rng.integers(n))] = True
-            ps, inputs = self._inputs(tmp_path, rng.normal(size=n), kept)
-            assert inputs.values.size == int(np.count_nonzero(kept))
-            assert inputs.curvature.n == inputs.values.size
-            assert np.all(np.diff(inputs.positions) > 0)
-            assert np.array_equal(inputs.values, ps.values[kept])
+            ps, (inputs, values, curvature) = self._inputs(tmp_path, rng.normal(size=n), kept)
+            assert values.size == int(np.count_nonzero(kept))
+            assert curvature.n == values.size
+            assert np.all(np.diff(inputs.positions.astype(np.int64)) > 0)
+            assert np.array_equal(values, ps.values[kept])
 
     @pytest.mark.parametrize(
         "source, diag",
@@ -390,12 +393,12 @@ class TestPrepareInputs:
             "quantize", "--model-dir", str(pruned), "--out-dir", str(tmp_path / "q"),
             "--curvature", source, "--dataset", "synth",
         ])
-        inputs = cli._prepare_inputs(cli._resolve_config(args))
+        inputs, _, curvature = cli._prepare_inputs(cli._resolve_config(args))
         ps, _, mask = load_model(pruned)
         full = diag(inputs.spec, ps.as_f64() * mask.kept, *inputs.dataset.split("hessian"))
         assert np.array_equal(inputs.positions, np.flatnonzero(mask.kept))
-        assert inputs.curvature.source == full.source
-        assert np.array_equal(inputs.curvature.values, full.values[inputs.positions])
+        assert curvature.source == full.source
+        assert np.array_equal(curvature.values, full.values[inputs.positions])
 
 
 class TestSweep:

@@ -98,6 +98,16 @@ class TestDequantize:
         out = scatter_dequantize(5, [0, 1], cb, positions=[1, 4])
         assert np.array_equal(out, [0.0, 2.0, 0.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("positions", [[1, 7], [-1, 2], [1, 5], [-6, 2]])
+    @pytest.mark.parametrize("block", [1, 8192], ids=["block-1", "block-8192"])
+    def test_scatter_rejects_position_outside_total(self, positions, block):
+        """A bad position in any block is a ValueError; it neither raises a
+        bare IndexError nor wraps round to a slot from the end."""
+        cb = Codebook([2.0, 3.0], [1, 1])
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * block):
+            with pytest.raises(ValueError, match=r"position outside \[0, 5\)"):
+                scatter_dequantize(5, [0, 1], cb, positions=positions)
+
 
 # ---------------------------------------------------------------------------
 # Exact k-means

@@ -9,10 +9,11 @@ importable, for example::
 Like the benchmark's tracer, it wraps the stage functions from outside the
 program: each listed function that the imported package defines is
 replaced, in every module that binds it, by a wrapper that records the
-process's ``ru_maxrss`` when the call returns. After the command it prints
-one ``stage  MB`` line per completed call to stderr, between an ``import``
-line for the baseline before the command ran and an ``end`` line for the
-whole command. Stages nest (``_open_model_dir`` runs inside
+process's ``ru_maxrss`` and its current resident set (from
+``/proc/self/statm``) when the call returns. After the command it prints
+one ``stage  peak MB  now MB`` line per completed call to stderr, between an
+``import`` line for the baseline before the command ran and an ``end``
+line for the whole command. Stages nest (``_open_model_dir`` runs inside
 ``_prepare_inputs``), so a line reads as "the peak so far when this call
 returned". The exit code is the command's.
 
@@ -21,14 +22,20 @@ returned". The exit code is the command's.
 command asks for it (``quantize`` inside ``_prepare_inputs``). The CLI does
 not call ``params.load_model``, so that function is not a stage.
 
-``ru_maxrss`` is a high-water mark: freed numpy buffers stay in the heap,
-so a stage's line also carries every earlier stage's transients.
+``ru_maxrss`` is a high-water mark, so a stage's peak also carries every
+earlier stage's transients; the current figure falls when a stage frees
+memory back to the system. Freed numpy buffers that sit inside the heap
+stay resident, so it falls only for buffers that were mapped on their own
+or at the top of the heap. The two columns come from different kernel
+counters, so the current one can read a few hundred KB above the peak.
+Where ``/proc`` is absent the current column reads ``nan``.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import os
 import resource
 import sys
 
@@ -39,6 +46,7 @@ STAGES = (
     ("cli", "_open_model_dir"),
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
+    ("quantizers", "gather_kept"),
     ("refnet", "hessian_diag_exact"),
     ("refnet", "hessian_diag_gn"),
     ("cli", "_prepare_inputs"),
@@ -46,9 +54,11 @@ STAGES = (
     ("quantizers", "kmeans_sweep"),
     ("quantizers", "ecsq_iterate"),
     ("quantizers", "solve_lambda"),
+    ("cli", "_quantize_values"),
     ("coding", "build_huffman"),
     ("coding", "encode_assignments"),
     ("refnet", "fine_tune_centers"),
+    ("quantizers", "scatter_dequantize"),
     ("refnet", "eval_accuracy"),
     ("coding", "decode_assignments"),
 )
@@ -56,6 +66,20 @@ STAGES = (
 
 def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def current_mb() -> float:
+    """The resident set now, in MB; ``nan`` without ``/proc/self/statm``."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return float("nan")
+    return pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+
+
+def sample() -> tuple[float, float]:
+    return peak_mb(), current_mb()
 
 
 def install(rows: list) -> None:
@@ -73,7 +97,7 @@ def install(rows: list) -> None:
 
         def stage(*args, _fn=fn, _name=f"{layer}.{attr}", **kwargs):
             result = _fn(*args, **kwargs)
-            rows.append((_name, peak_mb()))
+            rows.append((_name, *sample()))
             return result
 
         wrapped[fn] = functools.wraps(fn)(stage)
@@ -88,13 +112,14 @@ def main() -> int:
     install(rows)
     from netquant import cli
 
-    rows.append(("import", peak_mb()))
+    rows.append(("import", *sample()))
     try:
         return cli.main(sys.argv[1:])
     finally:
-        rows.append(("end", peak_mb()))
-        for name, mb in rows:
-            print(f"{name:32s} {mb:7.1f}", file=sys.stderr)
+        rows.append(("end", *sample()))
+        print(f"{'stage':32s} {'peak MB':>7s} {'now MB':>7s}", file=sys.stderr)
+        for name, peak, now in rows:
+            print(f"{name:32s} {peak:7.1f} {now:7.1f}", file=sys.stderr)
 
 
 if __name__ == "__main__":
