@@ -403,7 +403,8 @@ def _build_code(scheme: str, codebook: quantizers.Codebook) -> coding.PrefixCode
 @dataclass(frozen=True)
 class Inputs:
     """What a quantize point needs of a loaded model directory besides the
-    values its quantizer clusters.
+    values its quantizer clusters; ``report`` builds one from a decoded
+    model to score it with :func:`_evaluate`.
 
     ``positions`` maps the clustered (unpruned) values back into the full
     vector of ``total_params`` and is ``None`` when nothing is pruned.
@@ -431,6 +432,15 @@ class Point:
     extras: dict
 
 
+def _evaluate(inputs: Inputs, assignment, codebook: quantizers.Codebook) -> float:
+    """Eval-split accuracy of the net with each kept parameter at its
+    cluster center and pruned ones at zero."""
+    w = quantizers.scatter_dequantize(
+        inputs.total_params, assignment, codebook, inputs.positions
+    )
+    return refnet.eval_accuracy(inputs.spec, w, *inputs.dataset.split("eval"))
+
+
 def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
     """One code -> (fine-tune) -> evaluate pass, in memory, over the
     (assignment, codebook, extras) that :func:`_quantize_values` returned."""
@@ -442,17 +452,11 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
             assignment, codebook, code, inputs.positions, inputs.total_params
         )
 
-    def accuracy(codebook):
-        w = quantizers.scatter_dequantize(
-            inputs.total_params, assignment, codebook, inputs.positions
-        )
-        return refnet.eval_accuracy(inputs.spec, w, *inputs.dataset.split("eval"))
-
     encoded_preft = accuracy_pre = accuracy_post = None
     # Evaluating first lets the encoder's temporaries reuse the heap space
     # that the full-length dequantized vector leaves behind.
     if inputs.spec is not None and inputs.dataset is not None:
-        accuracy_pre = accuracy(codebook)
+        accuracy_pre = _evaluate(inputs, assignment, codebook)
     encoded = encode(codebook)
     if cfg["fine_tune"]:  # _prepare_inputs checked for a spec and dataset
         tuned = refnet.fine_tune_centers(
@@ -470,7 +474,7 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
         )
         codebook = _round_codebook_f32(tuned)
         encoded_preft, encoded = encoded, encode(codebook)
-        accuracy_post = accuracy(codebook)
+        accuracy_post = _evaluate(inputs, assignment, codebook)
 
     report = coding.build_report(encoded, codebook.counts, code)
     return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
@@ -750,14 +754,8 @@ def cmd_report(args) -> int:
                 f"{nq_path} encodes {decoded.total_params} parameters, "
                 f"the net in {cfg['model_dir']} has {spec.param_count()}"
             )
-        w = quantizers.scatter_dequantize(
-            decoded.total_params,
-            decoded.assignment,
-            decoded.codebook,
-            decoded.positions,
-        )
-        eval_x, eval_y = dataset.split("eval")
-        accuracy = refnet.eval_accuracy(spec, w, eval_x, eval_y)
+        inputs = Inputs(decoded.total_params, spec, dataset, decoded.positions)
+        accuracy = _evaluate(inputs, decoded.assignment, decoded.codebook)
 
     em = coding.EncodedModel(data, decoded.breakdown)
     doc = coding.build_report(em, decoded.codebook.counts, decoded.code).as_dict()

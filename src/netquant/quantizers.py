@@ -43,6 +43,10 @@ score points one cluster column at a time within row blocks of bounded
 size, so no n x k table is ever built and results do not depend on the
 block size.
 
+Every codebook and the polish's running sums come from one record of
+per-cluster weight sums, weighted value sums and counts, built in one
+blocked pass over the assignment.
+
 Internally everything runs in float64 regardless of the storage precision
 of the inputs.
 """
@@ -265,32 +269,6 @@ def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebo
 # ---------------------------------------------------------------------------
 
 
-def _weighted_centers(
-    v: np.ndarray, h: np.ndarray | None, assign: np.ndarray, k: int, fallback: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster weighted means (``h=None``: plain means) and weight sums;
-    a cluster without weight keeps its ``fallback`` center.
-
-    Each sum adds its terms in index order, ``_BLOCK_BYTES // 8`` of them at
-    a time, which gives ``np.bincount``'s sums without widening a narrow
-    assignment whole.
-    """
-    wsum, wval = np.zeros(k), np.zeros(k)
-    step = _BLOCK_BYTES // 8
-    for s in range(0, v.size, step):
-        a, x = assign[s : s + step], v[s : s + step]
-        if h is None:
-            np.add.at(wsum, a, 1.0)
-        else:
-            np.add.at(wsum, a, h[s : s + step])
-            x = h[s : s + step] * x
-        np.add.at(wval, a, x)
-    centers = fallback.copy()
-    nz = wsum > 0
-    centers[nz] = wval[nz] / wsum[nz]
-    return centers, wsum
-
-
 def _distortion(v, h, assign, centers) -> float:
     r = v - centers[assign]
     return float(np.sum(h * r * r))
@@ -308,20 +286,37 @@ def entropy_bits(codebook_or_counts) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-class _MoveStats:
-    """Incremental per-cluster sums used by the stabilization pass.
+class _ClusterSums:
+    """Per-cluster weight sums ``wsum``, weighted value sums ``wval`` and
+    member counts of an assignment (``h=None``: unit weights).
 
-    Tracks, per cluster, the weight sum, weighted value sum, and member
-    count, from which move deltas follow in O(1) without re-scanning.
+    The sums add their terms in index order, ``_BLOCK_BYTES // 8`` at a
+    time, which gives ``np.bincount``'s sums without widening a narrow
+    assignment whole; with ``h=None`` the weight sums are the counts, held
+    exactly. The polish's :meth:`apply` moves one point, updating the sums
+    and the assignment in place, so move deltas follow in O(1).
     """
 
     def __init__(self, v, h, assign, k):
-        self.v = v
-        self.h = h
-        self.assign = assign.copy()
-        self.wsum = np.bincount(assign, weights=h, minlength=k)
-        self.wval = np.bincount(assign, weights=h * v, minlength=k)
-        self.counts = np.bincount(assign, minlength=k).astype(np.int64)
+        self.v, self.h, self.assign = v, h, assign
+        self.counts = cluster_counts(assign, k)
+        self.wsum = self.counts.astype(np.float64) if h is None else np.zeros(k)
+        self.wval = np.zeros(k)
+        step = _BLOCK_BYTES // 8
+        for s in range(0, v.size, step):
+            a, x = assign[s : s + step], v[s : s + step]
+            if h is not None:
+                np.add.at(self.wsum, a, h[s : s + step])
+                x = h[s : s + step] * x
+            np.add.at(self.wval, a, x)
+
+    def codebook(self, fallback: np.ndarray) -> Codebook:
+        """Weighted means and counts; a cluster without weight keeps its
+        ``fallback`` center."""
+        centers = fallback.copy()
+        nz = self.wsum > 0
+        centers[nz] = self.wval[nz] / self.wsum[nz]
+        return Codebook(centers, self.counts)
 
     def apply(self, i: int, dst: int) -> None:
         src = self.assign[i]
@@ -340,7 +335,7 @@ def _rate_gain(c):
     return c * np.log2(np.maximum(c, 1))
 
 
-def _move_delta(stats: _MoveStats, lam: float, i: int, dst: int) -> float:
+def _move_delta(stats: _ClusterSums, lam: float, i: int, dst: int) -> float:
     """Objective change for moving point ``i`` to cluster ``dst``, from the
     live cluster sums; ``inf`` once ``dst`` has emptied (retired).
 
@@ -402,7 +397,7 @@ def _column_argmin(n: int, columns, block):
     return arg, low
 
 
-def _best_moves(stats: _MoveStats, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _best_moves(stats: _ClusterSums, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Each point's best destination cluster and the objective change of
     moving it there, from the live cluster sums.
 
@@ -464,10 +459,10 @@ def _stabilize(
     that applies nothing. A move counts as an improvement if it lowers the
     unnormalized objective by more than ``_MOVE_REL_TOL`` times
     ``|obj_scale|``, with no absolute floor, so the same moves pass at
-    every scale of the values and curvature. Returns the (possibly
-    updated) assignment and the number of moves made.
+    every scale of the values and curvature. Moves ``assign`` in place;
+    returns it and the number of moves made.
     """
-    stats = _MoveStats(v, h, assign, k)
+    stats = _ClusterSums(v, h, assign, k)
     tol = _MOVE_REL_TOL * abs(obj_scale)
     moves = 0
     while True:
@@ -612,10 +607,9 @@ def _exact_kmeans(v: np.ndarray, h: np.ndarray, ks) -> list[QuantizeResult]:
         live = min(k, x.size)
         runs = np.repeat(np.arange(live), np.diff(bounds[live]))
         assign = runs[inverse]
-        centers, _ = _weighted_centers(v, h, assign, k, np.full(k, x[-1]))
-        counts = np.bincount(assign, minlength=k)
-        trace = np.asarray([_distortion(v, h, assign, centers)])
-        results.append(QuantizeResult(assign, Codebook(centers, counts), trace))
+        codebook = _ClusterSums(v, h, assign, k).codebook(np.full(k, x[-1]))
+        trace = np.asarray([_distortion(v, h, assign, codebook.centers)])
+        results.append(QuantizeResult(assign, codebook, trace))
     return results
 
 
@@ -681,9 +675,8 @@ def uniform_quantize(
             assign = np.unique(assign, return_inverse=True)[1]
     k_bins = int(assign.max()) + 1
 
-    centers, _ = _weighted_centers(v, h, assign, k_bins, np.zeros(k_bins))
-    counts = cluster_counts(assign, k_bins)
-    assign, codebook = compact_codebook(assign, Codebook(centers, counts))
+    codebook = _ClusterSums(v, h, assign, k_bins).codebook(np.zeros(k_bins))
+    assign, codebook = compact_codebook(assign, codebook)
     return QuantizeResult(assign, codebook, np.asarray([], dtype=np.float64))
 
 
@@ -694,17 +687,17 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
     With ``lam == 0`` the entropy term vanishes and the result is the exact
     curvature-weighted k-means optimum of :func:`kmeans_sweep` (trace
     divided by ``n``). Otherwise, from centers evenly spaced over the value
-    range and equal cluster probabilities, a Lloyd phase alternates three
+    range and equal cluster probabilities, a Lloyd phase alternates two
     steps: assign each point to the cluster minimizing
-    ``h_i (v_i - c_j)^2 - lam * log2(p_j)``, recompute centers as
-    curvature-weighted means, and refresh the probabilities ``p_j`` from
-    the new cluster sizes. It stops when the assignment repeats or
-    ``J = D/n + lam * H`` would rise. One polish by single-point transfers
-    then makes the result one-move stable. Clusters that empty are retired
-    for good since their codeword cost is infinite. Both phases score the
-    points against one live cluster at a time, in row blocks of
-    ``_BLOCK_BYTES // 8`` points; memory is O(n + k) and the result does
-    not depend on the block size.
+    ``h_i (v_i - c_j)^2 - lam * log2(p_j)``, then take the weighted
+    centers and the probabilities ``p_j`` from fresh cluster sums. It stops
+    when the assignment repeats or ``J = D/n + lam * H`` would rise. One
+    polish by single-point transfers, updating those sums per move, then
+    makes the result one-move stable; its codebook comes from fresh sums.
+    Clusters that empty are retired for good since their codeword cost is
+    infinite. Both phases score the points against one live cluster at a
+    time, in row blocks of ``_BLOCK_BYTES // 8`` points; memory is O(n + k)
+    and the result does not depend on the block size.
 
     Returns the assignment, a codebook that may contain retired zero-count
     slots (see :func:`compact_codebook`), and the non-increasing trace of
@@ -741,32 +734,30 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
 
         return _column_argmin(n, np.flatnonzero(p > 0).tolist(), block)[0]
 
-    def objective(assign, centers, counts):
-        return _distortion(v, h, assign, centers) / n + lam * entropy_bits(counts)
+    def objective(assign, codebook):
+        distortion = _distortion(v, h, assign, codebook.centers)
+        return distortion / n + lam * entropy_bits(codebook)
 
     assign = assign_step(centers, np.full(k, 1.0 / k))
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
-    counts = np.bincount(assign, minlength=k)
-    trace = [objective(assign, centers, counts)]
+    codebook = _ClusterSums(v, h, assign, k).codebook(centers)
+    trace = [objective(assign, codebook)]
 
     for _ in range(_ECSQ_MAX_ITERS):
-        new_assign = assign_step(centers, counts / n)
+        new_assign = assign_step(codebook.centers, codebook.counts / n)
         if np.array_equal(new_assign, assign):
             break
-        new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
-        new_counts = np.bincount(new_assign, minlength=k)
-        new_obj = objective(new_assign, new_centers, new_counts)
+        new_codebook = _ClusterSums(v, h, new_assign, k).codebook(codebook.centers)
+        new_obj = objective(new_assign, new_codebook)
         if new_obj > trace[-1]:
             break
-        assign, centers, counts = new_assign, new_centers, new_counts
+        assign, codebook = new_assign, new_codebook
         trace.append(new_obj)
 
     assign = _stabilize(v, h, assign, k, lam, trace[0] * n)[0]
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
-    counts = np.bincount(assign, minlength=k)
-    trace.append(objective(assign, centers, counts))
+    codebook = _ClusterSums(v, h, assign, k).codebook(codebook.centers)
+    trace.append(objective(assign, codebook))
 
-    return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
+    return QuantizeResult(assign, codebook, np.asarray(trace))
 
 
 def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResult:
@@ -786,18 +777,15 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
     v = _values64(values)
     h = _curvature64(curvature, v.size)
 
-    def run(lam: float) -> QuantizeResult:
-        return ecsq_iterate(v, h, k, lam)
-
     budget = target_entropy + _LAMBDA_SLACK
-    res0 = run(0.0)
+    res0 = ecsq_iterate(v, h, k, 0.0)
     h0 = entropy_bits(res0.codebook.counts)
     if h0 <= budget:
         return LambdaResult(0.0, res0, True, h0)
 
     # Beyond this the rate term dominates any distortion difference.
     lam_max = 10.0 * float(h.max()) * (float(v.max()) - float(v.min())) ** 2
-    res_hi = run(lam_max)
+    res_hi = ecsq_iterate(v, h, k, lam_max)
     h_hi = entropy_bits(res_hi.codebook.counts)
     if h_hi > budget:
         return LambdaResult(lam_max, res_hi, False, h_hi)
@@ -813,7 +801,7 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
             break  # the lam bracket is narrower than 1e-9 relative
         t_mid = 0.5 * (t_lo + t_hi)
         mid = lam_max * 2.0**t_mid
-        res = run(mid)
+        res = ecsq_iterate(v, h, k, mid)
         h_mid = entropy_bits(res.codebook.counts)
         if h_mid <= budget:
             t_hi, best_lam, best_res, best_h = t_mid, mid, res, h_mid

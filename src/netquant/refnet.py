@@ -653,9 +653,9 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
 
 @dataclass(frozen=True)
 class FineTuneConfig:
-    steps: int = 100
-    batch_size: int = 64
-    lr: float = 1e-4
+    steps: int
+    batch_size: int
+    lr: float
     seed: int = 0
 
 
@@ -675,10 +675,10 @@ def fine_tune_centers(
     the full vector of ``spec.param_count()`` parameters. Returns the
     updated codebook; :func:`eval_accuracy` scores the tuned model.
     """
-    a = np.ascontiguousarray(assignment, dtype=np.int64)
+    a = np.asarray(assignment)
     n = spec.param_count()
-    pos = np.arange(n) if positions is None else np.asarray(positions, np.int64)
-    if pos.size != a.size:
+    pos = slice(None) if positions is None else np.asarray(positions)
+    if (n if positions is None else pos.size) != a.size:
         raise ValueError("assignment length disagrees with the parameter positions")
     if codebook.n_params != a.size:
         raise ValueError("codebook counts disagree with the assignment")

@@ -30,9 +30,8 @@ from netquant.refnet import (
 from netquant.quantizers import (
     _ECSQ_MAX_ITERS,
     _MOVE_REL_TOL,
+    _ClusterSums,
     _distortion,
-    _MoveStats,
-    _weighted_centers,
 )
 
 
@@ -388,6 +387,25 @@ def huffman_lengths_heap(counts) -> list[int]:
     return lengths
 
 
+def cluster_sums_whole(v, h, assign, k):
+    """Per-cluster weight sums, weighted value sums and counts from
+    whole-array ``np.bincount`` (``h=None``: unit weights)."""
+    a = np.asarray(assign, dtype=np.int64)
+    w = np.ones(v.size) if h is None else h
+    wsum = np.bincount(a, weights=w, minlength=k)
+    return wsum, np.bincount(a, weights=w * v, minlength=k), np.bincount(a, minlength=k)
+
+
+def codebook_whole(v, h, assign, k, fallback) -> Codebook:
+    """Weighted means from :func:`cluster_sums_whole`; a cluster without
+    weight keeps its ``fallback`` center."""
+    wsum, wval, counts = cluster_sums_whole(v, h, assign, k)
+    centers = fallback.copy()
+    nz = wsum > 0
+    centers[nz] = wval[nz] / wsum[nz]
+    return Codebook(centers, counts)
+
+
 def _move_deltas_table(stats, lam, i, dst):
     """Objective change for moving points ``i`` to clusters ``dst``
     (broadcast against each other) from the live cluster sums; ``inf`` for
@@ -429,7 +447,8 @@ def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
     """The rate-penalized solver for ``lam > 0`` scoring every point against
     every cluster in one ``n x k`` table per Lloyd step and per polish scan:
     ``argmin`` over the table, then Hartigan's transfers re-checked one at a
-    time against the live cluster sums. Float64 inputs only."""
+    time against the live cluster sums. Codebooks come from whole-array
+    ``np.bincount`` sums; float64 inputs only."""
     n = v.size
     rows = np.arange(n)[:, None]
 
@@ -437,11 +456,12 @@ def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
         penalty = np.where(p > 0, -lam * np.log2(np.maximum(p, 1e-300)), np.inf)
         return _table_argmin(h[rows] * (v[rows] - centers) ** 2 + penalty)[0]
 
-    def objective(assign, centers, counts):
-        return _distortion(v, h, assign, centers) / n + lam * entropy_bits(counts)
+    def objective(assign, codebook):
+        distortion = _distortion(v, h, assign, codebook.centers)
+        return distortion / n + lam * entropy_bits(codebook.counts)
 
     def stabilize(assign, obj_scale):
-        stats = _MoveStats(v, h, assign, k)
+        stats = _ClusterSums(v, h, assign, k)
         tol = _MOVE_REL_TOL * abs(obj_scale)
         while True:
             best_dst, best_delta = best_moves_table(stats, lam)
@@ -457,26 +477,23 @@ def ecsq_iterate_tables(v, h, k: int, lam: float) -> QuantizeResult:
 
     centers = np.linspace(float(v.min()), float(v.max()), k)
     assign = assign_step(centers, np.full(k, 1.0 / k))
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
-    counts = np.bincount(assign, minlength=k)
-    trace = [objective(assign, centers, counts)]
+    codebook = codebook_whole(v, h, assign, k, centers)
+    trace = [objective(assign, codebook)]
     for _ in range(_ECSQ_MAX_ITERS):
-        new_assign = assign_step(centers, counts / n)
+        new_assign = assign_step(codebook.centers, codebook.counts / n)
         if np.array_equal(new_assign, assign):
             break
-        new_centers, _ = _weighted_centers(v, h, new_assign, k, centers)
-        new_counts = np.bincount(new_assign, minlength=k)
-        new_obj = objective(new_assign, new_centers, new_counts)
+        new_codebook = codebook_whole(v, h, new_assign, k, codebook.centers)
+        new_obj = objective(new_assign, new_codebook)
         if new_obj > trace[-1]:
             break
-        assign, centers, counts = new_assign, new_centers, new_counts
+        assign, codebook = new_assign, new_codebook
         trace.append(new_obj)
 
     assign = stabilize(assign, trace[0] * n)
-    centers, _ = _weighted_centers(v, h, assign, k, centers)
-    counts = np.bincount(assign, minlength=k)
-    trace.append(objective(assign, centers, counts))
-    return QuantizeResult(assign, Codebook(centers, counts), np.asarray(trace))
+    codebook = codebook_whole(v, h, assign, k, codebook.centers)
+    trace.append(objective(assign, codebook))
+    return QuantizeResult(assign, codebook, np.asarray(trace))
 
 
 def dp_layer_ranges(prev, lo: int, hi: int, cost):

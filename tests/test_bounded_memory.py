@@ -256,6 +256,12 @@ class TestInPlaceTraining:
         size = n if kept is None else positions.size
         labels = rng.integers(0, draws.draw(st.integers(1, 4), label="k"), size)
         _, assignment, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        # The CLI passes narrow index types: uint8 assignments, uint32 positions.
+        assign_types = st.sampled_from([np.uint8, np.uint16, np.int64])
+        assignment = assignment.astype(draws.draw(assign_types, label="assignment dtype"))
+        if positions is not None:
+            pos_types = st.sampled_from([np.int32, np.uint32, np.int64])
+            positions = positions.astype(draws.draw(pos_types, label="positions dtype"))
         codebook = quantizers.Codebook(rng.normal(size=counts.size), counts)
         ft = FineTuneConfig(steps=cfg.steps, batch_size=cfg.batch_size, lr=1e-3, seed=seed)
         # Random centers can make fine-tuning diverge; both must then stop

@@ -596,20 +596,28 @@ class TestReport:
         assert doc["accuracy"] is None
 
     def test_accuracy_present_with_dataset(self, model_dir, tmp_path):
-        out = tmp_path / "q"
-        assert run([
-            "quantize", "--model-dir", model_dir, "--out-dir", out,
-            "--quantizer", "kmeans", "--coding", "fixed", "--k", "8",
-            "--dataset", "synth",
-        ]) == 0
-        rpt = tmp_path / "r.json"
-        assert run([
-            "report", "--model-nq", out / "model.nq",
-            "--model-dir", model_dir, "--dataset", "synth", "--out", rpt,
-        ]) == 0
-        doc = json.loads(rpt.read_text())
-        report = json.loads((out / "report.json").read_text())
-        assert doc["accuracy"] == pytest.approx(report["accuracy_pre_finetune"])
+        """report scores model.nq with the function quantize scored it with,
+        on the same float32 centers, so the accuracies are equal."""
+        for name, flags, key in [
+            ("plain", [], "accuracy_pre_finetune"),
+            ("pruned-tuned", ["--prune-fraction", "0.5", "--fine-tune", "true",
+                              "--ft-steps", "20"], "accuracy_post_finetune"),
+        ]:  # fmt: skip
+            out = tmp_path / name
+            assert run([
+                "quantize", "--model-dir", model_dir, "--out-dir", out,
+                "--quantizer", "kmeans", "--coding", "fixed", "--k", "8",
+                "--dataset", "synth", *flags,
+            ]) == 0
+            rpt = out / "r.json"
+            assert run([
+                "report", "--model-nq", out / "model.nq",
+                "--model-dir", model_dir, "--dataset", "synth", "--out", rpt,
+            ]) == 0
+            doc = json.loads(rpt.read_text())
+            report = json.loads((out / "report.json").read_text())
+            assert report[key] is not None
+            assert doc["accuracy"] == report[key]
 
     def test_model_dir_of_another_size_is_config_error(self, model_dir, tmp_path):
         out = tmp_path / "q"

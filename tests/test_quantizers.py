@@ -27,6 +27,8 @@ from netquant import (
 from netquant.coding import entropy_bits
 from oracles import (
     best_moves_table,
+    cluster_sums_whole,
+    codebook_whole,
     ecsq_iterate_tables,
     global_optimum,
     lagrangian_cost,
@@ -483,7 +485,7 @@ class TestColumnKernel:
         v, h, k, lam = case
         rng = np.random.default_rng(seed)
         used = rng.choice(k, rng.integers(1, k + 1), replace=False)
-        stats = quantizers._MoveStats(v, h, rng.choice(used, v.size), k)
+        stats = quantizers._ClusterSums(v, h, rng.choice(used, v.size), k)
         for i in rng.integers(0, v.size, rng.integers(0, 2 * v.size + 1)):
             stats.apply(i, rng.choice(used))
         rows = max(1, v.size // int(rng.integers(1, 7)))
@@ -494,6 +496,46 @@ class TestColumnKernel:
         assert np.array_equal(delta, want_delta, equal_nan=True)
         ok = ~np.isnan(delta)  # the table takes the first NaN column
         assert np.array_equal(dst[ok], want_dst[ok])
+
+
+class TestClusterSums:
+    """Every codebook and the polish's sums come from ``_ClusterSums``,
+    which adds block by block what one whole-array ``np.bincount`` adds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(draws=st.data())
+    def test_equals_bincount_bit_for_bit(self, draws):
+        n = draws.draw(st.integers(1, 300), label="n")
+        k = draws.draw(st.integers(1, 40), label="k")
+        dtype = draws.draw(st.sampled_from([np.uint8, np.uint16, np.int64]), label="dtype")
+        rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1), label="seed"))
+        used = rng.choice(k, rng.integers(1, k + 1), replace=False)
+        assign = rng.choice(used, n).astype(dtype)
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+        weighted = draws.draw(st.booleans(), label="weighted")
+        h = rng.lognormal(0.0, 1.0, n) if weighted else None
+        rows = draws.draw(st.integers(1, n + 1), label="rows per block")
+        fallback = rng.normal(size=k)
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * rows):
+            sums = quantizers._ClusterSums(v, h, assign, k)
+        got = (sums.wsum, sums.wval, sums.counts)
+        for a, b in zip(got, cluster_sums_whole(v, h, assign, k)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        book, want = sums.codebook(fallback), codebook_whole(v, h, assign, k, fallback)
+        assert book.centers.tobytes() == want.centers.tobytes()
+        assert np.array_equal(book.counts, want.counts)
+        empty = np.setdiff1d(np.arange(k), used)
+        assert np.array_equal(book.centers[empty], fallback[empty])
+
+        # Moves keep the counts and the assignment exact.
+        w = np.ones(n) if h is None else h
+        moved = quantizers._ClusterSums(v, w, assign.copy(), k)
+        expect = assign.astype(np.int64)
+        for i, dst in zip(rng.integers(0, n, 2 * n), rng.integers(0, k, 2 * n)):
+            moved.apply(i, dst)
+            expect[i] = dst
+        assert np.array_equal(moved.assign, expect)
+        assert np.array_equal(moved.counts, np.bincount(expect, minlength=k))
 
 
 @st.composite

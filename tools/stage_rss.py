@@ -14,7 +14,8 @@ process's ``ru_maxrss`` and its current resident set (from
 one ``stage  peak MB  now MB`` line per completed call to stderr, between an
 ``import`` line for the baseline before the command ran and an ``end``
 line for the whole command. Stages nest (``_open_model_dir`` runs inside
-``_prepare_inputs``), so a line reads as "the peak so far when this call
+``_prepare_inputs``, ``scatter_dequantize`` and ``eval_accuracy`` inside
+``_evaluate``), so a line reads as "the peak so far when this call
 returned". The exit code is the command's.
 
 ``cli._open_model_dir`` opens the model directory and reads only
@@ -60,6 +61,7 @@ STAGES = (
     ("refnet", "fine_tune_centers"),
     ("quantizers", "scatter_dequantize"),
     ("refnet", "eval_accuracy"),
+    ("cli", "_evaluate"),
     ("coding", "decode_assignments"),
 )
 
