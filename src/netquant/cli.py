@@ -319,6 +319,14 @@ def _open_model_dir(path) -> tuple[params.ModelDir, dict | None, refnet.MlpSpec 
     return model, doc, spec
 
 
+def _open_with_dataset(cfg: dict, path):
+    """The model directory at ``path``, its net and dataset (None if absent)."""
+    model, refnet_doc, spec = _open_model_dir(path)
+    if cfg["dataset"] is not None and spec is None:
+        raise ConfigError(f"--dataset needs {REFNET_FILE} in {path}")
+    return model, spec, _load_dataset(cfg, refnet_doc, spec)
+
+
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
@@ -455,10 +463,10 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
     encoded_preft = accuracy_pre = accuracy_post = None
     # Evaluating first lets the encoder's temporaries reuse the heap space
     # that the full-length dequantized vector leaves behind.
-    if inputs.spec is not None and inputs.dataset is not None:
+    if inputs.dataset is not None:
         accuracy_pre = _evaluate(inputs, assignment, codebook)
     encoded = encode(codebook)
-    if cfg["fine_tune"]:  # _prepare_inputs checked for a spec and dataset
+    if cfg["fine_tune"]:  # _prepare_inputs checked for a dataset
         tuned = refnet.fine_tune_centers(
             inputs.spec,
             assignment,
@@ -494,10 +502,9 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
     fraction = cfg["prune_fraction"]
     source = cfg["curvature"]
     model_dir = Path(_require(cfg, "model_dir", "this command"))
-    model, refnet_doc, spec = _open_model_dir(model_dir)
+    model, spec, dataset = _open_with_dataset(cfg, model_dir)
     ps = model.params()
-    dataset = _load_dataset(cfg, refnet_doc, spec)
-    if cfg["fine_tune"] and (spec is None or dataset is None):
+    if cfg["fine_tune"] and dataset is None:
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
     if mask is None:
@@ -515,7 +522,7 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
                     "curvature=adam needs a model directory with stored "
                     "adam_sqrt_moment curvature (run train-ref)"
                 )
-        elif spec is None or dataset is None:
+        elif dataset is None:
             raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
         else:
             x, y = dataset.split("hessian")
@@ -745,10 +752,7 @@ def cmd_report(args) -> int:
 
     accuracy = None
     if cfg["dataset"] is not None:
-        _, refnet_doc, spec = _open_model_dir(Path(cfg["model_dir"]))
-        if spec is None:
-            raise ConfigError(f"accuracy evaluation needs {REFNET_FILE} in the model dir")
-        dataset = _load_dataset(cfg, refnet_doc, spec)
+        _, spec, dataset = _open_with_dataset(cfg, Path(cfg["model_dir"]))
         if decoded.total_params != spec.param_count():
             raise ConfigError(
                 f"{nq_path} encodes {decoded.total_params} parameters, "

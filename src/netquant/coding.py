@@ -43,10 +43,11 @@ table as corrupt. A Huffman code for fewer than 2**32 parameters never
 exceeds 45 bits.
 
 Both directions hold the stream at one uint8 per bit and work on it in
-blocks. The encoder looks up the codewords of ``_PACK_BLOCK`` symbols at
-a time in the code tables and expands them into that array (16 bytes of
-int64 temporaries per bit of the block) before ``np.packbits``; the
-decoder reads codewords ``_DECODE_BLOCK`` bit positions at a time (see
+blocks. The encoder walks the symbols in the 8,192-entry blocks of
+:func:`~netquant.quantizers.block_slices`, looks up each block's codewords
+in the code tables and expands them into that array (16 bytes of int64
+temporaries per bit of the block) before ``np.packbits``; the decoder
+reads codewords ``_DECODE_BLOCK`` bit positions at a time (see
 :meth:`_BitReader.symbols`). So the temporaries of either stay bounded
 however large the model is.
 """
@@ -61,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import SOURCE_BITS, FormatError
-from .quantizers import Codebook, cluster_counts, entropy_bits, index_dtype
+from .quantizers import Codebook, block_slices, cluster_counts, entropy_bits, index_dtype
 
 MAGIC = b"NQ01"
 _SCHEMES = {"fixed": 0, "huffman": 1}
@@ -70,8 +71,6 @@ _SCHEME_NAMES = {v: k for k, v in _SCHEMES.items()}
 _HEADER_WIDTHS = (32, 8, 8, 8, 32, 32, 32)
 # Bit positions whose codeword windows are decoded at once (about 40 B each).
 _DECODE_BLOCK = 1 << 16
-# Fields packed at once; each output bit takes 16 B of int64 temporaries.
-_PACK_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +296,12 @@ def build_report(em: "EncodedModel", counts, code: PrefixCode) -> CompressionRep
 # ---------------------------------------------------------------------------
 
 
-def _blocks(n: int):
-    """Slices of ``_PACK_BLOCK`` fields that cover ``range(n)``."""
-    return (slice(s, s + _PACK_BLOCK) for s in range(0, n, _PACK_BLOCK))
-
-
 def _fields(values, widths) -> tuple[int, Iterator]:
     """A section of ``values[i]`` in ``widths[i]`` bits: its size in bits
     and its (values, widths) blocks. A scalar width applies to every value."""
     values = np.asarray(values, dtype=np.int64)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
-    return int(widths.sum()), ((values[b], widths[b]) for b in _blocks(values.size))
+    return int(widths.sum()), ((values[b], widths[b]) for b in block_slices(values.size))
 
 
 def _codewords(code: PrefixCode, symbol_blocks) -> Iterator:
@@ -462,8 +456,6 @@ def _read_code(reader: _BitReader, count: int, scheme: str, what: str) -> Prefix
     lengths = reader.uints(count, 8)
     if not count:
         raise FormatError(f"empty {what} table")
-    if lengths.min() < 1 or lengths.max() > _MAX_CODE_BITS:
-        raise FormatError(f"{what} table has a codeword length outside 1..{_MAX_CODE_BITS}")
     try:
         return PrefixCode(tuple(lengths.tolist()), scheme=scheme)
     except ValueError as exc:
@@ -490,7 +482,7 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
     section (two 32-bit counts, 32+8 bits per distinct gap value, plus the
     gap payload). A gap is at most the last position, so ``diffs`` takes the
     positions' own integer type. The gaps, their distinct values and counts
-    are worked out a block of ``_PACK_BLOCK`` gaps at a time, in int64.
+    are worked out one :func:`block_slices` block of gaps at a time, in int64.
     """
     pos = np.asarray(positions)
     if pos.ndim != 1 or pos.size < 1:
@@ -499,7 +491,7 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
         raise ValueError("positions out of range")
     diffs = np.empty_like(pos)
     prev = -1  # pos[0] >= 0 passes the check as a gap from -1
-    for b in _blocks(pos.size):
+    for b in block_slices(pos.size):
         block = pos[b].astype(np.int64)
         gaps = np.diff(block, prepend=prev)
         if gaps.min() <= 0:
@@ -507,7 +499,7 @@ def index_diff_code(positions, total_params: int) -> IndexDiffCode:
         diffs[b] = gaps
         prev = block[-1]
     diffs[0] = pos[0]  # the first gap is the first position itself
-    parts = [np.unique(diffs[b], return_counts=True) for b in _blocks(diffs.size)]
+    parts = [np.unique(diffs[b], return_counts=True) for b in block_slices(diffs.size)]
     symbols, which = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
     counts = np.zeros(symbols.size, dtype=np.int64)
     np.add.at(counts, which, np.concatenate([c for _, c in parts]))
@@ -605,7 +597,7 @@ def encode_assignments(
         "codeword_table": _fields(code.values, lengths),
         "payload": (
             int(codebook.counts @ lengths),
-            _codewords(code, (a[b] for b in _blocks(a.size))),
+            _codewords(code, (a[b] for b in block_slices(a.size))),
         ),
         "index_section": (0, ()),
     }
@@ -615,7 +607,8 @@ def encode_assignments(
             np.concatenate([[idx.diffs.size, m], idx.symbols, idx.code.lengths]),
             np.concatenate([[32, 32], np.full(m, 32), np.full(m, 8)]),
         )
-        gaps = (np.searchsorted(idx.symbols, idx.diffs[b]) for b in _blocks(idx.diffs.size))
+        diffs = idx.diffs
+        gaps = (np.searchsorted(idx.symbols, diffs[b]) for b in block_slices(diffs.size))
         sections["index_section"] = (
             idx.total_bits,
             itertools.chain(tables, _codewords(idx.code, gaps)),
@@ -674,7 +667,7 @@ def decode_assignments(encoded) -> DecodedModel:
         # below total_params, fits the narrow type.
         positions = np.empty(n_positions, dtype=index_dtype(total_params))
         end = 0
-        for b in _blocks(n_positions):
+        for b in block_slices(n_positions):
             gaps = symbols[ranks[b]]
             first = 1 if b.start == 0 else 0  # the first position may be 0
             if np.any(gaps[first:] <= 0):

@@ -74,6 +74,20 @@ _LAMBDA_SLACK = 0.05
 _LAMBDA_MIN_EXP = -64.0
 _LAMBDA_MAX_ROUNDS = 60
 
+# Bytes of float64 per block (8,192 entries) of every blocked walk here and
+# in coding. Scoring walks the clusters one column at a time over a block,
+# whose handful of row vectors then stay in cache: ecsq_iterate at n = 1e5,
+# k = 16 took 7.7 s in these blocks, 8.2 s in 64k-row blocks and 9.3 s
+# unblocked on a 2-CPU VM.
+_BLOCK_BYTES = 64 << 10
+
+
+def block_slices(n: int):
+    """Slices of ``max(1, _BLOCK_BYTES // 8)`` entries covering ``range(n)``
+    in order, the last one shorter."""
+    step = max(1, _BLOCK_BYTES // 8)
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -93,10 +107,12 @@ class Codebook:
             raise ValueError("non-finite center")
         if np.any(counts < 0):
             raise ValueError("negative count")
-        centers.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "counts", counts)
+        # Frozen, so a writeable array the caller passed in is copied first.
+        for name, x in (("centers", centers), ("counts", counts)):
+            if x is getattr(self, name) and x.flags.writeable:
+                x = x.copy()
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def k(self) -> int:
@@ -154,8 +170,7 @@ def hw_distortion(values, curvature, assignment, codebook: Codebook) -> float:
     """Curvature-weighted sum of squared errors (uniform curvature -> msqe)."""
     v = _values64(values)
     h = _curvature64(curvature, v.size)
-    r = v - codebook.centers[np.asarray(assignment)]
-    return float(np.sum(h * r * r))
+    return _distortion(v, h, np.asarray(assignment), codebook.centers)
 
 
 def dequantize(assignment, codebook: Codebook) -> np.ndarray:
@@ -178,9 +193,8 @@ def cluster_counts(assignment, k: int) -> np.ndarray:
     to int64 ``_BLOCK_BYTES // 8`` entries at a time rather than whole."""
     a = np.asarray(assignment)
     counts = np.zeros(k, dtype=np.int64)
-    step = _BLOCK_BYTES // 8
-    for s in range(0, a.size, step):
-        counts += np.bincount(a[s : s + step].astype(np.int64), minlength=k)
+    for b in block_slices(a.size):
+        counts += np.bincount(a[b].astype(np.int64), minlength=k)
     return counts
 
 
@@ -198,11 +212,11 @@ def gather_kept(values, kept) -> tuple[np.ndarray, np.ndarray]:
     n_kept = int(np.count_nonzero(kept))
     out = np.empty(n_kept)
     positions = np.empty(n_kept, dtype=index_dtype(kept.size))
-    o, step = 0, _BLOCK_BYTES // 8
-    for s in range(0, kept.size, step):
-        idx = np.flatnonzero(kept[s : s + step])
-        out[o : o + idx.size] = values[s : s + step][idx]
-        idx += s
+    o = 0
+    for b in block_slices(kept.size):
+        idx = np.flatnonzero(kept[b])
+        out[o : o + idx.size] = values[b][idx]
+        idx += b.start
         positions[o : o + idx.size] = idx
         o += idx.size
     return out, positions
@@ -227,13 +241,12 @@ def scatter_dequantize(
         if pos.shape != a.shape:
             raise ValueError("positions length disagrees with the assignment")
     out = np.zeros(total, dtype=np.float64)
-    step = _BLOCK_BYTES // 8
-    for s in range(0, a.size, step):
-        centers = dequantize(a[s : s + step], codebook)
+    for b in block_slices(a.size):
+        centers = dequantize(a[b], codebook)
         if positions is None:
-            out[s : s + step] = centers
+            out[b] = centers
             continue
-        slots = pos[s : s + step]
+        slots = pos[b]
         if slots.min() < 0 or slots.max() >= total:
             raise ValueError(f"position outside [0, {total})")
         out[slots] = centers
@@ -255,12 +268,11 @@ def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebo
     remap = np.full(codebook.k, -1, dtype=np.int64)
     remap[keep] = np.arange(k)
     out = np.empty(a.shape, dtype=index_dtype(k))
-    step = _BLOCK_BYTES // 8
-    for s in range(0, a.size, step):
-        block = remap[a[s : s + step]]
+    for b in block_slices(a.size):
+        block = remap[a[b]]
         if block.min() < 0:
             raise ValueError("assignment names a cluster with zero count")
-        out[s : s + step] = block
+        out[b] = block
     return out, Codebook(codebook.centers[keep], codebook.counts[keep])
 
 
@@ -302,12 +314,11 @@ class _ClusterSums:
         self.counts = cluster_counts(assign, k)
         self.wsum = self.counts.astype(np.float64) if h is None else np.zeros(k)
         self.wval = np.zeros(k)
-        step = _BLOCK_BYTES // 8
-        for s in range(0, v.size, step):
-            a, x = assign[s : s + step], v[s : s + step]
+        for b in block_slices(v.size):
+            a, x = assign[b], v[b]
             if h is not None:
-                np.add.at(self.wsum, a, h[s : s + step])
-                x = h[s : s + step] * x
+                np.add.at(self.wsum, a, h[b])
+                x = h[b] * x
             np.add.at(self.wval, a, x)
 
     def codebook(self, fallback: np.ndarray) -> Codebook:
@@ -365,14 +376,6 @@ def _move_delta(stats: _ClusterSums, lam: float, i: int, dst: int) -> float:
     return removal + add + (leave - lam * (_rate_gain(nd + 1) - _rate_gain(nd)))
 
 
-# Bytes of one float64 score column per row block (8,192 rows). Scoring
-# walks the clusters one column at a time over a block, whose handful of
-# row vectors then stay in cache: ecsq_iterate at n = 1e5, k = 16 took
-# 7.7 s in these blocks, 8.2 s in 64k-row blocks and 9.3 s unblocked on a
-# 2-CPU VM.
-_BLOCK_BYTES = 64 << 10
-
-
 def _column_argmin(n: int, columns, block):
     """Per-row argmin and minimum of scores over the cluster ``columns``.
 
@@ -384,11 +387,9 @@ def _column_argmin(n: int, columns, block):
     minimum NaN. Columns left out act as columns of ``inf``. No ``n x k``
     table is built, and the result does not depend on the block size.
     """
-    step = max(1, _BLOCK_BYTES // 8)
     arg = np.zeros(n, dtype=np.int64)
     low = np.full(n, np.inf)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
+    for rows in block_slices(n):
         score, best, low_rows = block(rows), arg[rows], low[rows]
         for j in columns:
             s = score(j)
@@ -665,11 +666,10 @@ def uniform_quantize(
     assign = np.zeros(v.size, dtype=index_dtype(k) if k <= v.size else np.int64)
     if hi > lo and k > 1:
         width = (hi - lo) / k
-        step = _BLOCK_BYTES // 8
-        for s in range(0, v.size, step):
-            bins = v[s : s + step] - lo
+        for b in block_slices(v.size):
+            bins = v[b] - lo
             bins //= width
-            assign[s : s + step] = np.minimum(bins, k - 1, out=bins)
+            assign[b] = np.minimum(bins, k - 1, out=bins)
         if k > v.size:
             # Most bins are empty; number the occupied ones only.
             assign = np.unique(assign, return_inverse=True)[1]

@@ -10,7 +10,8 @@ both plain and quantized parameter vectors.
 
 Parameters live in one flat vector; layer ``l`` contributes spans
 ``layer{l}.weight`` (input x output, row-major) and ``layer{l}.bias``.
-All math runs in float64.
+All math runs in float64, and every job above runs the net through one
+forward pass, which keeps each layer's activation and no pre-activation.
 """
 
 from __future__ import annotations
@@ -248,37 +249,26 @@ def _act(spec: MlpSpec, z: np.ndarray, out=None) -> np.ndarray:
     return z
 
 
-def _act_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_grad(spec: MlpSpec, a: np.ndarray) -> np.ndarray:
+    """The slope at activation ``a`` (relu's ``a > 0`` is ``z > 0``, NaN too)."""
     if spec.activation == "relu":
-        return (z > 0).astype(np.float64)
+        return (a > 0).astype(np.float64)
     if spec.activation == "tanh":
         return 1.0 - a * a
-    return np.ones_like(z)
+    return np.ones_like(a)
 
 
 def _forward(spec: MlpSpec, w: np.ndarray, inputs):
+    """The ``(W, b)`` views and each layer's activation, inputs first."""
     layers = _unpack(spec, w)
     acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
-    pre = []
     for l, (W, b) in enumerate(layers):
-        z = acts[-1] @ W + b
-        pre.append(z)
-        acts.append(_act(spec, z) if l < len(layers) - 1 else z)
-    return layers, pre, acts
-
-
-def _logits(spec: MlpSpec, w: np.ndarray, inputs) -> np.ndarray:
-    """The net's outputs, one activation alive at a time: each layer's
-    product is offset and activated in place, with :func:`_forward`'s
-    operations in its order."""
-    layers = _unpack(spec, w)
-    a = np.ascontiguousarray(inputs, dtype=np.float64)
-    for l, (W, b) in enumerate(layers):
-        a = a @ W
+        a = acts[-1] @ W
         a += b
         if l < len(layers) - 1:
             _act(spec, a, out=a)
-    return a
+        acts.append(a)
+    return layers, acts
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -313,7 +303,7 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     ``0.5 * ||output - target||^2`` averaged over the batch.
     """
     w = _params64(spec, params)
-    layers, pre, acts = _forward(spec, w, inputs)
+    layers, acts = _forward(spec, w, inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
 
     grad = np.empty_like(w)
@@ -323,7 +313,7 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
         np.matmul(acts[l].T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
         if l > 0:
-            delta = (delta @ layers[l][0].T) * _act_grad(spec, pre[l - 1], acts[l])
+            delta = (delta @ layers[l][0].T) * _act_grad(spec, acts[l])
     return loss, grad
 
 
@@ -335,12 +325,11 @@ _BLOCK_BYTES = 256 << 10
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     """Fraction of samples whose argmax output matches the class label.
 
-    ``params`` may be a flat vector or a ParamSet. Only the logits are
-    needed, so the samples go through in row blocks of at most
-    ``_BLOCK_BYTES`` of activations per layer, each activation applied
-    in place. BLAS may pick its kernel by matrix size, so a block's logits
-    can differ from a whole-batch pass in the last bits; that moves an
-    argmax only at a tie to within rounding.
+    ``params`` may be a flat vector or a ParamSet. The samples go through
+    in row blocks of at most ``_BLOCK_BYTES`` of activations per layer,
+    one block's activations alive at a time. BLAS may pick its kernel by
+    matrix size, so a block's logits can differ from a whole-batch pass in
+    the last bits; that moves an argmax only at a tie to within rounding.
     """
     w = _params64(spec, params)
     x = np.asarray(inputs)
@@ -354,7 +343,7 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     rows = max(1, _BLOCK_BYTES // (8 * max(spec.layer_widths)))
     hits = 0
     for lo in range(0, y.size, rows):
-        logits = _logits(spec, w, x[lo : lo + rows])
+        logits = _forward(spec, w, x[lo : lo + rows])[1][-1]
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[lo : lo + rows]))
     return hits / y.size
 
@@ -479,7 +468,7 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
             raise DivergenceError(f"training loss became non-finite at step {t}")
 
     # The loss alone: the whole split's gradient would go unused.
-    final_loss, _ = _loss_and_delta(spec, _logits(spec, w, train_x), train_y)
+    final_loss, _ = _loss_and_delta(spec, _forward(spec, w, train_x)[1][-1], train_y)
     params = ParamSet(w, spec.spans())
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, params, eval_x, eval_y)
@@ -517,7 +506,7 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     cols = classes + (spec.activation == "tanh") * sum(spec.layer_widths[1:-1])
     block = max(1, _FACTOR_BYTES // (8 * max(spec.layer_widths[1:]) * cols))
     for start in range(0, len(inputs), block):
-        layers, pre, acts = _forward(spec, w, inputs[start : start + block])
+        layers, acts = _forward(spec, w, inputs[start : start + block])
         _, delta = _loss_and_delta(spec, acts[-1], y[start : start + block])
         n = len(delta)
         delta *= n / len(inputs)
@@ -536,7 +525,7 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
             if l == 0:
                 break
             W = layers[l][0]
-            slope = _act_grad(spec, pre[l - 1], acts[l])
+            slope = _act_grad(spec, acts[l])
             factor = (W @ factor.reshape(W.shape[1], -1)).reshape(W.shape[0], n, -1)
             factor *= slope.T[:, :, None]
             grad = delta @ W.T
@@ -573,7 +562,7 @@ def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     per entry and up to 239%.
     """
     w = _params64(spec, params)
-    layers, pre, acts = _forward(spec, w, inputs)
+    layers, acts = _forward(spec, w, inputs)
     batch = acts[0].shape[0]
 
     if spec.loss == "softmax_cross_entropy":
@@ -590,7 +579,7 @@ def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
         hb += s.sum(axis=0)
         if l > 0:
             W = layers[l][0]
-            s = (s @ (W * W).T) * _act_grad(spec, pre[l - 1], acts[l]) ** 2
+            s = (s @ (W * W).T) * _act_grad(spec, acts[l]) ** 2
     return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR), CurvatureSource.GAUSS_NEWTON)
 
 

@@ -21,9 +21,7 @@ from netquant.refnet import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    _act_grad,
     _batches,
-    _forward,
     _loss_and_delta,
     _unpack,
 )
@@ -258,16 +256,41 @@ def encode_whole(assignment, codebook: Codebook, code, positions=None, total_par
     return data, breakdown
 
 
+def forward_whole(spec, w, inputs):
+    """The net's layers, pre-activations and activations over the whole
+    batch: each product plus bias as a fresh array, activated into another."""
+    layers = _unpack(spec, np.asarray(w, dtype=np.float64))
+    acts = [np.ascontiguousarray(inputs, dtype=np.float64)]
+    pre = []
+    for l, (W, b) in enumerate(layers):
+        z = acts[-1] @ W + b
+        pre.append(z)
+        if l == len(layers) - 1 or spec.activation == "none":
+            acts.append(z)
+        else:
+            acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
+    return layers, pre, acts
+
+
+def slope_whole(spec, z, a):
+    """The activation's slope at pre-activation ``z`` with output ``a``."""
+    if spec.activation == "relu":
+        return (z > 0).astype(np.float64)
+    if spec.activation == "tanh":
+        return 1.0 - a * a
+    return np.ones_like(z)
+
+
 def eval_accuracy_whole(spec, w, inputs, labels) -> float:
     """Accuracy from one forward pass over every evaluation row at once."""
-    _, _, acts = _forward(spec, np.asarray(w, dtype=np.float64), inputs)
+    _, _, acts = forward_whole(spec, w, inputs)
     return float(np.mean(np.argmax(acts[-1], axis=1) == np.asarray(labels)))
 
 
 def forward_loss_whole(spec, w, inputs, labels):
     """Batch loss and gradient, each layer's product added into a
     zero-filled gradient vector."""
-    layers, pre, acts = _forward(spec, w, inputs)
+    layers, pre, acts = forward_whole(spec, w, inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
     grad = np.zeros_like(w)
     glayers = _unpack(spec, grad)
@@ -276,7 +299,7 @@ def forward_loss_whole(spec, w, inputs, labels):
         gW += acts[l].T @ delta
         gb += delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ layers[l][0].T) * _act_grad(spec, pre[l - 1], acts[l])
+            delta = (delta @ layers[l][0].T) * slope_whole(spec, pre[l - 1], acts[l])
     return loss, grad
 
 
@@ -331,7 +354,7 @@ def accuracy_range_whole(spec, w, inputs, labels, rel_tol=1e-9) -> tuple[float, 
     label is its only tied logit and a possible hit when its label is one
     of them. Without near-ties both ends are :func:`eval_accuracy_whole`.
     """
-    _, _, acts = _forward(spec, np.asarray(w, dtype=np.float64), inputs)
+    _, _, acts = forward_whole(spec, w, inputs)
     logits, y = acts[-1], np.asarray(labels)
     tol = rel_tol * np.abs(logits).max(axis=1, keepdims=True)
     tied = logits >= logits.max(axis=1, keepdims=True) - tol

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netquant import cli, coding, quantizers, refnet
+from netquant import cli, quantizers, refnet
 from netquant.coding import (
     build_huffman,
     decode_assignments,
@@ -111,7 +111,7 @@ class TestBlockedPipelineOracle:
         code = build_huffman(codebook) if huffman else fixed_length_code(codebook.k)
         total = None if positions is None else n
         block = draws.draw(st.sampled_from([1, 2, 3, 7, 64]), label="pack block")
-        with mock.patch.object(coding, "_PACK_BLOCK", block):
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * block):
             em = encode_assignments(assignment, codebook, code, narrow_positions, total)
             decoded = decode_assignments(em.data)
         data, breakdown = encode_whole(res.assignment, codebook, code, positions, total)

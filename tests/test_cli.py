@@ -569,6 +569,37 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
 
+class TestDatasetNeedsNet:
+    """``--dataset`` is scored on the net of ``refnet.json``, so every
+    command that reads a model directory refuses it without that file."""
+
+    @pytest.fixture(scope="class")
+    def bare(self, model_dir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bare") / "model"
+        shutil.copytree(model_dir, path)
+        (path / "refnet.json").unlink()
+        out = path.parent / "q"
+        assert run([
+            "quantize", "--model-dir", path, "--out-dir", out, "--quantizer", "kmeans",
+            "--k", "4",
+        ]) == 0  # fmt: skip
+        return path, out / "model.nq"
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "report"])
+    def test_dataset_without_refnet_json_is_config_error(self, bare, tmp_path, capfd, command):
+        path, nq = bare
+        out = tmp_path / "out"
+        args = {
+            "quantize": ["--quantizer", "kmeans", "--k", "4", "--out-dir", out],
+            "sweep": ["--quantizers", "kmeans", "--k-list", "4", "--out-dir", out],
+            "report": ["--model-nq", nq, "--out", out / "r.json"],
+        }[command]
+        code = run([command, *args, "--model-dir", path, "--dataset", "synth"])
+        assert code == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == f"error: --dataset needs refnet.json in {path}\n"
+        assert not out.exists()
+
+
 class TestReport:
     def test_fixed_k4_n1000_hand_ratio(self, tmp_path):
         from netquant import Codebook, encode_assignments, fixed_length_code

@@ -23,7 +23,7 @@ from netquant import (
     index_diff_code,
     scatter_dequantize,
 )
-from netquant import coding
+from netquant import coding, quantizers
 from netquant.coding import build_report, huffman_lengths
 from netquant.params import SOURCE_BITS
 from oracles import (
@@ -532,7 +532,7 @@ class TestPackerOracle:
         except ValueError as exc:
             expected = exc
         block = draws.draw(st.sampled_from([1, 3, 7, 64]), label="block")
-        with mock.patch.object(coding, "_PACK_BLOCK", block):
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * block):
             if isinstance(expected, ValueError):
                 with pytest.raises(ValueError, match=str(expected)):
                     coding._pack(values, widths)

@@ -76,6 +76,20 @@ class TestDistortions:
         assert hw_distortion(v, [5.0, 7.0], [0, 1], cb) == 0.0
 
 
+class TestCodebook:
+    def test_leaves_the_callers_arrays_writeable(self):
+        centers, counts = np.zeros(2), np.array([1, 2])
+        cb = Codebook(centers, counts)
+        centers[0], counts[0] = 1.0, 5
+        assert cb.centers[0] == 0.0 and cb.counts[0] == 1
+        assert not cb.centers.flags.writeable and not cb.counts.flags.writeable
+
+    def test_shares_arrays_already_read_only(self):
+        cb = Codebook(np.zeros(2), np.array([1, 2]))
+        again = Codebook(cb.centers, cb.counts)
+        assert again.centers is cb.centers and again.counts is cb.counts
+
+
 class TestDequantize:
     def test_definition(self):
         cb = Codebook([2.0, -1.0], [2, 1])
@@ -536,6 +550,28 @@ class TestClusterSums:
             expect[i] = dst
         assert np.array_equal(moved.assign, expect)
         assert np.array_equal(moved.counts, np.bincount(expect, minlength=k))
+
+    def test_apply_after_codebook(self):
+        """A codebook taken from the sums leaves them free to move points."""
+        sums = quantizers._ClusterSums(np.arange(3.0), np.ones(3), np.array([0, 0, 1]), 2)
+        book = sums.codebook(np.zeros(2))
+        sums.apply(0, 1)
+        assert sums.counts.tolist() == [1, 2] and book.counts.tolist() == [2, 1]
+        assert sums.assign.tolist() == [1, 0, 1]
+
+
+class TestBlockSlices:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 200), block_bytes=st.integers(1, 300))
+    def test_cover_the_range_once_in_order(self, n, block_bytes):
+        """Every blocked walk takes these slices: full blocks of
+        ``max(1, _BLOCK_BYTES // 8)`` entries, then the remainder."""
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", block_bytes):
+            slices = list(quantizers.block_slices(n))
+        assert [i for b in slices for i in range(n)[b]] == list(range(n))
+        step = max(1, block_bytes // 8)
+        assert [b.stop - b.start for b in slices[:-1]] == [step] * (len(slices) - 1)
+        assert all(0 < b.stop - b.start <= step for b in slices)
 
 
 @st.composite

@@ -32,7 +32,7 @@ from netquant import (
     train_adam,
 )
 from netquant.params import CURVATURE_FLOOR, DivergenceError
-from oracles import hessian_diag_fd, prune_mask_by_sort
+from oracles import forward_loss_whole, forward_whole, hessian_diag_fd, prune_mask_by_sort
 
 
 def fd_gradient(spec, w, x, y, step=1e-5):
@@ -105,6 +105,40 @@ class TestForwardLoss:
                 1.0, np.maximum(np.abs(analytic), np.abs(numeric))
             )
             assert err.max() <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        activation=st.sampled_from(refnet.ACTIVATIONS),
+        loss=st.sampled_from(refnet.LOSSES),
+        widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        n=st.integers(1, 6),
+        grid=st.booleans(),
+    )
+    def test_equals_whole_batch_oracle(self, seed, activation, loss, widths, n, grid):
+        """The activations and the loss bit for bit, the gradient entry by
+        entry (the oracle adds into zeros, which turns -0 into +0). Grid
+        weights and inputs make exact zeros, +0 and -0, before each
+        activation, where relu's slope is taken from its output."""
+        spec = MlpSpec(tuple(widths), activation=activation, loss=loss)
+        rng = np.random.default_rng(seed)
+        if grid:
+            w = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], spec.param_count())
+            x = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], (n, widths[0]))
+        else:
+            w = rng.normal(size=spec.param_count())
+            x = rng.normal(size=(n, widths[0]))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, widths[-1], n)
+        else:
+            y = rng.normal(size=(n, widths[-1]))
+        _, acts = refnet._forward(spec, w, x)
+        _, _, want = forward_whole(spec, w, x)
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want]
+        got_loss, got_grad = forward_loss(spec, w, x, y)
+        want_loss, want_grad = forward_loss_whole(spec, w, x, y)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert np.array_equal(got_grad, want_grad)
 
 
 class TestTraining:
@@ -210,7 +244,7 @@ class TestExactHessian:
         else:
             y = rng.normal(size=(n, widths[-1]))
         if activation == "relu":
-            _, pre, _ = refnet._forward(spec, w, x)
+            _, pre, _ = forward_whole(spec, w, x)
             assume(all(np.abs(z).min() > 1e-3 for z in pre[:-1]))
         reference = np.maximum(hessian_diag_fd(spec, w, x, y), CURVATURE_FLOOR)
         got = hessian_diag_exact(spec, w, x, y).as_f64()
