@@ -495,9 +495,8 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
 
     The run's curvature is chosen here. ``identity`` is built at the kept
     length. ``adam`` is the full-length curvature that ``train-ref`` stored;
-    ``exact`` and ``gauss-newton`` evaluate the pruned net, the full vector
-    with its pruned slots zeroed. Those three are then read at the kept
-    positions.
+    ``exact`` and ``gauss-newton`` evaluate the pruned net (the full
+    vector, pruned slots zeroed). All three are read at the kept positions.
     """
     fraction = cfg["prune_fraction"]
     source = cfg["curvature"]
@@ -529,7 +528,7 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
             cap = cfg["hessian_samples"]
             if cap:
                 x, y = x[:cap], y[:cap]
-            full = ps.as_f64() if mask is None else ps.as_f64() * mask.kept
+            full = values if mask is None else np.multiply(ps.values, mask.kept, dtype=float)
             if source == "exact":
                 curvature = refnet.hessian_diag_exact(spec, full, x, y)
             else:

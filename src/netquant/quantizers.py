@@ -75,17 +75,17 @@ _LAMBDA_MIN_EXP = -64.0
 _LAMBDA_MAX_ROUNDS = 60
 
 # Bytes of float64 per block (8,192 entries) of every blocked walk here and
-# in coding. Scoring walks the clusters one column at a time over a block,
-# whose handful of row vectors then stay in cache: ecsq_iterate at n = 1e5,
-# k = 16 took 7.7 s in these blocks, 8.2 s in 64k-row blocks and 9.3 s
-# unblocked on a 2-CPU VM.
+# in coding; refnet's walks pass their own step. Scoring walks the clusters
+# one column at a time over a block, whose handful of row vectors then stay
+# in cache: ecsq_iterate at n = 1e5, k = 16 took 7.7 s in these blocks,
+# 8.2 s in 64k-row blocks and 9.3 s unblocked on a 2-CPU VM.
 _BLOCK_BYTES = 64 << 10
 
 
-def block_slices(n: int):
-    """Slices of ``max(1, _BLOCK_BYTES // 8)`` entries covering ``range(n)``
-    in order, the last one shorter."""
-    step = max(1, _BLOCK_BYTES // 8)
+def block_slices(n: int, step: int | None = None):
+    """Slices of ``max(1, step)`` entries, by default ``_BLOCK_BYTES // 8``,
+    covering ``range(n)`` in order, the last one shorter."""
+    step = max(1, _BLOCK_BYTES // 8 if step is None else step)
     return (slice(s, min(s + step, n)) for s in range(0, n, step))
 
 
@@ -287,7 +287,8 @@ def _distortion(v, h, assign, centers) -> float:
 
 
 def entropy_bits(codebook_or_counts) -> float:
-    """Shannon entropy of the cluster-size distribution, in bits."""
+    """Shannon entropy of the cluster-size distribution, in bits; ``0.0 -``
+    gives one cluster +0.0, and every other sum its plain negation."""
     if isinstance(codebook_or_counts, Codebook):
         codebook_or_counts = codebook_or_counts.counts
     counts = np.asarray(codebook_or_counts, dtype=np.float64)
@@ -295,7 +296,7 @@ def entropy_bits(codebook_or_counts) -> float:
     if total <= 0:
         raise ValueError("empty count vector")
     p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 class _ClusterSums:

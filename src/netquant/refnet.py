@@ -2,16 +2,17 @@
 
 Provides everything the compression pipeline needs from a "real" model at
 desk scale: deterministic Adam training on synthetic or CSV data, analytic
-gradients, two per-parameter curvature backends (the exact Hessian diagonal
-from one back-propagated pass, and a fast one-pass Gauss-Newton style
-approximation), the free curvature proxy from Adam's second moments,
-magnitude pruning, shared-center fine-tuning, and accuracy evaluation of
-both plain and quantized parameter vectors.
+gradients, the exact Hessian diagonal and a fast Gauss-Newton style one
+(two backends of one back-propagated curvature pass), the free curvature
+proxy from Adam's second moments, magnitude pruning, shared-center
+fine-tuning, and accuracy evaluation of plain and quantized parameters.
 
 Parameters live in one flat vector; layer ``l`` contributes spans
 ``layer{l}.weight`` (input x output, row-major) and ``layer{l}.bias``.
-All math runs in float64, and every job above runs the net through one
-forward pass, which keeps each layer's activation and no pre-activation.
+All math runs in float64 through one forward pass, which keeps each layer's
+activation and no pre-activation. Evaluation, curvature, pruning and the
+Adam update walk :func:`~netquant.quantizers.block_slices`, sized by
+``_BLOCK_BYTES`` or ``_FACTOR_BYTES``; only training's final loss is whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .params import (
     PruneMask,
     Span,
 )
-from .quantizers import Codebook
+from .quantizers import Codebook, block_slices
 
 log = logging.getLogger(__name__)
 
@@ -58,17 +59,12 @@ class MlpSpec:
             raise ValueError(f"unknown loss {self.loss!r}")
 
     def param_count(self) -> int:
-        return sum(
-            din * dout + dout
-            for din, dout in zip(self.layer_widths, self.layer_widths[1:])
-        )
+        widths = self.layer_widths
+        return sum(din * dout + dout for din, dout in zip(widths, widths[1:]))
 
     def spans(self) -> tuple[Span, ...]:
-        spans = []
-        offset = 0
-        for l, (din, dout) in enumerate(
-            zip(self.layer_widths, self.layer_widths[1:])
-        ):
+        spans, offset = [], 0
+        for l, (din, dout) in enumerate(zip(self.layer_widths, self.layer_widths[1:])):
             spans.append(Span(f"layer{l}.weight", offset, din * dout))
             offset += din * dout
             spans.append(Span(f"layer{l}.bias", offset, dout))
@@ -229,16 +225,11 @@ def _train_eval_splits(rng, n: int, eval_frac: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _params64(spec: MlpSpec, params) -> np.ndarray:
+def _params64(params) -> np.ndarray:
+    """The flat float64 parameters; :func:`_unpack` checks their count."""
     if isinstance(params, ParamSet):
-        w = params.as_f64()
-    else:
-        w = np.ascontiguousarray(params, dtype=np.float64)
-    if w.size != spec.param_count():
-        raise ValueError(
-            f"parameter vector has {w.size} entries, spec needs {spec.param_count()}"
-        )
-    return w
+        return params.as_f64()
+    return np.ascontiguousarray(params, dtype=np.float64)
 
 
 def _act(spec: MlpSpec, z: np.ndarray, out=None) -> np.ndarray:
@@ -302,7 +293,7 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     Cross entropy is in nats; the squared-error loss is
     ``0.5 * ||output - target||^2`` averaged over the batch.
     """
-    w = _params64(spec, params)
+    w = _params64(params)
     layers, acts = _forward(spec, w, inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
 
@@ -317,9 +308,20 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
     return loss, grad
 
 
-# Bytes of float64 one block may hold: a row block of eval_accuracy's
-# activations per layer, or one of train_adam's two scratch buffers.
+# Bytes of float64 one block may hold. _BLOCK_BYTES: eval_accuracy's row
+# block of activations per layer, one of train_adam's two scratch buffers,
+# or prune_magnitude's magnitudes. _FACTOR_BYTES: a curvature row block at
+# the widest layer times the exact factor's columns. Each such block re-reads
+# every weight: on the codec net (861k parameters, 1,400 rows, 2 vCPUs, one
+# BLAS thread) exact took 3.0 s at 256 KiB, 0.77 s here and 0.75 s at 64 MiB,
+# where quantize peaks at 219 MB, not 85. Larger eval blocks only add RSS.
 _BLOCK_BYTES = 256 << 10
+_FACTOR_BYTES = 4 << 20
+
+
+def _row_blocks(spec: MlpSpec, n: int, budget: int, cols: int = 1):
+    """Row slices of ``range(n)``, ``budget`` bytes at the widest layer x ``cols``."""
+    return block_slices(n, budget // (8 * max(spec.layer_widths) * cols))
 
 
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
@@ -331,7 +333,7 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     matrix size, so a block's logits can differ from a whole-batch pass in
     the last bits; that moves an argmax only at a tie to within rounding.
     """
-    w = _params64(spec, params)
+    w = _params64(params)
     x = np.asarray(inputs)
     y = np.asarray(labels)
     if y.ndim != 1:
@@ -340,11 +342,10 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
         raise ValueError("empty evaluation split")
     if len(x) != y.size:
         raise ValueError("inputs and labels disagree on sample count")
-    rows = max(1, _BLOCK_BYTES // (8 * max(spec.layer_widths)))
     hits = 0
-    for lo in range(0, y.size, rows):
-        logits = _forward(spec, w, x[lo : lo + rows])[1][-1]
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[lo : lo + rows]))
+    for b in _row_blocks(spec, y.size, _BLOCK_BYTES):
+        logits = _forward(spec, w, x[b])[1][-1]
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[b]))
     return hits / y.size
 
 
@@ -418,9 +419,8 @@ def _adam_step(spec: MlpSpec, w, m, v, x, y, t: int, lr: float, scratch) -> floa
     if not np.isfinite(loss):
         return loss
     c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-    for lo in range(0, w.size, scratch[0].size):
-        hi = lo + scratch[0].size
-        wb, mb, vb, gb = w[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi]
+    for s in block_slices(w.size, scratch[0].size):
+        wb, mb, vb, gb = w[s], m[s], v[s], g[s]
         a, b = scratch[0][: wb.size], scratch[1][: wb.size]
         mb *= ADAM_BETA1
         np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
@@ -479,8 +479,50 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
 # Curvature backends
 # ---------------------------------------------------------------------------
 
-# Bytes of float64 factor one block of samples may hold in hessian_diag_exact.
-_FACTOR_BYTES = 64 << 20
+
+def _curvature_pass(spec: MlpSpec, params, inputs, labels, layer_diags, cols=1):
+    """Unfloored float64 curvature over row blocks of ``_FACTOR_BYTES`` at
+    ``cols`` columns. ``layer_diags`` yields each layer's diagonal ``d`` on a
+    block, last layer first, scaled by the total row count: a weight gets
+    ``(a*a)^T @ d`` from the activations ``a`` it reads, a bias ``d.sum(0)``."""
+    w = _params64(params)
+    h = np.zeros_like(w)
+    hlayers = _unpack(spec, h)
+    for b in _row_blocks(spec, len(inputs), _FACTOR_BYTES, cols):
+        layers, acts = _forward(spec, w, inputs[b])
+        for l, d in layer_diags(spec, layers, acts, labels[b], len(inputs)):
+            hW, hb = hlayers[l]
+            hW += (acts[l] * acts[l]).T @ d
+            hb += d.sum(axis=0)
+    return h
+
+
+def _exact_diags(spec: MlpSpec, layers, acts, labels, total: int):
+    _, delta = _loss_and_delta(spec, acts[-1], np.asarray(labels))
+    n = len(delta)
+    delta *= n / total
+    eye = np.eye(delta.shape[1])[:, None, :]
+    if spec.loss == "softmax_cross_entropy":
+        probs = _softmax(acts[-1])
+        factor = (eye - probs.T[:, :, None]) * np.sqrt(probs / total)
+    else:
+        factor = eye * np.full((n, 1), 1.0 / np.sqrt(total))
+    signs = np.ones(delta.shape)
+    for l in range(len(layers) - 1, -1, -1):
+        yield l, np.einsum("jnc,jnc,nc->nj", factor, factor, signs)
+        if l == 0:
+            return
+        W = layers[l][0]
+        slope = _act_grad(spec, acts[l])
+        factor = (W @ factor.reshape(W.shape[1], -1)).reshape(W.shape[0], n, -1)
+        factor *= slope.T[:, :, None]
+        grad = delta @ W.T
+        if spec.activation == "tanh":
+            curv = -2.0 * acts[l] * slope * grad
+            root = np.sqrt(np.abs(curv)).T[:, :, None] * np.eye(len(W))[:, None, :]
+            factor = np.concatenate([factor, root], axis=2)
+            signs = np.concatenate([signs, np.sign(curv)], axis=1)
+        delta = grad * slope
 
 
 def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
@@ -497,44 +539,9 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     negative (tanh nets away from a minimum) or positive but below the
     floor is logged.
     """
-    w = _params64(spec, params)
-    y = np.asarray(labels)
-    h = np.zeros_like(w)
-    hlayers = _unpack(spec, h)
-    # Samples per block, so the factor (units x samples x columns) fits.
-    classes = spec.layer_widths[-1]
-    cols = classes + (spec.activation == "tanh") * sum(spec.layer_widths[1:-1])
-    block = max(1, _FACTOR_BYTES // (8 * max(spec.layer_widths[1:]) * cols))
-    for start in range(0, len(inputs), block):
-        layers, acts = _forward(spec, w, inputs[start : start + block])
-        _, delta = _loss_and_delta(spec, acts[-1], y[start : start + block])
-        n = len(delta)
-        delta *= n / len(inputs)
-        eye = np.eye(classes)[:, None, :]
-        if spec.loss == "softmax_cross_entropy":
-            probs = _softmax(acts[-1])
-            factor = (eye - probs.T[:, :, None]) * np.sqrt(probs / len(inputs))
-        else:
-            factor = eye * np.full((n, 1), 1.0 / np.sqrt(len(inputs)))
-        signs = np.ones((n, classes))
-        for l in range(len(layers) - 1, -1, -1):
-            diag = np.einsum("jnc,jnc,nc->nj", factor, factor, signs)
-            hW, hb = hlayers[l]
-            hW += (acts[l] * acts[l]).T @ diag
-            hb += diag.sum(axis=0)
-            if l == 0:
-                break
-            W = layers[l][0]
-            slope = _act_grad(spec, acts[l])
-            factor = (W @ factor.reshape(W.shape[1], -1)).reshape(W.shape[0], n, -1)
-            factor *= slope.T[:, :, None]
-            grad = delta @ W.T
-            if spec.activation == "tanh":
-                curv = -2.0 * acts[l] * slope * grad
-                root = np.sqrt(np.abs(curv)).T[:, :, None] * np.eye(len(W))[:, None, :]
-                factor = np.concatenate([factor, root], axis=2)
-                signs = np.concatenate([signs, np.sign(curv)], axis=1)
-            delta = grad * slope
+    widths = spec.layer_widths
+    cols = widths[-1] + (spec.activation == "tanh") * sum(widths[1:-1])
+    h = _curvature_pass(spec, params, inputs, labels, _exact_diags, cols)
     low = h[h < CURVATURE_FLOOR]
     if low.size:
         zero, negative = np.count_nonzero(low == 0), np.count_nonzero(low < 0)
@@ -543,7 +550,19 @@ def hessian_diag_exact(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
             "%d positive below the floor",
             low.size, zero, negative, low.size - zero - negative,
         )
-    return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR), CurvatureSource.EXACT_HESSIAN)
+    return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR, out=h), CurvatureSource.EXACT_HESSIAN)
+
+
+def _gn_diags(spec: MlpSpec, layers, acts, labels, total: int):
+    if spec.loss == "softmax_cross_entropy":
+        probs = _softmax(acts[-1])
+        s = probs * (1.0 - probs) / total
+    else:
+        s = np.full_like(acts[-1], 1.0 / total)
+    for l in range(len(layers) - 1, -1, -1):
+        yield l, s
+        if l > 0:
+            s = (s @ np.square(layers[l][0]).T) * _act_grad(spec, acts[l]) ** 2
 
 
 def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
@@ -555,32 +574,14 @@ def hessian_diag_gn(spec: MlpSpec, params, inputs, labels) -> CurvatureDiag:
     Hessian (softmax cross entropy has them already at the net's output)
     as well as the term with the activation's own second derivative, which
     relu and the identity do not have. Costs the same order as a gradient
-    pass. It equals :func:`hessian_diag_exact` for a net without hidden
-    layers, and under squared error with one hidden layer of relu or no
-    activation. Otherwise the two differ: for a 6-8-4 relu net after 50
-    Adam steps on blobs, under softmax cross entropy, by a median of 15%
-    per entry and up to 239%.
+    pass, in row blocks as :func:`hessian_diag_exact`. It equals that
+    backend for a net without hidden layers, and under squared error with
+    one hidden layer of relu or no activation. Otherwise the two differ:
+    for a 6-8-4 relu net after 50 Adam steps on blobs, under softmax cross
+    entropy, by a median of 15% per entry and up to 239%.
     """
-    w = _params64(spec, params)
-    layers, acts = _forward(spec, w, inputs)
-    batch = acts[0].shape[0]
-
-    if spec.loss == "softmax_cross_entropy":
-        probs = _softmax(acts[-1])
-        s = probs * (1.0 - probs) / batch
-    else:
-        s = np.full_like(acts[-1], 1.0 / batch)
-
-    h = np.zeros_like(w)
-    hlayers = _unpack(spec, h)
-    for l in range(len(layers) - 1, -1, -1):
-        hW, hb = hlayers[l]
-        hW += (acts[l] * acts[l]).T @ s
-        hb += s.sum(axis=0)
-        if l > 0:
-            W = layers[l][0]
-            s = (s @ (W * W).T) * _act_grad(spec, acts[l]) ** 2
-    return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR), CurvatureSource.GAUSS_NEWTON)
+    h = _curvature_pass(spec, params, inputs, labels, _gn_diags)
+    return CurvatureDiag(np.maximum(h, CURVATURE_FLOOR, out=h), CurvatureSource.GAUSS_NEWTON)
 
 
 def adam_curvature(state: AdamState) -> CurvatureDiag:
@@ -629,13 +630,12 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
         # Everything below the threshold sits before it after the partition.
         ties = n_prune - int(np.count_nonzero(mag[: n_prune - 1] < threshold))
         del mag
-        step = _BLOCK_BYTES // 8
-        for s in range(0, n, step):
-            block = np.abs(ps.values[s : s + step])
-            np.greater_equal(block, threshold, out=kept[s : s + step])
+        for s in block_slices(n, _BLOCK_BYTES // 8):
+            block = np.abs(ps.values[s])
+            np.greater_equal(block, threshold, out=kept[s])
             if ties:
                 at = np.flatnonzero(block == threshold)[:ties]
-                kept[s + at] = False
+                kept[s.start + at] = False
                 ties -= at.size
     return PruneMask(kept)
 

@@ -281,6 +281,30 @@ def slope_whole(spec, z, a):
     return np.ones_like(z)
 
 
+def hessian_diag_gn_whole(spec, w, inputs, labels):
+    """Unfloored float64 Gauss-Newton curvature from one forward pass over
+    every row at once: the output Hessian's diagonal, propagated back
+    through squared weights and squared slopes into zero-filled sums."""
+    layers, pre, acts = forward_whole(spec, w, inputs)
+    batch = acts[0].shape[0]
+    if spec.loss == "softmax_cross_entropy":
+        probs = np.exp(acts[-1] - acts[-1].max(axis=1, keepdims=True))
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        s = probs * (1.0 - probs) / batch
+    else:
+        s = np.full_like(acts[-1], 1.0 / batch)
+    h = np.zeros(spec.param_count())
+    hlayers = _unpack(spec, h)
+    for l in range(len(layers) - 1, -1, -1):
+        hW, hb = hlayers[l]
+        hW += (acts[l] * acts[l]).T @ s
+        hb += s.sum(axis=0)
+        if l > 0:
+            W = layers[l][0]
+            s = (s @ (W * W).T) * slope_whole(spec, pre[l - 1], acts[l]) ** 2
+    return h
+
+
 def eval_accuracy_whole(spec, w, inputs, labels) -> float:
     """Accuracy from one forward pass over every evaluation row at once."""
     _, _, acts = forward_whole(spec, w, inputs)

@@ -4,8 +4,9 @@ The blocked stages (magnitude pruning, uniform binning, scattering,
 packing, index-gap coding, decoding, the accuracy pass and Adam's update)
 must give what their whole-array oracles give (the accuracy pass up to rows
 whose logits tie within rounding, everything else bit for bit, also from
-narrow index types), and ``prune``, ``quantize``, ``report`` and training
-must stay within a traced peak that the whole-array code exceeds.
+narrow index types), and ``prune``, ``quantize``, ``report``, training and
+the Gauss-Newton curvature pass must stay within a traced peak that the
+whole-array code exceeds.
 """
 
 import tracemalloc
@@ -290,3 +291,25 @@ class TestInPlaceTraining:
                 tracemalloc.stop()
         bound = 4 * 8 * spec.param_count() + TRAIN_MARGIN_BYTES
         assert peaks[0] <= bound < peaks[1]
+
+
+# Gauss-Newton curvature over 100,000 rows of an 8-32-16-4 net, whose
+# inputs take 6.1 MiB: the traced peak above them measured 17.5 MiB in row
+# blocks of 4 MiB (16,384 rows), 106.8 MiB over the whole split at once.
+CURVATURE_PEAK_BYTES = 20 << 20
+
+
+class TestBlockedCurvature:
+    def test_gauss_newton_peaks_a_few_blocks_above_its_inputs(self):
+        spec = MlpSpec((8, 32, 16, 4))
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(100_000, 8))
+        y = rng.integers(0, 4, 100_000)
+        tracemalloc.start()
+        try:
+            refnet.hessian_diag_gn(spec, w, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CURVATURE_PEAK_BYTES

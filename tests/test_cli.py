@@ -156,6 +156,18 @@ class TestQuantize:
         assert report["entropy_budget"] == pytest.approx(2.0)
         assert report["entropy_bits"] <= 2.05
 
+    def test_one_cluster_reports_positive_zero_entropy(self, model_dir, tmp_path):
+        """A ratio no code reaches leaves one cluster, whose entropy the
+        report writes as ``0.0``, not ``-0.0``."""
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "--quantizer", "ecsq", "--target-ratio", "1e300",
+        ]) == 0
+        text = (out / "report.json").read_text()
+        assert '"entropy_bits": 0.0,' in text
+        assert json.loads(text)["k_effective"] == 1
+
     def test_missing_dataset_no_partial_outputs(self, model_dir, tmp_path):
         out = tmp_path / "q"
         code = run([

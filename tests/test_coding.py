@@ -70,6 +70,11 @@ class TestEntropy:
     def test_single_cluster(self):
         assert entropy_bits(np.array([1000])) == 0.0
 
+    def test_single_cluster_is_positive_zero(self):
+        """``-0.0 == 0.0``, so the sign gets its own check."""
+        assert math.copysign(1.0, entropy_bits(np.array([1000]))) == 1.0
+        assert math.copysign(1.0, entropy_bits(Codebook(np.zeros(1), np.array([7])))) == 1.0
+
     def test_hand_value(self):
         assert entropy_bits(np.array([3, 1])) == pytest.approx(0.811278, abs=1e-6)
 

@@ -2,6 +2,8 @@
 curvature backends against analytic values, training/pruning/fine-tuning
 contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from netquant import refnet
 from netquant import (
     Codebook,
+    CurvatureDiag,
     CurvatureSource,
     Dataset,
     FineTuneConfig,
@@ -32,7 +35,13 @@ from netquant import (
     train_adam,
 )
 from netquant.params import CURVATURE_FLOOR, DivergenceError
-from oracles import forward_loss_whole, forward_whole, hessian_diag_fd, prune_mask_by_sort
+from oracles import (
+    forward_loss_whole,
+    forward_whole,
+    hessian_diag_fd,
+    hessian_diag_gn_whole,
+    prune_mask_by_sort,
+)
 
 
 def fd_gradient(spec, w, x, y, step=1e-5):
@@ -47,6 +56,11 @@ def fd_gradient(spec, w, x, y, step=1e-5):
             2 * step
         )
     return grad
+
+
+def factor_budget(spec, rows, cols=1):
+    """A ``_FACTOR_BYTES`` that puts ``rows`` samples in each curvature block."""
+    return 8 * max(spec.layer_widths) * cols * rows
 
 
 def rank_correlation(a, b):
@@ -231,10 +245,12 @@ class TestExactHessian:
         loss=st.sampled_from(refnet.LOSSES),
         widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
         n=st.integers(1, 6),
+        rows=st.integers(1, 7),
     )
-    def test_matches_finite_differences(self, seed, activation, loss, widths, n):
-        """1-3 layers; relu nets are kept a margin away from their kinks,
-        where central differences straddle a slope change."""
+    def test_matches_finite_differences(self, seed, activation, loss, widths, n, rows):
+        """1-3 layers, ``rows`` samples a block; relu nets are kept a margin
+        away from their kinks, where central differences straddle a slope
+        change."""
         spec = MlpSpec(tuple(widths), activation=activation, loss=loss)
         rng = np.random.default_rng(seed)
         w = rng.normal(size=spec.param_count())
@@ -247,7 +263,9 @@ class TestExactHessian:
             _, pre, _ = forward_whole(spec, w, x)
             assume(all(np.abs(z).min() > 1e-3 for z in pre[:-1]))
         reference = np.maximum(hessian_diag_fd(spec, w, x, y), CURVATURE_FLOOR)
-        got = hessian_diag_exact(spec, w, x, y).as_f64()
+        cols = widths[-1] + (activation == "tanh") * sum(widths[1:-1])
+        with mock.patch.object(refnet, "_FACTOR_BYTES", factor_budget(spec, rows, cols)):
+            got = hessian_diag_exact(spec, w, x, y).as_f64()
         # atol covers the oracle's own rounding, about eps * |gradient| / step
         np.testing.assert_allclose(got, reference, rtol=1e-6, atol=1e-9)
 
@@ -323,6 +341,54 @@ class TestGaussNewton:
         rho = rank_correlation(exact, gn)
         print(f"\n[diagnostic] curvature backend rank correlation: {rho:.3f}")
         assert -1.0 <= rho <= 1.0  # reported, no hard threshold
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        activation=st.sampled_from(refnet.ACTIVATIONS),
+        loss=st.sampled_from(refnet.LOSSES),
+        widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        n=st.integers(1, 40),
+        rows=st.one_of(st.none(), st.integers(1, 41)),
+    )
+    def test_equals_whole_split_oracle(self, seed, activation, loss, widths, n, rows):
+        """In one block (``rows`` None: the default budget holds every
+        sample) the float64 curvature and the floored float32 one are the
+        oracle's bytes. In blocks of ``rows`` samples each entry sums the
+        same nonnegative terms in another grouping, so it stays within 1e-12
+        relative of the oracle's."""
+        spec = MlpSpec(tuple(widths), activation=activation, loss=loss)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(n, widths[0]))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, widths[-1], n)
+        else:
+            y = rng.normal(size=(n, widths[-1]))
+        whole = hessian_diag_gn_whole(spec, w, x, y)
+        budget = refnet._FACTOR_BYTES if rows is None else factor_budget(spec, rows)
+        with mock.patch.object(refnet, "_FACTOR_BYTES", budget):
+            got = refnet._curvature_pass(spec, w, x, y, refnet._gn_diags)
+            values = hessian_diag_gn(spec, w, x, y).values
+        if rows is None or rows >= n:
+            assert got.tobytes() == whole.tobytes()
+            floored = np.maximum(whole, CURVATURE_FLOOR)
+            expected = CurvatureDiag(floored, CurvatureSource.GAUSS_NEWTON).values
+            assert values.tobytes() == expected.tobytes()
+        else:
+            np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("activation", refnet.ACTIVATIONS)
+    def test_sample_blocks_match_one_block(self, monkeypatch, activation):
+        rng = np.random.default_rng(14)
+        spec = MlpSpec((4, 6, 5, 3), activation=activation)
+        w = rng.normal(size=spec.param_count())
+        x = rng.normal(size=(50, 4))
+        y = rng.integers(0, 3, 50)
+        whole = hessian_diag_gn(spec, w, x, y).values
+        monkeypatch.setattr(refnet, "_FACTOR_BYTES", factor_budget(spec, 3))
+        blocked = hessian_diag_gn(spec, w, x, y).values
+        assert np.array_equal(blocked, whole)
 
 
 class TestAdamCurvature:

@@ -14,9 +14,10 @@ process's ``ru_maxrss`` and its current resident set (from
 one ``stage  peak MB  now MB`` line per completed call to stderr, between an
 ``import`` line for the baseline before the command ran and an ``end``
 line for the whole command. Stages nest (``_open_model_dir`` runs inside
-``_prepare_inputs``, ``scatter_dequantize`` and ``eval_accuracy`` inside
-``_evaluate``), so a line reads as "the peak so far when this call
-returned". The exit code is the command's.
+``_prepare_inputs``, ``_curvature_pass`` inside either curvature backend,
+``scatter_dequantize`` and ``eval_accuracy`` inside ``_evaluate``), so a
+line reads as "the peak so far when this call returned". The exit code is
+the command's.
 
 ``cli._open_model_dir`` opens the model directory and reads only
 ``manifest.json`` and ``refnet.json``; each payload is read later, when the
@@ -48,6 +49,7 @@ STAGES = (
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
     ("quantizers", "gather_kept"),
+    ("refnet", "_curvature_pass"),
     ("refnet", "hessian_diag_exact"),
     ("refnet", "hessian_diag_gn"),
     ("cli", "_prepare_inputs"),
