@@ -488,15 +488,17 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
     return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
 
 
-def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag]:
+def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag | None]:
     """Load the model directory; returns its :class:`Inputs`, and the values
     the quantizer clusters (the kept parameters, as float64) with their
     curvature, so that a command can drop those two once it has clustered.
 
     The run's curvature is chosen here. ``identity`` is built at the kept
-    length. ``adam`` is the full-length curvature that ``train-ref`` stored;
-    ``exact`` and ``gauss-newton`` evaluate the pruned net (the full
-    vector, pruned slots zeroed). All three are read at the kept positions.
+    length, and only for a run that reads it: plain ``kmeans`` and
+    ``uniform`` with the ``mean`` center rule get ``None``. ``adam`` is the
+    full-length curvature that ``train-ref`` stored; ``exact`` and
+    ``gauss-newton`` evaluate the pruned net (the full vector, pruned slots
+    zeroed). All three are read at the kept positions.
     """
     fraction = cfg["prune_fraction"]
     source = cfg["curvature"]
@@ -506,12 +508,21 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
     if cfg["fine_tune"] and dataset is None:
         raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
     mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
+    n = ps.n
     if mask is None:
         values, positions = ps.as_f64(), None
     else:
         values, positions = quantizers.gather_kept(ps.values, mask.kept)
+    full = values
+    if mask is not None and source in ("exact", "gauss-newton"):
+        full = np.multiply(ps.values, mask.kept, dtype=float)
+    del ps  # the rest reads only the kept values and the masked vector
     if source == "identity":
-        curvature = refnet.identity_curvature(values.size)
+        reads = any(
+            q in ("hw-kmeans", "ecsq") or (q == "uniform" and cfg["center_rule"] != "mean")
+            for q in cfg["quantizers"] or [cfg["quantizer"]]
+        )
+        curvature = refnet.identity_curvature(values.size) if reads else None
     else:
         if source == "adam":
             adam = params.CurvatureSource.ADAM_SQRT_MOMENT
@@ -528,14 +539,13 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
             cap = cfg["hessian_samples"]
             if cap:
                 x, y = x[:cap], y[:cap]
-            full = values if mask is None else np.multiply(ps.values, mask.kept, dtype=float)
             if source == "exact":
                 curvature = refnet.hessian_diag_exact(spec, full, x, y)
             else:
                 curvature = refnet.hessian_diag_gn(spec, full, x, y)
         if mask is not None:
             curvature = params.CurvatureDiag(curvature.values[mask.kept], curvature.source)
-    return Inputs(ps.n, spec, dataset, positions), values, curvature
+    return Inputs(n, spec, dataset, positions), values, curvature
 
 
 def _write_outputs(out_dir: Path, files: dict) -> None:

@@ -13,11 +13,20 @@ All math runs in float64 through one forward pass, which keeps each layer's
 activation and no pre-activation. Evaluation, curvature, pruning and the
 Adam update walk :func:`~netquant.quantizers.block_slices`, sized by
 ``_BLOCK_BYTES`` or ``_FACTOR_BYTES``; only training's final loss is whole.
+
+A training step on a model of more than one update block runs on two
+threads where the process may use two CPUs: the caller's and one worker,
+which takes the hidden layers' weight gradients and half the update blocks,
+each with the operations one thread would run. Only numpy calls and private
+loops run there, never a public function (a span tracer assumes one thread
+per process); BLAS thread settings do not govern it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,24 +308,51 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
 
     grad = np.empty_like(w)
     glayers = _unpack(spec, grad)
+    split, pending = _workers(w.size) > 1, []
     for l in range(len(layers) - 1, -1, -1):
         gW, gb = glayers[l]
-        np.matmul(acts[l].T, delta, out=gW)
+        if l and split:  # while this thread goes on with delta @ W.T
+            pending.append(_on_worker(np.matmul, acts[l].T, delta, out=gW))
+        else:
+            np.matmul(acts[l].T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
         if l > 0:
             delta = (delta @ layers[l][0].T) * _act_grad(spec, acts[l])
+    for done in pending:
+        done.result()
     return loss, grad
 
 
 # Bytes of float64 one block may hold. _BLOCK_BYTES: eval_accuracy's row
-# block of activations per layer, one of train_adam's two scratch buffers,
-# or prune_magnitude's magnitudes. _FACTOR_BYTES: a curvature row block at
+# block of activations per layer, a training worker's scratch block (the
+# gradient's own storage is the update's second operand), or
+# prune_magnitude's magnitudes. _FACTOR_BYTES: a curvature row block at
 # the widest layer times the exact factor's columns. Each such block re-reads
 # every weight: on the codec net (861k parameters, 1,400 rows, 2 vCPUs, one
 # BLAS thread) exact took 3.0 s at 256 KiB, 0.77 s here and 0.75 s at 64 MiB,
 # where quantize peaks at 219 MB, not 85. Larger eval blocks only add RSS.
 _BLOCK_BYTES = 256 << 10
 _FACTOR_BYTES = 4 << 20
+
+
+# A step has two independent halves; macOS and Windows have no affinity call.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+_worker = None  # (pid, executor), started at first use
+
+
+def _workers(n: int) -> int:
+    """2 if the process may use two CPUs and ``n`` values span more than one block."""
+    return 2 if _WORKERS > 1 and n > _BLOCK_BYTES // 8 else 1
+
+
+def _on_worker(fn, *args, **kwargs):
+    """The future of ``fn(*args, **kwargs)`` on the worker, in the caller's
+    numpy error state; ``fn`` is never a public netquant function."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():  # a forked child starts anew
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = (os.getpid(), ThreadPoolExecutor(1))
+    return _worker[1].submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
 def _row_blocks(spec: MlpSpec, n: int, budget: int, cols: int = 1):
@@ -406,22 +442,12 @@ class TrainedModel:
             raise ValueError("accuracy out of range")
 
 
-def _adam_step(spec: MlpSpec, w, m, v, x, y, t: int, lr: float, scratch) -> float:
-    """Step ``t`` of Adam on batch ``(x, y)``: the batch loss, and ``w``,
-    ``m`` and ``v`` updated in place unless that loss is non-finite.
-
-    The update goes through the model a block at a time in the two scratch
-    buffers, with the IEEE operations of ``m = b1*m + (1-b1)*g``, ``v =
-    b2*v + (1-b2)*g*g`` and ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in their
-    order, so the result does not depend on the block size.
-    """
-    loss, g = forward_loss(spec, w, x, y)
-    if not np.isfinite(loss):
-        return loss
-    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-    for s in block_slices(w.size, scratch[0].size):
+def _adam_blocks(w, m, v, g, c1: float, c2: float, lr: float, scratch) -> None:
+    """Adam's update in blocks the size of ``scratch``; each block of ``g``
+    is dead once the moments are updated and serves as second operand."""
+    for s in block_slices(w.size, scratch.size):
         wb, mb, vb, gb = w[s], m[s], v[s], g[s]
-        a, b = scratch[0][: wb.size], scratch[1][: wb.size]
+        a = scratch[: wb.size]
         mb *= ADAM_BETA1
         np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
         mb += a
@@ -431,11 +457,35 @@ def _adam_step(spec: MlpSpec, w, m, v, x, y, t: int, lr: float, scratch) -> floa
         vb += a
         np.divide(mb, c1, out=a)
         a *= lr
-        np.divide(vb, c2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
+        np.divide(vb, c2, out=gb)
+        np.sqrt(gb, out=gb)
+        gb += ADAM_EPS
+        a /= gb
         wb -= a
+
+
+def _adam_step(spec: MlpSpec, w, m, v, x, y, t: int, lr: float, scratch) -> float:
+    """Step ``t`` of Adam on batch ``(x, y)``: the batch loss, and ``w``,
+    ``m`` and ``v`` updated in place unless that loss is non-finite.
+
+    The update goes through the model a block at a time, a scratch block
+    per worker (a second one takes the second half), with the IEEE
+    operations of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)`` in their order, so the result
+    does not depend on the block size.
+    """
+    loss, g = forward_loss(spec, w, x, y)
+    if not np.isfinite(loss):
+        return loss
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    if len(scratch) == 1:
+        _adam_blocks(w, m, v, g, c1, c2, lr, scratch[0])
+        return loss
+    step = scratch.shape[1]
+    cut = -(-w.size // step) // 2 * step  # a block boundary
+    done = _on_worker(_adam_blocks, w[cut:], m[cut:], v[cut:], g[cut:], c1, c2, lr, scratch[1])
+    _adam_blocks(w[:cut], m[:cut], v[:cut], g[:cut], c1, c2, lr, scratch[0])
+    done.result()
     return loss
 
 
@@ -447,14 +497,14 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
     non-finite. With ``steps == 0`` the initial parameters come back
     untouched. Besides the batch's gradient, only the parameters and the
     two moments span the whole model; the update runs in blocks of
-    ``_BLOCK_BYTES``.
+    ``_BLOCK_BYTES``, with one scratch block per worker.
     """
     if ds.n_features != spec.layer_widths[0]:
         raise ValueError("dataset feature width disagrees with the spec")
     w = init_params(spec, cfg.seed).as_f64()
     m = np.zeros_like(w)
     v = np.zeros_like(w)
-    scratch = np.empty((2, min(w.size, _BLOCK_BYTES // 8)))
+    scratch = np.empty((_workers(w.size), min(w.size, _BLOCK_BYTES // 8)))
     rng = np.random.default_rng(cfg.seed + 1)
 
     train_x, train_y = ds.split("train")

@@ -293,6 +293,75 @@ class TestInPlaceTraining:
         assert peaks[0] <= bound < peaks[1]
 
 
+class TestTrainingWorkers:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_one_and_two_workers_match_whole_array_oracles(self, draws):
+        widths = tuple(
+            draws.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4), label="widths")
+        )
+        # A step of 1e200 under squared error makes the loss overflow at the
+        # second step.
+        diverge = draws.draw(st.booleans(), label="diverge")
+        spec = MlpSpec(
+            widths,
+            draws.draw(st.sampled_from(refnet.ACTIVATIONS), label="act"),
+            "mean_square_error" if diverge else draws.draw(st.sampled_from(refnet.LOSSES)),
+        )
+        n = spec.param_count()
+        seed = draws.draw(st.integers(0, 2**16), label="seed")
+        ds = make_blobs(30, widths[-1], widths[0], seed=seed, center_spread=1.0, noise=0.5)
+        # Blocks of one value up to past the model: one worker or two, and
+        # with two, halves of one block or of many.
+        block = draws.draw(st.integers(1, 2 * n + 1), label="values per block")
+        lr = 1e200 if diverge else 1e-2
+        cfg = TrainConfig(
+            steps=draws.draw(st.integers(2 if diverge else 0, 12), label="steps"),
+            batch_size=draws.draw(st.integers(1, 21), label="batch"),
+            lr=lr,
+            seed=seed,
+        )
+        ft = FineTuneConfig(steps=cfg.steps, batch_size=cfg.batch_size, lr=lr, seed=seed)
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, n)
+        _, assignment, counts = np.unique(labels, return_inverse=True, return_counts=True)
+        assignment = assignment.astype(np.uint8)
+        codebook = quantizers.Codebook(rng.normal(size=counts.size), counts)
+
+        trained, tuned = [], []
+        for workers in (1, 2):
+            with (
+                mock.patch.object(refnet, "_WORKERS", workers),
+                mock.patch.object(refnet, "_BLOCK_BYTES", 8 * block),
+                np.errstate(over="ignore", invalid="ignore"),
+            ):
+                try:
+                    trained.append(train_adam(spec, ds, cfg))
+                except DivergenceError as exc:
+                    trained.append(str(exc))
+                try:
+                    tuned.append(fine_tune_centers(spec, assignment, codebook, ds, ft).centers)
+                except DivergenceError as exc:
+                    tuned.append(str(exc))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(trained[0], str):  # both stop at the same step
+                assert trained[1] == trained[0]
+            else:
+                params, v, final_loss = train_adam_whole(spec, ds, cfg)
+                for model in trained:
+                    assert model.params.values.tobytes() == params.tobytes()
+                    assert model.adam.v.tobytes() == v.tobytes()
+                    assert model.final_loss == final_loss
+            if isinstance(tuned[0], str):
+                assert tuned[1] == tuned[0]
+                with pytest.raises(DivergenceError, match=f"^{tuned[0]}$"):
+                    fine_tune_centers_whole(spec, assignment, codebook, ds, ft)
+            else:
+                centers = fine_tune_centers_whole(spec, assignment, codebook, ds, ft)
+                assert [c.tobytes() for c in tuned] == [centers.tobytes()] * 2
+
+
 # Gauss-Newton curvature over 100,000 rows of an 8-32-16-4 net, whose
 # inputs take 6.1 MiB: the traced peak above them measured 17.5 MiB in row
 # blocks of 4 MiB (16,384 rows), 106.8 MiB over the whole split at once.

@@ -412,6 +412,34 @@ class TestPrepareInputs:
         assert curvature.source == full.source
         assert np.array_equal(curvature.values, full.values[inputs.positions])
 
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (["quantize", "--quantizer", "uniform"], False),
+            (["quantize", "--quantizer", "kmeans"], False),
+            (["sweep", "--quantizers", "kmeans,uniform"], False),
+            (["quantize", "--quantizer", "uniform", "--center-rule", "hessian_weighted_mean"], True),
+            (["quantize", "--quantizer", "hw-kmeans"], True),
+            (["quantize", "--quantizer", "ecsq"], True),
+            (["sweep", "--quantizers", "kmeans,hw-kmeans"], True),
+        ],
+    )
+    def test_identity_curvature_only_where_read(self, tmp_path, argv, reads):
+        """Plain k-means and mean-centered uniform bins get no curvature;
+        every other quantizer gets unit weights at the kept length."""
+        model = tmp_path / "pruned"
+        ps = params.ParamSet.from_flat([1.0, 2.0, 3.0, 4.0])
+        params.save_model(ps, model, None, params.PruneMask([True, False, True, True]))
+        args = cli._build_parser().parse_args(
+            [*argv, "--model-dir", str(model), "--out-dir", str(tmp_path / "q")]
+        )
+        _, values, curvature = cli._prepare_inputs(cli._resolve_config(args))
+        if reads:
+            assert curvature.source == params.CurvatureSource.IDENTITY
+            assert np.array_equal(curvature.values, np.ones(values.size))
+        else:
+            assert curvature is None
+
 
 class TestSweep:
     def test_row_count_and_determinism(self, model_dir, tmp_path):

@@ -2,6 +2,11 @@
 curvature backends against analytic values, training/pruning/fine-tuning
 contracts."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -204,6 +209,51 @@ class TestTraining:
                 ds,
                 TrainConfig(steps=5, lr=1e200, seed=0),
             )
+
+
+# Runs in a fresh interpreter with two workers allowed: prints the thread
+# count and whether concurrent.futures is loaded, after importing the CLI,
+# after training a one-block net and after training a net of four blocks,
+# then the exit status of a forked child that trains that net again.
+THREAD_PROBE = """
+import json, os, signal, sys, threading
+counts = [threading.active_count()]
+import netquant.cli
+from netquant import refnet
+def probe():
+    counts.append(threading.active_count())
+    counts.append("concurrent.futures" in sys.modules)
+probe()
+refnet._WORKERS = 2
+ds = refnet.make_blobs(40, 3, 4, seed=0)
+spec = refnet.MlpSpec((4, 8, 3))
+refnet.train_adam(spec, ds, refnet.TrainConfig(steps=3, batch_size=8))
+probe()
+refnet._BLOCK_BYTES = 8 * (spec.param_count() // 4 + 1)
+refnet.train_adam(spec, ds, refnet.TrainConfig(steps=3, batch_size=8))
+probe()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child that hangs ends with SIGALRM
+    refnet.train_adam(spec, ds, refnet.TrainConfig(steps=3, batch_size=8))
+    os._exit(0)
+counts.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+print(json.dumps(counts))
+"""
+
+
+class TestTrainingThreads:
+    def test_import_and_one_block_training_start_no_thread(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout  # fmt: skip
+        before, *after = json.loads(out.splitlines()[-1])
+        # Import and one-block training: no thread, no executor module; four
+        # blocks: the one worker. A forked child, which inherits the worker's
+        # record but not its thread, starts its own rather than wait forever.
+        assert after == [before, False, before, False, before + 1, True, 0]
 
 
 class TestExactHessian:
