@@ -10,6 +10,7 @@ whole-array code exceeds.
 """
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -330,11 +331,15 @@ class TestTrainingWorkers:
 
         trained, tuned = [], []
         for workers in (1, 2):
+            # The worker runs in the caller's numpy error state, so a
+            # diverging step overflows silently there too.
             with (
                 mock.patch.object(refnet, "_WORKERS", workers),
                 mock.patch.object(refnet, "_BLOCK_BYTES", 8 * block),
                 np.errstate(over="ignore", invalid="ignore"),
+                warnings.catch_warnings(),
             ):
+                warnings.simplefilter("error", RuntimeWarning)
                 try:
                     trained.append(train_adam(spec, ds, cfg))
                 except DivergenceError as exc:
