@@ -64,7 +64,6 @@ from .refnet import (
     forward_loss,
     hessian_diag_exact,
     hessian_diag_gn,
-    identity_curvature,
     init_params,
     load_csv,
     make_blobs,

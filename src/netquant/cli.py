@@ -493,9 +493,8 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
     the quantizer clusters (the kept parameters, as float64) with their
     curvature, so that a command can drop those two once it has clustered.
 
-    The run's curvature is chosen here. ``identity`` is built at the kept
-    length, and only for a run that reads it: plain ``kmeans`` and
-    ``uniform`` with the ``mean`` center rule get ``None``. ``adam`` is the
+    The run's curvature is chosen here. ``identity`` is ``None``, the unit
+    weights every solver takes without an array. ``adam`` is the
     full-length curvature that ``train-ref`` stored; ``exact`` and
     ``gauss-newton`` evaluate the pruned net (the full vector, pruned slots
     zeroed). All three are read at the kept positions.
@@ -517,34 +516,30 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
     if mask is not None and source in ("exact", "gauss-newton"):
         full = np.multiply(ps.values, mask.kept, dtype=float)
     del ps  # the rest reads only the kept values and the masked vector
-    if source == "identity":
-        reads = any(
-            q in ("hw-kmeans", "ecsq") or (q == "uniform" and cfg["center_rule"] != "mean")
-            for q in cfg["quantizers"] or [cfg["quantizer"]]
-        )
-        curvature = refnet.identity_curvature(values.size) if reads else None
-    else:
-        if source == "adam":
-            adam = params.CurvatureSource.ADAM_SQRT_MOMENT
-            curvature = model.curvature()
-            if curvature is None or curvature.source != adam:
-                raise ConfigError(
-                    "curvature=adam needs a model directory with stored "
-                    "adam_sqrt_moment curvature (run train-ref)"
-                )
-        elif dataset is None:
+    curvature = None  # identity
+    if source == "adam":
+        adam = params.CurvatureSource.ADAM_SQRT_MOMENT
+        curvature = model.curvature()
+        if curvature is None or curvature.source != adam:
+            raise ConfigError(
+                "curvature=adam needs a model directory with stored "
+                "adam_sqrt_moment curvature (run train-ref)"
+            )
+    elif source != "identity":
+        if dataset is None:
             raise ConfigError(f"curvature={source} needs a dataset and {REFNET_FILE}")
+        x, y = dataset.split("hessian")
+        cap = cfg["hessian_samples"]
+        if cap:
+            x, y = x[:cap], y[:cap]
+        if source == "exact":
+            curvature = refnet.hessian_diag_exact(spec, full, x, y)
         else:
-            x, y = dataset.split("hessian")
-            cap = cfg["hessian_samples"]
-            if cap:
-                x, y = x[:cap], y[:cap]
-            if source == "exact":
-                curvature = refnet.hessian_diag_exact(spec, full, x, y)
-            else:
-                curvature = refnet.hessian_diag_gn(spec, full, x, y)
-        if mask is not None:
-            curvature = params.CurvatureDiag(curvature.values[mask.kept], curvature.source)
+            curvature = refnet.hessian_diag_gn(spec, full, x, y)
+    if curvature is not None and mask is not None:
+        kept = curvature.values[mask.kept]
+        kept.setflags(write=False)  # handed over: the record need not copy it
+        curvature = params.CurvatureDiag(kept, curvature.source)
     return Inputs(n, spec, dataset, positions), values, curvature
 
 

@@ -49,7 +49,7 @@ class ChecksumError(FormatError):
 
 
 class DivergenceError(NetQuantError):
-    """Training or fine-tuning produced a non-finite loss."""
+    """A loss or curvature became non-finite or overflowed its storage."""
 
 
 class CurvatureSource(str, Enum):
@@ -96,10 +96,14 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _frozen_f32(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ValueError("expected a flat 1-d vector")
+def _read_only(value, dtype) -> np.ndarray:
+    """``value`` as a flat non-empty read-only ``dtype`` array for a record;
+    a copy only where the conversion returned the caller's writeable array."""
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("expected a flat non-empty vector")
+    if arr is value and arr.flags.writeable:
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -116,7 +120,7 @@ class ParamSet:
     spans: tuple[Span, ...]
 
     def __post_init__(self):
-        arr = _frozen_f32(self.values)
+        arr = _read_only(self.values, np.float32)
         object.__setattr__(self, "values", arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("parameter values must be finite")
@@ -125,8 +129,7 @@ class ParamSet:
 
     @classmethod
     def from_flat(cls, values, name: str = "params") -> "ParamSet":
-        arr = np.ascontiguousarray(values, dtype=np.float32)
-        return cls(arr, (Span(name, 0, arr.size),))
+        return cls(values, (Span(name, 0, np.size(values)),))
 
     @property
     def n(self) -> int:
@@ -149,14 +152,12 @@ class CurvatureDiag:
     source: CurvatureSource
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("expected a flat non-empty curvature vector")
+        arr = _read_only(self.values, np.float32)
         if not np.all(np.isfinite(arr)):
             raise ValueError("curvature values must be finite")
         if arr.min() < np.float32(CURVATURE_FLOOR):
             arr = np.maximum(arr, np.float32(CURVATURE_FLOOR))
-        arr.setflags(write=False)
+            arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "source", CurvatureSource(self.source))
 
@@ -175,12 +176,9 @@ class PruneMask:
     kept: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.kept, dtype=bool)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("expected a flat non-empty mask")
+        arr = _read_only(self.kept, bool)
         if not arr.any():
             raise ValueError("mask prunes every parameter")
-        arr.setflags(write=False)
         object.__setattr__(self, "kept", arr)
 
     @property

@@ -18,6 +18,9 @@ Four schemes share one assignment/codebook representation:
   achieve. ``solve_lambda(values, curvature, k, target_entropy)`` searches
   the ``lam`` that meets an entropy budget.
 
+A ``curvature`` of None is unit weights: the weighted objective is then
+the plain one.
+
 Both k-means variants are solved exactly: in one dimension an optimal
 partition is a set of contiguous runs of the sorted values, which dynamic
 programming finds without iteration or repair passes. Their trace is the
@@ -58,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import CurvatureDiag, ParamSet
+from .params import CurvatureDiag, ParamSet, _read_only
 
 # Improvements smaller than this (relative to the solve's starting
 # objective) are treated as float noise by the stabilization pass.
@@ -97,22 +100,16 @@ class Codebook:
     counts: np.ndarray
 
     def __post_init__(self):
-        centers = np.ascontiguousarray(self.centers, dtype=np.float64)
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if centers.ndim != 1 or counts.shape != centers.shape:
-            raise ValueError("centers and counts must be matching 1-d arrays")
-        if centers.size < 1:
-            raise ValueError("empty codebook")
+        centers = _read_only(self.centers, np.float64)
+        counts = _read_only(self.counts, np.int64)
+        if counts.shape != centers.shape:
+            raise ValueError("centers and counts differ in length")
         if not np.all(np.isfinite(centers)):
             raise ValueError("non-finite center")
         if np.any(counts < 0):
             raise ValueError("negative count")
-        # Frozen, so a writeable array the caller passed in is copied first.
-        for name, x in (("centers", centers), ("counts", counts)):
-            if x is getattr(self, name) and x.flags.writeable:
-                x = x.copy()
-            x.setflags(write=False)
-            object.__setattr__(self, name, x)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def k(self) -> int:
@@ -148,6 +145,9 @@ def _values64(x) -> np.ndarray:
 
 
 def _curvature64(x, n: int) -> np.ndarray:
+    """The float64 weights of ``n`` values; ``None`` gives unit weights."""
+    if x is None:
+        return np.ones(n)
     if isinstance(x, CurvatureDiag):
         arr = x.as_f64()
     else:
@@ -167,7 +167,7 @@ def msqe(values, assignment, codebook: Codebook) -> float:
 
 
 def hw_distortion(values, curvature, assignment, codebook: Codebook) -> float:
-    """Curvature-weighted sum of squared errors (uniform curvature -> msqe)."""
+    """Curvature-weighted sum of squared errors (``curvature`` None: msqe)."""
     v = _values64(values)
     h = _curvature64(curvature, v.size)
     return _distortion(v, h, np.asarray(assignment), codebook.centers)
@@ -436,7 +436,7 @@ def _best_moves(stats: _ClusterSums, lam: float) -> tuple[np.ndarray, np.ndarray
 
         return score
 
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = W / S
         join = lam * (_rate_gain(counts + 1) - _rate_gain(counts))
         live = np.flatnonzero(counts).tolist()
@@ -636,8 +636,7 @@ def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
     v = _values64(values)
-    h = np.ones_like(v) if curvature is None else _curvature64(curvature, v.size)
-    return _exact_kmeans(v, h, ks)
+    return _exact_kmeans(v, _curvature64(curvature, v.size), ks)
 
 
 def uniform_quantize(
@@ -645,10 +644,11 @@ def uniform_quantize(
 ) -> QuantizeResult:
     """Equal-width binning over ``[min, max]`` with per-bin centers.
 
-    ``center_rule`` picks plain means or curvature-weighted means (the
-    latter requires ``curvature``). Empty bins are dropped and the codebook
-    compacted, so the effective cluster count may be below ``k``. A
-    degenerate all-equal input collapses to a single cluster.
+    ``center_rule`` picks plain means or curvature-weighted means; with
+    ``curvature`` None the two are one rule, bit for bit, and build no
+    weights. Empty bins are dropped and the codebook compacted, so the
+    effective cluster count may be below ``k``. A degenerate all-equal
+    input collapses to a single cluster.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -656,9 +656,7 @@ def uniform_quantize(
         raise ValueError(f"unknown center_rule {center_rule!r}")
     v = _values64(values)
     h = None  # plain means
-    if center_rule == "hessian_weighted_mean":
-        if curvature is None:
-            raise ValueError("hessian_weighted_mean needs a curvature vector")
+    if center_rule == "hessian_weighted_mean" and curvature is not None:
         h = _curvature64(curvature, v.size)
 
     lo, hi = float(v.min()), float(v.max())
@@ -719,7 +717,8 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
     centers = np.linspace(float(v.min()), float(v.max()), k)
 
     def assign_step(centers, p):
-        penalty = -lam * np.log2(np.maximum(p, 1e-300))
+        with np.errstate(over="ignore"):  # an infinite rate term is a valid score
+            penalty = -lam * np.log2(np.maximum(p, 1e-300))
 
         def block(rows):
             vb, hb = v[rows], h[rows]

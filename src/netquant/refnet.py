@@ -117,9 +117,9 @@ class Dataset:
     """Inputs plus labels, partitioned into named splits by index.
 
     ``labels`` holds class indices (classification) or a target matrix
-    (regression under the squared-error loss). The ``hessian`` split falls
-    back to ``train`` when absent, matching how curvature is normally
-    estimated from training data.
+    (regression under the squared-error loss). Inputs and targets must be
+    finite. The ``hessian`` split falls back to ``train`` when absent,
+    matching how curvature is normally estimated from training data.
     """
 
     inputs: np.ndarray
@@ -137,6 +137,8 @@ class Dataset:
             y = np.ascontiguousarray(y, dtype=np.int64)
             if y.ndim != 1:
                 raise ValueError("class labels must be a flat vector")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("inputs and targets must be finite")
         if y.shape[0] != x.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
         if not self.splits:
@@ -201,9 +203,6 @@ def make_blobs(
     with np.errstate(over="ignore", invalid="ignore"):
         inputs = centers[labels] + rng.normal(0.0, noise, size=(n_samples, n_features))
         inputs *= np.broadcast_to(np.asarray(input_scale, dtype=np.float64), (n_features,))
-    if not np.all(np.isfinite(inputs)):
-        raise ValueError("generated inputs overflow float64")
-
     return Dataset(inputs, labels, _train_eval_splits(rng, n_samples, eval_frac))
 
 
@@ -333,6 +332,8 @@ def forward_loss(spec: MlpSpec, params, inputs, labels) -> tuple[float, np.ndarr
 # where quantize peaks at 219 MB, not 85. Larger eval blocks only add RSS.
 _BLOCK_BYTES = 256 << 10
 _FACTOR_BYTES = 4 << 20
+
+_F32_MAX = float(np.finfo(np.float32).max)  # curvature and centers are stored as float32
 
 
 # A step has two independent halves; macOS and Windows have no affinity call.
@@ -534,16 +535,21 @@ def _curvature_pass(spec: MlpSpec, params, inputs, labels, layer_diags, cols=1):
     """Unfloored float64 curvature over row blocks of ``_FACTOR_BYTES`` at
     ``cols`` columns. ``layer_diags`` yields each layer's diagonal ``d`` on a
     block, last layer first, scaled by the total row count: a weight gets
-    ``(a*a)^T @ d`` from the activations ``a`` it reads, a bias ``d.sum(0)``."""
+    ``(a*a)^T @ d`` from the activations ``a`` it reads, a bias ``d.sum(0)``.
+    An entry that overflows float32 (NaN and inf too) is a
+    :class:`DivergenceError`, which numpy's warnings would only repeat."""
     w = _params64(params)
     h = np.zeros_like(w)
     hlayers = _unpack(spec, h)
-    for b in _row_blocks(spec, len(inputs), _FACTOR_BYTES, cols):
-        layers, acts = _forward(spec, w, inputs[b])
-        for l, d in layer_diags(spec, layers, acts, labels[b], len(inputs)):
-            hW, hb = hlayers[l]
-            hW += (acts[l] * acts[l]).T @ d
-            hb += d.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _row_blocks(spec, len(inputs), _FACTOR_BYTES, cols):
+            layers, acts = _forward(spec, w, inputs[b])
+            for l, d in layer_diags(spec, layers, acts, labels[b], len(inputs)):
+                hW, hb = hlayers[l]
+                hW += (acts[l] * acts[l]).T @ d
+                hb += d.sum(axis=0)
+    if not -_F32_MAX <= h.min() <= h.max() <= _F32_MAX:
+        raise DivergenceError("curvature overflows float32")
     return h
 
 
@@ -638,18 +644,17 @@ def adam_curvature(state: AdamState) -> CurvatureDiag:
     """Curvature proxy from Adam: sqrt of the bias-corrected second moment.
 
     Free at the end of training, no extra passes over the data. Entries
-    below ``CURVATURE_FLOOR``, zero moments included, read as the floor.
+    below ``CURVATURE_FLOOR``, zero moments included, read as the floor;
+    one beyond float32 (overflowed gradients) is a :class:`DivergenceError`.
     """
     if state.step > 0:
         vhat = state.v / (1.0 - ADAM_BETA2**state.step)
     else:
         vhat = np.zeros_like(state.v)
-    return CurvatureDiag(np.sqrt(vhat), CurvatureSource.ADAM_SQRT_MOMENT)
-
-
-def identity_curvature(n: int) -> CurvatureDiag:
-    """Unit weights; curvature-weighted methods degrade to plain ones."""
-    return CurvatureDiag(np.ones(n, dtype=np.float32), CurvatureSource.IDENTITY)
+    root = np.sqrt(vhat)
+    if not root.max() <= _F32_MAX:  # NaN fails too
+        raise DivergenceError("Adam's second moments overflow the float32 curvature")
+    return CurvatureDiag(root, CurvatureSource.ADAM_SQRT_MOMENT)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +717,8 @@ def fine_tune_centers(
     parameters (the chain rule for a shared value). Pruned parameters stay
     exactly zero: ``positions`` maps assignment entries to their slots in
     the full vector of ``spec.param_count()`` parameters. Returns the
-    updated codebook; :func:`eval_accuracy` scores the tuned model.
+    updated codebook; :func:`eval_accuracy` scores the tuned model. A
+    non-finite loss or a center beyond float32 is a :class:`DivergenceError`.
     """
     a = np.asarray(assignment)
     n = spec.param_count()
@@ -735,4 +741,6 @@ def fine_tune_centers(
             raise DivergenceError(f"fine-tuning loss became non-finite at step {t}")
         center_grad = np.bincount(a, weights=grad[pos], minlength=k)
         centers -= cfg.lr * center_grad
+    if not np.abs(centers).max() <= _F32_MAX:  # NaN fails too
+        raise DivergenceError("fine-tuned centers overflow float32")
     return Codebook(centers, codebook.counts)

@@ -425,8 +425,9 @@ class TestPrepareInputs:
         ],
     )
     def test_identity_curvature_only_where_read(self, tmp_path, argv, reads):
-        """Plain k-means and mean-centered uniform bins get no curvature;
-        every other quantizer gets unit weights at the kept length."""
+        """Identity curvature is None for every quantizer, so no array is
+        built; a quantizer that ``reads`` it weights by ones at the kept
+        length."""
         model = tmp_path / "pruned"
         ps = params.ParamSet.from_flat([1.0, 2.0, 3.0, 4.0])
         params.save_model(ps, model, None, params.PruneMask([True, False, True, True]))
@@ -434,11 +435,10 @@ class TestPrepareInputs:
             [*argv, "--model-dir", str(model), "--out-dir", str(tmp_path / "q")]
         )
         _, values, curvature = cli._prepare_inputs(cli._resolve_config(args))
+        assert curvature is None
         if reads:
-            assert curvature.source == params.CurvatureSource.IDENTITY
-            assert np.array_equal(curvature.values, np.ones(values.size))
-        else:
-            assert curvature is None
+            unit = cli.quantizers._curvature64(curvature, values.size)
+            assert np.array_equal(unit, np.ones(values.size))
 
 
 class TestSweep:
@@ -583,6 +583,7 @@ class TestSweep:
         assert run([
             "sweep", "--model-dir", model_dir, "--out-dir", out,
             "--quantizers", "kmeans,hw-kmeans", "--k-list", "0,4,8",
+            "--curvature", "adam",
         ]) == 0
         rows = (out / "sweep.csv").read_text().splitlines()[2:]
         assert [r.split(",")[-1] for r in rows] == [
@@ -1278,3 +1279,109 @@ class TestModelDirReads:
             code = run([*command, "--model-dir", damaged, "--out-dir", tmp_path / "q"])
             assert code == cli.EXIT_IO
             assert capfd.readouterr().err.count("\n") == 1
+
+
+class TestDamagedDataset:
+    """A dataset with a NaN or infinite feature is a configuration error in
+    every command, and finite features that overflow the net's arithmetic
+    (1e200) are a numeric failure where a result would be non-finite. A
+    failing command prints one ``error:`` line, no traceback or warning, and
+    writes nothing; a passing one prints nothing to stderr."""
+
+    FEATURES = {"nan": "nan", "inf": "inf", "huge": "1e200"}
+    COMMANDS = {
+        "train-ref": ["train-ref", "--hidden", "8", "--steps", "50"],
+        "identity": ["quantize", "--quantizer", "kmeans", "--k", "4"],
+        "exact": ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "exact"],
+        "gauss-newton": [
+            "quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton",
+        ],
+        "fine-tune": [
+            "quantize", "--quantizer", "kmeans", "--k", "4", "--fine-tune", "true",
+            "--ft-steps", "5",
+        ],
+        "report": ["report"],
+    }  # fmt: skip
+    # Every command refuses a non-finite feature; 1e200 overflows Adam's
+    # second moments, both curvature passes and the fine-tuning loss.
+    HUGE_EXIT = {
+        "train-ref": cli.EXIT_NUMERIC,
+        "identity": cli.EXIT_OK,
+        "exact": cli.EXIT_NUMERIC,
+        "gauss-newton": cli.EXIT_NUMERIC,
+        "fine-tune": cli.EXIT_NUMERIC,
+        "report": cli.EXIT_OK,
+    }
+
+    @staticmethod
+    def _csv(path, feature=None):
+        """60 rows of a label and two features; ``feature`` replaces row 5's second."""
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, 60)
+        x = rng.normal(size=(60, 2)) + labels[:, None]
+        rows = [f"{y},{a!r},{b!r}" for y, (a, b) in zip(labels.tolist(), x.tolist())]
+        if feature is not None:
+            rows[5] = rows[5].rsplit(",", 1)[0] + "," + feature
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.fixture(scope="class")
+    def net(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("clean")
+        data, net = self._csv(root / "clean.csv"), root / "net"
+        assert run([*self.COMMANDS["train-ref"], "--dataset", data, "--out-dir", net]) == 0
+        assert run([*self.COMMANDS["identity"], "--model-dir", net, "--out-dir", root / "q"]) == 0
+        return net, root / "q" / "model.nq"
+
+    @staticmethod
+    def _run(capfd, argv, out):
+        code = run(argv)
+        err = capfd.readouterr().err
+        if code == cli.EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists() or not any(out.iterdir())
+        return code, err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("feature", list(FEATURES))
+    def test_exit_code_and_output(self, net, tmp_path, capfd, feature, command):
+        model_dir, nq = net
+        data = self._csv(tmp_path / f"{feature}.csv", self.FEATURES[feature])
+        out = tmp_path / "out"
+        argv = [*self.COMMANDS[command], "--dataset", data]
+        if command == "report":
+            argv += ["--model-nq", nq, "--model-dir", model_dir, "--out", out / "report.json"]
+        elif command == "train-ref":
+            argv += ["--out-dir", out]
+        else:
+            argv += ["--model-dir", model_dir, "--out-dir", out]
+        code, err = self._run(capfd, argv, out)
+        if feature == "huge":
+            assert code == self.HUGE_EXIT[command]
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert err == f"error: bad dataset {data}: inputs and targets must be finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_fine_tuned_centers_beyond_float32_are_numeric_failure(self, net, tmp_path, capfd):
+        """At 1e60 the loss stays finite while the centers outgrow float32."""
+        data, out = self._csv(tmp_path / "large.csv", "1e60"), tmp_path / "out"
+        argv = [*self.COMMANDS["fine-tune"], "--dataset", data, "--model-dir", net[0]]
+        assert self._run(capfd, [*argv, "--out-dir", out], out) == (
+            cli.EXIT_NUMERIC, "error: fine-tuned centers overflow float32\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_rate_penalty_that_overflows_collapses_silently(self, net, tmp_path, capfd):
+        """An infinite codeword-rate term is a valid score: ``lam = 1e308``
+        merges every value into one cluster without a warning."""
+        out = tmp_path / "out"
+        argv = [
+            "quantize", "--model-dir", net[0], "--out-dir", out,
+            "--quantizer", "ecsq", "--k", "4", "--lam", "1e308",
+        ]  # fmt: skip
+        assert self._run(capfd, argv, out)[0] == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["k_effective"] == 1

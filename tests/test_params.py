@@ -223,3 +223,30 @@ class TestPruneMask:
     def test_rejects_all_pruned(self):
         with pytest.raises(ValueError):
             PruneMask([False, False])
+
+
+@pytest.mark.parametrize(
+    "make, attr, dtype",
+    [
+        (ParamSet.from_flat, "values", np.float32),
+        (lambda a: CurvatureDiag(a, CurvatureSource.ADAM_SQRT_MOMENT), "values", np.float32),
+        (PruneMask, "kept", bool),
+    ],
+    ids=["ParamSet", "CurvatureDiag", "PruneMask"],
+)
+class TestRecordArrays:
+    """A record holds its array read-only without freezing the caller's: it
+    copies a writeable array it would otherwise share, and shares a
+    read-only one, as a model directory's payloads are."""
+
+    def test_callers_array_stays_writeable(self, make, attr, dtype):
+        given = np.ones(3, dtype)
+        held = getattr(make(given), attr)
+        given[0] = 0
+        assert held[0] == 1
+        assert not held.flags.writeable
+
+    def test_read_only_array_is_shared(self, make, attr, dtype):
+        given = np.ones(3, dtype)
+        given.setflags(write=False)
+        assert getattr(make(given), attr) is given

@@ -251,8 +251,52 @@ class TestUniform:
         assert res.codebook.centers[0] == pytest.approx(3.0)
 
     def test_weighted_rule_requires_curvature(self):
-        with pytest.raises(ValueError):
-            uniform_quantize([1.0, 2.0], k=2, center_rule="hessian_weighted_mean")
+        """Without curvature the weighted rule weights by ones: the mean rule."""
+        v = np.random.default_rng(8).normal(size=500)
+        weighted = uniform_quantize(v, k=7, center_rule="hessian_weighted_mean")
+        plain = uniform_quantize(v, k=7)
+        assert weighted.assignment.tobytes() == plain.assignment.tobytes()
+        assert weighted.codebook.centers.tobytes() == plain.codebook.centers.tobytes()
+        assert np.array_equal(weighted.codebook.counts, plain.codebook.counts)
+
+
+class TestUnitCurvature:
+    """A curvature of None is unit weights: every solver returns, bit for
+    bit, what an explicit array of ones gives it."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.assignment.dtype == b.assignment.dtype
+        assert a.assignment.tobytes() == b.assignment.tobytes()
+        assert a.codebook.centers.tobytes() == b.codebook.centers.tobytes()
+        assert a.codebook.counts.tobytes() == b.codebook.counts.tobytes()
+        assert a.trace.tobytes() == b.trace.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(draws=st.data())
+    def test_none_is_ones(self, draws):
+        n = draws.draw(st.integers(1, 120), label="n")
+        rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if draws.draw(st.booleans(), label="grid"):  # duplicates are common
+            v = rng.integers(-20, 21, n) * draws.draw(st.sampled_from([0.25, 1e-3]))
+        else:
+            v = rng.normal(size=n) * 10.0 ** draws.draw(st.integers(-3, 3), label="scale")
+        k = draws.draw(st.integers(1, min(16, n)), label="k")
+        ones = np.ones(n)
+
+        for a, b in zip(kmeans_sweep(v, None, [k, 2 * k]), kmeans_sweep(v, ones, [k, 2 * k])):
+            self.assert_same(a, b)
+            assert hw_distortion(v, None, a.assignment, a.codebook) == hw_distortion(
+                v, ones, a.assignment, a.codebook
+            )
+        rule = "hessian_weighted_mean"
+        self.assert_same(uniform_quantize(v, None, k, rule), uniform_quantize(v, ones, k, rule))
+        lam = 10.0 ** draws.draw(st.floats(-6.0, -1.0), label="lam") * (np.ptp(v) ** 2 or 1.0)
+        self.assert_same(ecsq_iterate(v, None, k, lam), ecsq_iterate(v, ones, k, lam))
+        target = draws.draw(st.floats(0.1, 3.0), label="target entropy")
+        a, b = solve_lambda(v, None, k, target), solve_lambda(v, ones, k, target)
+        assert (a.lam, a.met, a.entropy) == (b.lam, b.met, b.entropy)
+        self.assert_same(a.result, b.result)
 
 
 # ---------------------------------------------------------------------------
