@@ -10,9 +10,10 @@ fine-tuning, and accuracy evaluation of plain and quantized parameters.
 Parameters live in one flat vector; layer ``l`` contributes spans
 ``layer{l}.weight`` (input x output, row-major) and ``layer{l}.bias``.
 All math runs in float64 through one forward pass, which keeps each layer's
-activation and no pre-activation. Evaluation, curvature, pruning and the
-Adam update walk :func:`~netquant.quantizers.block_slices`, sized by
-``_BLOCK_BYTES`` or ``_FACTOR_BYTES``; only training's final loss is whole.
+activation and no pre-activation. Every pass over samples takes it a row
+block at a time from one walker; that walker, pruning and the Adam update
+cut their blocks with :func:`~netquant.quantizers.block_slices`, sized by
+``_BLOCK_BYTES`` or ``_FACTOR_BYTES``.
 
 A training step on a model of more than one update block runs on two
 threads where the process may use two CPUs: the caller's and one worker,
@@ -207,16 +208,22 @@ def make_blobs(
 
 
 def load_csv(path, eval_frac: float = 0.3, seed: int = 0) -> Dataset:
-    """Load a dataset from CSV: label in the first column, features after."""
+    """Load a dataset from CSV: label in the first column, features after.
+
+    Labels must be nonnegative integers below the row count, so the output
+    layer they size has at most one class per row: a damaged label cannot
+    make it any wider.
+    """
     raw = np.loadtxt(Path(path), delimiter=",", dtype=np.float64, ndmin=2)
     if raw.shape[1] < 2:
         raise ValueError("CSV needs a label column plus at least one feature")
     labels_f = raw[:, 0]
     inputs = raw[:, 1:]
-    if np.all(labels_f == np.round(labels_f)) and labels_f.min() >= 0:
-        labels = labels_f.astype(np.int64)
-    else:
+    if not (np.all(labels_f == np.round(labels_f)) and labels_f.min() >= 0):
         raise ValueError("labels must be nonnegative integers in the first column")
+    if labels_f.max() >= len(raw):
+        raise ValueError(f"label {labels_f.max():.0f} is not below the row count {len(raw)}")
+    labels = labels_f.astype(np.int64)
     splits = _train_eval_splits(np.random.default_rng(seed), raw.shape[0], eval_frac)
     return Dataset(inputs, labels, splits)
 
@@ -356,9 +363,14 @@ def _on_worker(fn, *args, **kwargs):
     return _worker[1].submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
-def _row_blocks(spec: MlpSpec, n: int, budget: int, cols: int = 1):
-    """Row slices of ``range(n)``, ``budget`` bytes at the widest layer x ``cols``."""
-    return block_slices(n, budget // (8 * max(spec.layer_widths) * cols))
+def _forward_blocks(spec: MlpSpec, w: np.ndarray, inputs, budget: int, cols: int = 1):
+    """``(rows, layers, acts)`` of :func:`_forward` per row block of ``inputs``,
+    ``budget`` bytes at the widest layer x ``cols``. ``acts`` is emptied
+    before the next block is made, so one block's activations are alive."""
+    for rows in block_slices(len(inputs), budget // (8 * max(spec.layer_widths) * cols)):
+        layers, acts = _forward(spec, w, inputs[rows])
+        yield rows, layers, acts
+        acts.clear()
 
 
 def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
@@ -380,9 +392,8 @@ def eval_accuracy(spec: MlpSpec, params, inputs, labels) -> float:
     if len(x) != y.size:
         raise ValueError("inputs and labels disagree on sample count")
     hits = 0
-    for b in _row_blocks(spec, y.size, _BLOCK_BYTES):
-        logits = _forward(spec, w, x[b])[1][-1]
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[b]))
+    for rows, _, acts in _forward_blocks(spec, w, x, _BLOCK_BYTES):
+        hits += int(np.count_nonzero(np.argmax(acts[-1], axis=1) == y[rows]))
     return hits / y.size
 
 
@@ -498,7 +509,9 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
     non-finite. With ``steps == 0`` the initial parameters come back
     untouched. Besides the batch's gradient, only the parameters and the
     two moments span the whole model; the update runs in blocks of
-    ``_BLOCK_BYTES``, with one scratch block per worker.
+    ``_BLOCK_BYTES``, with one scratch block per worker. The final loss is
+    that of the training split's logits, filled in row blocks of
+    ``_FACTOR_BYTES`` (see :func:`eval_accuracy` on their last bits).
     """
     if ds.n_features != spec.layer_widths[0]:
         raise ValueError("dataset feature width disagrees with the spec")
@@ -517,9 +530,13 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
             loss = _adam_step(spec, w, m, v, x, y, t, cfg.lr, scratch)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss became non-finite at step {t}")
+    del m, scratch  # the passes below hold the parameters and ``v`` alone
 
-    # The loss alone: the whole split's gradient would go unused.
-    final_loss, _ = _loss_and_delta(spec, _forward(spec, w, train_x)[1][-1], train_y)
+    # The loss alone, from the split's logits: its gradient would go unused.
+    logits = np.empty((len(train_x), spec.layer_widths[-1]))
+    for rows, _, acts in _forward_blocks(spec, w, train_x, _FACTOR_BYTES):
+        logits[rows] = acts[-1]
+    final_loss, _ = _loss_and_delta(spec, logits, train_y)
     params = ParamSet(w, spec.spans())
     eval_x, eval_y = ds.split("eval")
     acc = eval_accuracy(spec, params, eval_x, eval_y)
@@ -542,9 +559,8 @@ def _curvature_pass(spec: MlpSpec, params, inputs, labels, layer_diags, cols=1):
     h = np.zeros_like(w)
     hlayers = _unpack(spec, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in _row_blocks(spec, len(inputs), _FACTOR_BYTES, cols):
-            layers, acts = _forward(spec, w, inputs[b])
-            for l, d in layer_diags(spec, layers, acts, labels[b], len(inputs)):
+        for rows, layers, acts in _forward_blocks(spec, w, inputs, _FACTOR_BYTES, cols):
+            for l, d in layer_diags(spec, layers, acts, labels[rows], len(inputs)):
                 hW, hb = hlayers[l]
                 hW += (acts[l] * acts[l]).T @ d
                 hb += d.sum(axis=0)
@@ -692,6 +708,7 @@ def prune_magnitude(ps: ParamSet, fraction: float) -> PruneMask:
                 at = np.flatnonzero(block == threshold)[:ties]
                 kept[s.start + at] = False
                 ties -= at.size
+    kept.setflags(write=False)  # the mask shares it instead of copying it
     return PruneMask(kept)
 
 

@@ -351,7 +351,8 @@ def train_adam_whole(spec, ds, cfg):
 def fine_tune_centers_whole(spec, assignment, codebook, ds, cfg, positions=None):
     """Centers after SGD steps that each rebuild the full parameter vector
     from zeros; returns the centers. A non-finite loss raises the
-    DivergenceError that ``fine_tune_centers`` raises at that step."""
+    DivergenceError that ``fine_tune_centers`` raises at that step, and
+    centers beyond float32 the one it raises at the end."""
     a = np.asarray(assignment)
     n = spec.param_count()
     pos = np.arange(n) if positions is None else np.asarray(positions)
@@ -366,6 +367,8 @@ def fine_tune_centers_whole(spec, assignment, codebook, ds, cfg, positions=None)
         if not np.isfinite(loss):
             raise DivergenceError(f"fine-tuning loss became non-finite at step {t}")
         centers -= cfg.lr * np.bincount(a, weights=grad[pos], minlength=codebook.k)
+    if not np.all(np.abs(centers) <= np.finfo(np.float32).max):
+        raise DivergenceError("fine-tuned centers overflow float32")
     return centers
 
 

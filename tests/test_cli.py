@@ -130,6 +130,21 @@ class TestTrainRef:
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
 
+    def test_label_beyond_the_row_count_is_config_error(self, tmp_path, capfd):
+        """One label of 100000 in 60 rows would build a net of 3.3M parameters."""
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, 60)
+        labels[7] = 100000
+        data = tmp_path / "bomb.csv"
+        np.savetxt(data, np.column_stack([labels, rng.normal(size=(60, 2))]), delimiter=",")
+        out = tmp_path / "m"
+        code = run(["train-ref", "--out-dir", out, "--dataset", data, "--steps", "5"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert capfd.readouterr().err == (
+            f"error: bad dataset {data}: label 100000 is not below the row count 60\n"
+        )
+
 
 class TestQuantize:
     def test_fixed_k8_avg_bits_exactly_three(self, model_dir, tmp_path):

@@ -493,6 +493,20 @@ class TestPruning:
             mask = prune_magnitude(ps, fraction)
             assert mask.n_kept == n - int(fraction * n)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    def test_mask_holds_the_array_it_marked(self, monkeypatch, fraction):
+        """The record takes the keep-array as it is, without a copy."""
+        marked = []
+
+        class Recorded(refnet.PruneMask):
+            def __post_init__(self):
+                marked.append(self.kept)
+                super().__post_init__()
+
+        monkeypatch.setattr(refnet, "PruneMask", Recorded)
+        mask = prune_magnitude(ParamSet.from_flat(np.arange(10.0)), fraction)
+        assert mask.kept is marked[0]
+
 
 class TestEvalAccuracy:
     def test_memorized_set_is_perfect(self):
@@ -612,3 +626,11 @@ class TestDatasets:
         assert ds.n_features == 5
         assert ds.n_classes == 3
         assert ds.splits["eval"].size == 6
+
+    def test_csv_labels_stay_below_the_row_count(self, tmp_path):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, [[label, 0.5] for label in (0, 1, 2, 3)], delimiter=",")
+        assert load_csv(path).n_classes == 4
+        np.savetxt(path, [[label, 0.5] for label in (0, 1, 2, 4)], delimiter=",")
+        with pytest.raises(ValueError, match="^label 4 is not below the row count 4$"):
+            load_csv(path)

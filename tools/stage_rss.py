@@ -15,9 +15,9 @@ one ``stage  peak MB  now MB`` line per completed call to stderr, between an
 ``import`` line for the baseline before the command ran and an ``end``
 line for the whole command. Stages nest (``_open_model_dir`` runs inside
 ``_prepare_inputs``, ``_curvature_pass`` inside either curvature backend,
-``scatter_dequantize`` and ``eval_accuracy`` inside ``_evaluate``), so a
-line reads as "the peak so far when this call returned". The exit code is
-the command's.
+``scatter_dequantize`` and ``eval_accuracy`` inside ``_evaluate``, and
+``eval_accuracy`` inside ``train_adam`` too), so a line reads as "the peak
+so far when this call returned". The exit code is the command's.
 
 ``cli._open_model_dir`` opens the model directory and reads only
 ``manifest.json`` and ``refnet.json``; each payload is read later, when the
@@ -45,6 +45,8 @@ import sys
 # the tool runs unchanged against older or newer trees (tests/test_tools.py
 # checks that the current package defines every one).
 STAGES = (
+    ("refnet", "train_adam"),
+    ("refnet", "adam_curvature"),
     ("cli", "_open_model_dir"),
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
