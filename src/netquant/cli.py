@@ -780,41 +780,47 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The keys of the dataset block that train-ref writes into refnet.json; a
+# stored block overrides the run's values of all of them.
+_DATASET_KEYS = (
+    "synth_samples", "synth_classes", "synth_features", "synth_noise", "synth_spread",
+    "synth_scale", "synth_seed", "eval_frac",
+)  # fmt: skip
+# What scores a model directory on a dataset: a CSV is split by eval_frac
+# and synth_seed, a stored synthetic dataset by its own block.
+_SCORED = ("model_dir", "dataset", "eval_frac", "synth_seed")
+_QUANT = (
+    "quantizer", "curvature", "coding", "k", "prune_fraction", "fine_tune", "center_rule",
+    "hessian_samples", "ft_steps", "ft_batch_size", "ft_lr",
+)  # fmt: skip
 
-def _add_options(parser: argparse.ArgumentParser, keys: list[str]) -> None:
-    parser.add_argument("--config", help="flat key=value configuration file")
-    for key in keys:
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, default=None, metavar="V")
-
-
-_COMMON = ["model_dir", "dataset", "out_dir", "seed", "eval_frac"]
-_SYNTH = [
-    "synth_samples",
-    "synth_classes",
-    "synth_features",
-    "synth_noise",
-    "synth_spread",
-    "synth_scale",
-    "synth_seed",
-]
-# The keys of the dataset block that train-ref writes into refnet.json.
-_DATASET_KEYS = _SYNTH + ["eval_frac"]
-_QUANT = [
-    "quantizer",
-    "curvature",
-    "coding",
-    "k",
-    "target_ratio",
-    "lam",
-    "prune_fraction",
-    "fine_tune",
-    "center_rule",
-    "hessian_samples",
-    "ft_steps",
-    "ft_batch_size",
-    "ft_lr",
-]
+# command -> (help, the keys it reads): each key is a flag of that command
+# alone, and a config file may set every key of OPTION_TABLE. Command
+# ``a-b`` runs ``cmd_a_b``, looked up when the parser is built, so a wrapper
+# put in its place (as perfbench's tracer does) is what runs.
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "train-ref": (
+        "train the reference MLP and save a model dir",
+        ("out_dir", "dataset", "seed", *_DATASET_KEYS, "hidden", "activation", "loss",
+         "steps", "batch_size", "lr", "model_name"),
+    ),  # fmt: skip
+    "prune": (
+        "add a magnitude prune mask to a model dir",
+        ("model_dir", "out_dir", "prune_fraction"),
+    ),
+    "quantize": (
+        "run the full compression pipeline",
+        (*_SCORED, "out_dir", "seed", *_QUANT, "target_ratio", "lam"),
+    ),
+    "sweep": (
+        "quantize over a list of k or lambda values",
+        (*_SCORED, "out_dir", "seed", *_QUANT, "k_list", "lambda_list", "quantizers"),
+    ),
+    "report": (
+        "recompute every number from an encoded model",
+        ("model_nq", "out", *_SCORED),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -823,32 +829,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Codebook quantization and entropy coding for network parameters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-ref", help="train the reference MLP and save a model dir")
-    _add_options(
-        p,
-        _COMMON
-        + _SYNTH
-        + ["hidden", "activation", "loss", "steps", "batch_size", "lr", "model_name"],
-    )
-    p.set_defaults(func=cmd_train_ref)
-
-    p = sub.add_parser("prune", help="add a magnitude prune mask to a model dir")
-    _add_options(p, _COMMON + _SYNTH + ["prune_fraction"])
-    p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("quantize", help="run the full compression pipeline")
-    _add_options(p, _COMMON + _SYNTH + _QUANT)
-    p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("sweep", help="quantize over a list of k or lambda values")
-    _add_options(p, _COMMON + _SYNTH + _QUANT + ["k_list", "lambda_list", "quantizers"])
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="recompute every number from an encoded model")
-    _add_options(p, _COMMON + _SYNTH + ["model_nq", "out"])
-    p.set_defaults(func=cmd_report)
-
+    for name, (help_text, keys) in COMMANDS.items():
+        # No abbreviations: sweep's --lambda-list would take a --lam.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="flat key=value configuration file")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="V")
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

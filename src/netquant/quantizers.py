@@ -71,11 +71,9 @@ _MOVE_REL_TOL = 1e-12
 _ECSQ_MAX_ITERS = 200
 
 # The lambda search accepts entropies within this many bits of the budget;
-# it bisects log2(lam / lam_max) over [_LAMBDA_MIN_EXP, 0] in at most
-# _LAMBDA_MAX_ROUNDS solves.
+# it bisects log2(lam / lam_max) over [_LAMBDA_MIN_EXP, 0].
 _LAMBDA_SLACK = 0.05
 _LAMBDA_MIN_EXP = -64.0
-_LAMBDA_MAX_ROUNDS = 60
 
 # Bytes of float64 per block (8,192 entries) of every blocked walk here and
 # in coding; refnet's walks pass their own step. Scoring walks the clusters
@@ -794,7 +792,7 @@ def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResu
     # lam_max walks.
     t_lo, t_hi = _LAMBDA_MIN_EXP, 0.0
     best_lam, best_res, best_h = lam_max, res_hi, h_hi
-    for _ in range(_LAMBDA_MAX_ROUNDS):
+    while True:
         if best_h >= target_entropy - _LAMBDA_SLACK:
             break  # close enough to the budget from below
         if 2.0 ** (t_lo - t_hi) >= 1.0 - 1e-9:

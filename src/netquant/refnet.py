@@ -115,12 +115,12 @@ def init_params(spec: MlpSpec, seed: int = 0) -> ParamSet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs plus labels, partitioned into named splits by index.
+    """Inputs plus class labels, partitioned into named splits by index.
 
-    ``labels`` holds class indices (classification) or a target matrix
-    (regression under the squared-error loss). Inputs and targets must be
-    finite. The ``hessian`` split falls back to ``train`` when absent,
-    matching how curvature is normally estimated from training data.
+    ``labels`` holds one class index per sample; a label matrix is refused.
+    Inputs must be finite. The ``hessian`` split falls back to ``train``
+    when absent, matching how curvature is normally estimated from training
+    data.
     """
 
     inputs: np.ndarray
@@ -132,13 +132,10 @@ class Dataset:
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("inputs must be a non-empty samples x features matrix")
         y = np.asarray(self.labels)
-        if np.issubdtype(y.dtype, np.floating) and y.ndim == 2:
-            y = np.ascontiguousarray(y, dtype=np.float64)
-        else:
-            y = np.ascontiguousarray(y, dtype=np.int64)
-            if y.ndim != 1:
-                raise ValueError("class labels must be a flat vector")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if y.ndim != 1:
+            raise ValueError("class labels must be a flat vector")
+        y = np.ascontiguousarray(y, dtype=np.int64)
+        if not np.all(np.isfinite(x)):
             raise ValueError("inputs and targets must be finite")
         if y.shape[0] != x.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
@@ -164,8 +161,6 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
-        if self.labels.ndim == 2:
-            return int(self.labels.shape[1])
         return int(self.labels.max()) + 1
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -538,8 +533,9 @@ def train_adam(spec: MlpSpec, ds: Dataset, cfg: TrainConfig) -> TrainedModel:
         logits[rows] = acts[-1]
     final_loss, _ = _loss_and_delta(spec, logits, train_y)
     params = ParamSet(w, spec.spans())
+    np.copyto(w, params.values)  # the stored float32 values, widened in place
     eval_x, eval_y = ds.split("eval")
-    acc = eval_accuracy(spec, params, eval_x, eval_y)
+    acc = eval_accuracy(spec, w, eval_x, eval_y)
     return TrainedModel(params, final_loss, acc, AdamState(cfg.steps, v))
 
 

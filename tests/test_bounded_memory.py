@@ -31,6 +31,7 @@ from netquant.refnet import (
     FineTuneConfig,
     MlpSpec,
     TrainConfig,
+    eval_accuracy,
     fine_tune_centers,
     make_blobs,
     train_adam,
@@ -343,6 +344,31 @@ class TestInPlaceTraining:
                 tracemalloc.stop()
         bound = 4 * 8 * spec.param_count() + TRAIN_MARGIN_BYTES
         assert peaks[0] <= bound < peaks[1]
+
+    def test_closing_accuracy_pass_holds_no_second_model_vector(self):
+        """Training scores the stored float32 parameters through its own
+        float64 vector; widening them into a second one took 2.47 MiB above
+        the pass's entry on this net, one model vector being 2.16 MiB."""
+        spec = MlpSpec((64, 4096, 4))
+        ds = make_blobs(500, 4, 64, seed=0)
+        rises, scored = [], []
+
+        def traced(spec, params, *split):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            acc = eval_accuracy(spec, params, *split)
+            rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            scored.append(np.array(params, dtype=np.float64))
+            return acc
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(refnet, "eval_accuracy", traced):
+                model = train_adam(spec, ds, TrainConfig(steps=3, batch_size=4, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(scored[0], model.params.as_f64())
+        assert len(rises) == 1 and rises[0] < 8 * spec.param_count()
 
 
 class TestTrainingWorkers:

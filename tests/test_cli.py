@@ -11,6 +11,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shutil
 
 import numpy as np
@@ -49,6 +50,16 @@ def model_dir(tmp_path_factory):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def with_config(tmp_path, argv: list) -> list:
+    """``argv`` with a trailing dict of keys moved into a ``--config`` file:
+    the way to set a key that the command has no flag for."""
+    if not (argv and isinstance(argv[-1], dict)):
+        return argv
+    path = tmp_path / "netquant.cfg"
+    path.write_text("".join(f"{key}={value}\n" for key, value in argv[-1].items()))
+    return [*argv[:-1], "--config", path]
 
 
 class TestTrainRef:
@@ -236,13 +247,14 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", "--center-rule", "foo"],
             # synthetic-dataset keys are checked without --dataset too
             ["--quantizer", "kmeans", "--k", "4", "--synth-seed=-1"],
-            ["--quantizer", "kmeans", "--k", "4", "--synth-classes", "0"],
-            ["--quantizer", "kmeans", "--k", "4", "--synth-samples=-3"],
-            ["--quantizer", "kmeans", "--k", "4", "--synth-features=-2"],
+            ["--quantizer", "kmeans", "--k", "4", {"synth_classes": 0}],
+            ["--quantizer", "kmeans", "--k", "4", {"synth_samples": -3}],
+            ["--quantizer", "kmeans", "--k", "4", {"synth_features": -2}],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
         out = tmp_path / "q"
+        flags = with_config(tmp_path, flags)
         code = run(["quantize", "--model-dir", model_dir, "--out-dir", out, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "model.nq").exists()
@@ -529,16 +541,16 @@ class TestSweep:
 
     def test_rows_match_quantize(self, model_dir, tmp_path):
         """Each row is the quantize run with that row's settings; ecsq rows
-        take k=8 without --k and ignore --target-ratio."""
+        take k=8 without --k and ignore a configured target_ratio."""
         common = [
             "--model-dir", model_dir, "--dataset", "synth", "--curvature", "adam",
             "--coding", "huffman",
         ]  # fmt: skip
-        assert run([
-            "sweep", *common, "--out-dir", tmp_path / "s", "--target-ratio", "4",
+        assert run(with_config(tmp_path, [
+            "sweep", *common, "--out-dir", tmp_path / "s",
             "--quantizers", "kmeans,hw-kmeans,uniform,ecsq", "--k-list", "3,8",
-            "--lambda-list", "0,1e-3",
-        ]) == 0
+            "--lambda-list", "0,1e-3", {"target_ratio": 4},
+        ])) == 0  # fmt: skip
         text = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
         rows = list(csv.DictReader(text))
         assert [r["quantizer"] for r in rows] == [
@@ -615,11 +627,12 @@ class TestSweep:
             ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
             ["--quantizers", "kmeans", "--k-list", "4", "--seed", "-5"],
-            ["--quantizers", "kmeans", "--k-list", "4", "--target-ratio", "-2"],
+            ["--quantizers", "kmeans", "--k-list", "4", {"target_ratio": -2}],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
         out = tmp_path / "s"
+        flags = with_config(tmp_path, flags)
         code = run(["sweep", "--model-dir", model_dir, "--out-dir", out, *flags])
         assert code == cli.EXIT_CONFIG
         assert not (out / "sweep.csv").exists()
@@ -880,6 +893,22 @@ class TestConfigRoundTrip:
         assert cli._option(key, line.partition("=")[2]) == default
 
 
+# The flags each command took before it took only the keys it reads.
+_SHAPE_KEYS = ["synth_samples", "synth_classes", "synth_features",
+               "synth_noise", "synth_spread", "synth_scale"]  # fmt: skip
+REMOVED_FLAGS = [
+    (command, key)
+    for command, keys in {
+        "train-ref": ["model_dir"],
+        "prune": ["dataset", "seed", "eval_frac", *_SHAPE_KEYS, "synth_seed"],
+        "quantize": _SHAPE_KEYS,
+        "sweep": ["target_ratio", "lam", *_SHAPE_KEYS],
+        "report": ["seed", "out_dir", *_SHAPE_KEYS],
+    }.items()
+    for key in keys
+]
+
+
 class TestCommands:
     def test_curvature_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -889,6 +918,71 @@ class TestCommands:
         with pytest.raises(SystemExit):
             run(["--help"])
         assert "{train-ref,prune,quantize,sweep,report}" in capsys.readouterr().out
+
+    def test_flags_are_the_table_keys(self):
+        """Each command takes a flag for each key it reads, and ``--config``."""
+        flags = _parser_keys()
+        assert flags == {name: list(keys) for name, (_, keys) in cli.COMMANDS.items()}
+        counts = {name: len(keys) for name, keys in flags.items()}
+        assert counts == {"train-ref": 18, "prune": 3, "quantize": 19, "sweep": 20, "report": 6}
+        assert all(set(keys) <= cli.OPTION_TABLE.keys() for keys in flags.values())
+
+    @pytest.fixture(scope="class")
+    def encoded(self, model_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("commands-q")
+        assert run(["quantize", "--model-dir", model_dir, "--out-dir", out, "--k", "4"]) == 0
+        return out / "model.nq"
+
+    @pytest.mark.parametrize(
+        "command, key", REMOVED_FLAGS, ids=[f"{c}-{k}" for c, k in REMOVED_FLAGS]
+    )
+    def test_flag_the_command_does_not_read_is_refused(
+        self, model_dir, encoded, tmp_path, capsys, command, key
+    ):
+        """With a value the key's domain takes, as a command that ignored
+        the flag ran to the end."""
+        out = tmp_path / "out"
+        value = {
+            "dataset": "synth", "out_dir": tmp_path / "zz", "model_dir": tmp_path / "nowhere",
+            "target_ratio": 4, "lam": 0.5,
+        }.get(key, cli.OPTION_TABLE[key][0])  # fmt: skip
+        flag = f"--{key.replace('_', '-')}"
+        base = TestOptionFuzz._base(command, model_dir, encoded, out)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *base, flag, value])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "zz").exists()
+
+    def test_config_key_is_checked_where_no_flag_reads_it(self, model_dir, tmp_path, capfd):
+        out = tmp_path / "pruned"
+        argv = ["prune", "--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5"]
+        assert run(with_config(tmp_path, [*argv, {"synth_samples": 0}])) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err.startswith("error: config key synth_samples: ")
+        assert not out.exists()
+
+    def test_stored_dataset_overrides_configured_shape(self, model_dir, tmp_path):
+        """``--dataset synth`` rebuilds the dataset that refnet.json stores,
+        so the config file's shape keys change no artifact."""
+        shape = {"synth_samples": 100, "synth_classes": 2, "synth_features": 9,
+                 "synth_noise": 5, "synth_spread": 1, "synth_scale": 2}  # fmt: skip
+        argv = ["quantize", "--model-dir", model_dir, "--quantizer", "hw-kmeans", "--k", "4",
+                "--dataset", "synth", "--curvature", "gauss-newton"]  # fmt: skip
+        assert run([*argv, "--out-dir", tmp_path / "a"]) == 0
+        assert run(with_config(tmp_path, [*argv, "--out-dir", tmp_path / "b", shape])) == 0
+        for name in ("model.nq", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert "synth_features=9\n" in (tmp_path / "b" / "config.txt").read_text()
+
+    def test_readme_names_each_commands_flags(self):
+        """README has one line per command that lists its flags in table order."""
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = re.findall(r"^- `netquant ([a-z-]+)`: (.*)$", readme, re.MULTILINE)
+        listed = {name: re.findall(r"`--([a-z-]+)`", flags) for name, flags in lines}
+        assert listed == {
+            name: [key.replace("_", "-") for key in keys]
+            for name, (_, keys) in cli.COMMANDS.items()
+        }
 
 
 class TestPruneCommand:
@@ -915,17 +1009,25 @@ class TestPruneCommand:
         assert not out.exists()
 
 
-def _fuzz_keys() -> dict:
-    """Command -> the option keys it takes, path keys left out: an empty path
-    names the working directory."""
+def _parser_keys() -> dict:
+    """Command -> the keys of the flags its parser takes besides ``--config``."""
     sub = next(
         a for a in cli._build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )  # fmt: skip
+    return {
+        name: [a.dest for a in p._actions if a.dest not in ("help", "config")]
+        for name, p in sub.choices.items()
+    }
+
+
+def _fuzz_keys() -> dict:
+    """Command -> the option keys it takes, path keys left out: an empty path
+    names the working directory."""
     paths = {"model_dir", "out_dir", "dataset", "model_nq", "out"}
     return {
-        name: [a.dest for a in p._actions if a.dest in cli.OPTION_TABLE.keys() - paths]
-        for name, p in sub.choices.items()
+        name: [key for key in keys if key in cli.OPTION_TABLE.keys() - paths]
+        for name, keys in _parser_keys().items()
     }
 
 

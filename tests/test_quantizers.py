@@ -929,6 +929,22 @@ class TestLambdaSearch:
         # Halving lam_max linearly takes 29 solves to reach this window.
         assert len(lams) <= 16
 
+    def test_bracket_ends_a_search_that_never_nears_the_budget(self, monkeypatch):
+        """Three values at k=2 have entropy 0 or at least 0.92 bits, so a
+        0.5-bit budget is never neared and only the bracket test stops the
+        bisection: 64 halved to under 1e-9 relative takes 36 probes after
+        the lam = 0 and lam_max solves."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ecsq_iterate(*args)
+
+        monkeypatch.setattr(quantizers, "ecsq_iterate", counted)
+        found = solve_lambda([0.0, 1.0, 2.0], None, 2, 0.5)
+        assert found.met and found.entropy == 0.0
+        assert len(calls) == 2 + 36
+
     def test_reaches_deep_budget_window(self):
         v, h = spiked(2.0**32)
         found = solve_lambda(v, h, k=8, target_entropy=2.0)

@@ -634,3 +634,10 @@ class TestDatasets:
         np.savetxt(path, [[label, 0.5] for label in (0, 1, 2, 4)], delimiter=",")
         with pytest.raises(ValueError, match="^label 4 is not below the row count 4$"):
             load_csv(path)
+
+    @pytest.mark.parametrize("labels", [np.eye(3), np.zeros((3, 1))], ids=["one-hot", "column"])
+    def test_label_matrix_refused(self, labels):
+        """Labels are class indices: a float target matrix, which training
+        would run on to the end and then fail to score, is refused."""
+        with pytest.raises(ValueError, match="^class labels must be a flat vector$"):
+            Dataset(np.zeros((3, 2)), labels, {"train": [0, 1, 2]})
