@@ -2,8 +2,8 @@
 
 Subcommands mirror the compression workflow: ``train-ref`` produces a
 reference model directory, ``prune`` adds a prune mask to it,
-``quantize`` runs load -> (prune+compact) -> curvature -> cluster -> code
--> (fine-tune) -> evaluate and writes the encoded model plus a JSON report,
+``quantize`` runs load -> compact -> curvature -> cluster -> code -> evaluate
+-> encode (-> fine-tune) and writes the encoded model plus a JSON report,
 ``sweep`` repeats that over a list of cluster counts or rate penalties into
 a CSV, and ``report`` re-derives every number from an encoded model file.
 
@@ -189,8 +189,8 @@ def _option(key: str, raw, where: str | None = None):
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -449,78 +449,64 @@ def _evaluate(inputs: Inputs, assignment, codebook: quantizers.Codebook) -> floa
     return refnet.eval_accuracy(inputs.spec, w, *inputs.dataset.split("eval"))
 
 
+def _encode(inputs: Inputs, assignment, codebook, code) -> coding.EncodedModel:
+    return coding.encode_assignments(
+        assignment, codebook, code, inputs.positions, inputs.total_params
+    )
+
+
+def _fine_tune(cfg: dict, inputs: Inputs, assignment, codebook) -> quantizers.Codebook:
+    """The shared centers fine-tuned on the training split, rounded to float32."""
+    ft = refnet.FineTuneConfig(cfg["ft_steps"], cfg["ft_batch_size"], cfg["ft_lr"], cfg["seed"])
+    tuned = refnet.fine_tune_centers(
+        inputs.spec, assignment, codebook, inputs.dataset, ft, positions=inputs.positions
+    )
+    return _round_codebook_f32(tuned)
+
+
 def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
-    """One code -> (fine-tune) -> evaluate pass, in memory, over the
-    (assignment, codebook, extras) that :func:`_quantize_values` returned."""
+    """One code -> evaluate -> encode -> (fine-tune -> encode -> evaluate)
+    pass, in memory, over what :func:`_quantize_values` returned."""
     assignment, codebook, extras = quantized
     code = _build_code(cfg["coding"], codebook)
-
-    def encode(codebook):
-        return coding.encode_assignments(
-            assignment, codebook, code, inputs.positions, inputs.total_params
-        )
-
     encoded_preft = accuracy_pre = accuracy_post = None
     # Evaluating first lets the encoder's temporaries reuse the heap space
     # that the full-length dequantized vector leaves behind.
     if inputs.dataset is not None:
         accuracy_pre = _evaluate(inputs, assignment, codebook)
-    encoded = encode(codebook)
+    encoded = _encode(inputs, assignment, codebook, code)
     if cfg["fine_tune"]:  # _prepare_inputs checked for a dataset
-        tuned = refnet.fine_tune_centers(
-            inputs.spec,
-            assignment,
-            codebook,
-            inputs.dataset,
-            refnet.FineTuneConfig(
-                steps=cfg["ft_steps"],
-                batch_size=cfg["ft_batch_size"],
-                lr=cfg["ft_lr"],
-                seed=cfg["seed"],
-            ),
-            positions=inputs.positions,
-        )
-        codebook = _round_codebook_f32(tuned)
-        encoded_preft, encoded = encoded, encode(codebook)
+        codebook = _fine_tune(cfg, inputs, assignment, codebook)
+        encoded_preft, encoded = encoded, _encode(inputs, assignment, codebook, code)
         accuracy_post = _evaluate(inputs, assignment, codebook)
-
     report = coding.build_report(encoded, codebook.counts, code)
     return Point(encoded, encoded_preft, report, accuracy_pre, accuracy_post, extras)
 
 
-def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag | None]:
-    """Load the model directory; returns its :class:`Inputs`, and the values
-    the quantizer clusters (the kept parameters, as float64) with their
-    curvature, so that a command can drop those two once it has clustered.
-
-    The run's curvature is chosen here. ``identity`` is ``None``, the unit
-    weights every solver takes without an array. ``adam`` is the
-    full-length curvature that ``train-ref`` stored; ``exact`` and
-    ``gauss-newton`` evaluate the pruned net (the full vector, pruned slots
-    zeroed). All three are read at the kept positions.
-    """
-    fraction = cfg["prune_fraction"]
-    source = cfg["curvature"]
-    model_dir = Path(_require(cfg, "model_dir", "this command"))
-    model, spec, dataset = _open_with_dataset(cfg, model_dir)
+def _compact(cfg: dict, model: params.ModelDir):
+    """The kept values as float64, their positions and mask (``None`` if
+    unpruned), and the full vector with pruned slots zeroed that a data
+    curvature evaluates. The float32 parameters are dropped on return."""
     ps = model.params()
-    if cfg["fine_tune"] and dataset is None:
-        raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
+    fraction = cfg["prune_fraction"]
     mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
-    n = ps.n
     if mask is None:
-        values, positions = ps.as_f64(), None
-    else:
-        values, positions = quantizers.gather_kept(ps.values, mask.kept)
-    full = values
-    if mask is not None and source in ("exact", "gauss-newton"):
-        full = np.multiply(ps.values, mask.kept, dtype=float)
-    del ps  # the rest reads only the kept values and the masked vector
-    curvature = None  # identity
+        values = ps.as_f64()
+        return values, None, None, values
+    values, positions = quantizers.gather_kept(ps.values, mask.kept)
+    data = cfg["curvature"] in ("exact", "gauss-newton")
+    full = np.multiply(ps.values, mask.kept, dtype=float) if data else None
+    return values, positions, mask, full
+
+
+def _curvature(cfg: dict, model, spec, dataset, full, mask) -> params.CurvatureDiag | None:
+    """The run's curvature at the kept positions: ``None`` for ``identity``,
+    the unit weights every solver takes without an array; ``adam`` is what
+    ``train-ref`` stored; ``exact`` and ``gauss-newton`` evaluate ``full``."""
+    source, curvature = cfg["curvature"], None  # identity
     if source == "adam":
-        adam = params.CurvatureSource.ADAM_SQRT_MOMENT
         curvature = model.curvature()
-        if curvature is None or curvature.source != adam:
+        if curvature is None or curvature.source != params.CurvatureSource.ADAM_SQRT_MOMENT:
             raise ConfigError(
                 "curvature=adam needs a model directory with stored "
                 "adam_sqrt_moment curvature (run train-ref)"
@@ -532,15 +518,26 @@ def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag
         cap = cfg["hessian_samples"]
         if cap:
             x, y = x[:cap], y[:cap]
-        if source == "exact":
-            curvature = refnet.hessian_diag_exact(spec, full, x, y)
-        else:
-            curvature = refnet.hessian_diag_gn(spec, full, x, y)
-    if curvature is not None and mask is not None:
-        kept = curvature.values[mask.kept]
-        kept.setflags(write=False)  # handed over: the record need not copy it
-        curvature = params.CurvatureDiag(kept, curvature.source)
-    return Inputs(n, spec, dataset, positions), values, curvature
+        backend = refnet.hessian_diag_exact if source == "exact" else refnet.hessian_diag_gn
+        curvature = backend(spec, full, x, y)
+    if curvature is None or mask is None:
+        return curvature
+    kept = curvature.values[mask.kept]
+    kept.setflags(write=False)  # handed over: the record need not copy it
+    return params.CurvatureDiag(kept, curvature.source)
+
+
+def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag | None]:
+    """Load -> prune+compact -> curvature: the model directory's
+    :class:`Inputs`, and the kept values the quantizer clusters with their
+    curvature, which a command drops once it has clustered."""
+    model_dir = Path(_require(cfg, "model_dir", "this command"))
+    model, spec, dataset = _open_with_dataset(cfg, model_dir)
+    if cfg["fine_tune"] and dataset is None:
+        raise ConfigError("fine_tune needs a dataset and a model with refnet.json")
+    values, positions, mask, full = _compact(cfg, model)
+    curvature = _curvature(cfg, model, spec, dataset, full, mask)
+    return Inputs(model.manifest.n_params, spec, dataset, positions), values, curvature
 
 
 def _write_outputs(out_dir: Path, files: dict) -> None:
@@ -666,8 +663,10 @@ def cmd_quantize(args) -> int:
 
 
 def _sweep_points(cfg: dict) -> list[tuple[str, object]]:
+    if not cfg["quantizers"]:
+        raise ConfigError("sweep needs --quantizers")
     points = []
-    for quantizer in cfg["quantizers"] or [cfg["quantizer"]]:
+    for quantizer in cfg["quantizers"]:
         key = "lambda_list" if quantizer == "ecsq" else "k_list"
         if not cfg[key]:
             raise ConfigError(f"sweeping {quantizer} needs --{key.replace('_', '-')}")
@@ -790,7 +789,7 @@ _DATASET_KEYS = (
 # and synth_seed, a stored synthetic dataset by its own block.
 _SCORED = ("model_dir", "dataset", "eval_frac", "synth_seed")
 _QUANT = (
-    "quantizer", "curvature", "coding", "k", "prune_fraction", "fine_tune", "center_rule",
+    "curvature", "coding", "k", "prune_fraction", "fine_tune", "center_rule",
     "hessian_samples", "ft_steps", "ft_batch_size", "ft_lr",
 )  # fmt: skip
 
@@ -810,7 +809,7 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     ),
     "quantize": (
         "run the full compression pipeline",
-        (*_SCORED, "out_dir", "seed", *_QUANT, "target_ratio", "lam"),
+        (*_SCORED, "out_dir", "seed", "quantizer", *_QUANT, "target_ratio", "lam"),
     ),
     "sweep": (
         "quantize over a list of k or lambda values",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextvars
 import logging
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -209,7 +210,11 @@ def load_csv(path, eval_frac: float = 0.3, seed: int = 0) -> Dataset:
     layer they size has at most one class per row: a damaged label cannot
     make it any wider.
     """
-    raw = np.loadtxt(Path(path), delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is refused below, without numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(Path(path), delimiter=",", dtype=np.float64, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError("CSV has no rows")
     if raw.shape[1] < 2:
         raise ValueError("CSV needs a label column plus at least one feature")
     labels_f = raw[:, 0]

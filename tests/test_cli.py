@@ -130,16 +130,21 @@ class TestTrainRef:
 
     @pytest.mark.parametrize(
         "text",
-        ["1.5,0.2,0.3\n0,0.1,0.4\n", "1,abc,0.3\n0,0.1,0.4\n", "1\n0\n", "1,0.2\n0\n"],
-        ids=["fractional-label", "non-numeric-feature", "one-column", "ragged"],
+        ["1.5,0.2,0.3\n0,0.1,0.4\n", "1,abc,0.3\n0,0.1,0.4\n", "1\n0\n", "1,0.2\n0\n", ""],
+        ids=["fractional-label", "non-numeric-feature", "one-column", "ragged", "empty"],
     )
-    def test_malformed_csv_is_config_error(self, tmp_path, text):
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_csv_is_config_error(self, tmp_path, capfd, text):
+        """Only the error line reaches stderr, not numpy's warning about an
+        empty file."""
         data = tmp_path / "bad.csv"
         data.write_text(text)
         out = tmp_path / "m"
         code = run(["train-ref", "--out-dir", out, "--dataset", data, "--steps", "5"])
         assert code == cli.EXIT_CONFIG
         assert not (out / "refnet.json").exists()
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: bad dataset {data}: ") and err.count("\n") == 1
 
     def test_label_beyond_the_row_count_is_config_error(self, tmp_path, capfd):
         """One label of 100000 in 60 rows would build a net of 3.3M parameters."""
@@ -422,22 +427,29 @@ class TestPrepareInputs:
     ):
         """On a pruned directory, a data curvature is the one of the pruned
         net, the full vector with pruned slots zeroed, read at the kept
-        positions."""
+        positions; on an unpruned one it is the full vector's, and there are
+        no positions."""
         pruned = tmp_path / "pruned"
         assert run([
             "prune", "--model-dir", model_dir, "--out-dir", pruned,
             "--prune-fraction", "0.5",
         ]) == 0
-        args = cli._build_parser().parse_args([
-            "quantize", "--model-dir", str(pruned), "--out-dir", str(tmp_path / "q"),
-            "--curvature", source, "--dataset", "synth",
-        ])
-        inputs, _, curvature = cli._prepare_inputs(cli._resolve_config(args))
-        ps, _, mask = load_model(pruned)
-        full = diag(inputs.spec, ps.as_f64() * mask.kept, *inputs.dataset.split("hessian"))
-        assert np.array_equal(inputs.positions, np.flatnonzero(mask.kept))
-        assert curvature.source == full.source
-        assert np.array_equal(curvature.values, full.values[inputs.positions])
+        for directory in (pruned, model_dir):
+            args = cli._build_parser().parse_args([
+                "quantize", "--model-dir", str(directory), "--out-dir", str(tmp_path / "q"),
+                "--curvature", source, "--dataset", "synth",
+            ])
+            inputs, _, curvature = cli._prepare_inputs(cli._resolve_config(args))
+            ps, _, mask = load_model(directory)
+            kept = np.ones(ps.n, dtype=bool) if mask is None else mask.kept
+            full = diag(inputs.spec, ps.as_f64() * kept, *inputs.dataset.split("hessian"))
+            assert curvature.source == full.source
+            if mask is None:
+                assert inputs.positions is None
+                assert np.array_equal(curvature.values, full.values)
+            else:
+                assert np.array_equal(inputs.positions, np.flatnonzero(mask.kept))
+                assert np.array_equal(curvature.values, full.values[inputs.positions])
 
     @pytest.mark.parametrize(
         "argv, reads",
@@ -628,6 +640,9 @@ class TestSweep:
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
             ["--quantizers", "kmeans", "--k-list", "4", "--seed", "-5"],
             ["--quantizers", "kmeans", "--k-list", "4", {"target_ratio": -2}],
+            # --quantizers is the one list of swept quantizers
+            ["--k-list", "4"],
+            ["--quantizers", ",", "--k-list", "4"],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):
@@ -844,6 +859,17 @@ class TestConfigFile:
             "--out-dir", tmp_path / "q", "--k", "4",
         ]) == cli.EXIT_CONFIG
 
+    def test_config_file_not_utf8_is_config_error(self, model_dir, tmp_path, capfd):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"k=4\n\xff\n")
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--config", cfg, "--model-dir", model_dir, "--out-dir", out,
+        ]) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_removed_init_key_rejected(self, model_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("init=linspace\n")
@@ -893,7 +919,8 @@ class TestConfigRoundTrip:
         assert cli._option(key, line.partition("=")[2]) == default
 
 
-# The flags each command took before it took only the keys it reads.
+# The flags each command took before it took only the keys it reads, and
+# sweep's --quantizer, which --quantizers replaced.
 _SHAPE_KEYS = ["synth_samples", "synth_classes", "synth_features",
                "synth_noise", "synth_spread", "synth_scale"]  # fmt: skip
 REMOVED_FLAGS = [
@@ -902,7 +929,7 @@ REMOVED_FLAGS = [
         "train-ref": ["model_dir"],
         "prune": ["dataset", "seed", "eval_frac", *_SHAPE_KEYS, "synth_seed"],
         "quantize": _SHAPE_KEYS,
-        "sweep": ["target_ratio", "lam", *_SHAPE_KEYS],
+        "sweep": ["target_ratio", "lam", "quantizer", *_SHAPE_KEYS],
         "report": ["seed", "out_dir", *_SHAPE_KEYS],
     }.items()
     for key in keys
@@ -924,7 +951,7 @@ class TestCommands:
         flags = _parser_keys()
         assert flags == {name: list(keys) for name, (_, keys) in cli.COMMANDS.items()}
         counts = {name: len(keys) for name, keys in flags.items()}
-        assert counts == {"train-ref": 18, "prune": 3, "quantize": 19, "sweep": 20, "report": 6}
+        assert counts == {"train-ref": 18, "prune": 3, "quantize": 19, "sweep": 19, "report": 6}
         assert all(set(keys) <= cli.OPTION_TABLE.keys() for keys in flags.values())
 
     @pytest.fixture(scope="class")

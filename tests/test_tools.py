@@ -27,3 +27,15 @@ def test_stage_rss_stages_name_defined_functions():
         if not inspect.isfunction(getattr(modules[layer], attr, None))
     ]
     assert stale == []
+
+
+def test_stage_rss_names_each_cli_stage_in_pipeline_order():
+    """Every stage function of ``quantize``, ``sweep`` and ``report`` has
+    its own line, in the order a fine-tuned ``quantize`` calls them."""
+    pipeline = [
+        "cli._open_with_dataset", "cli._compact", "cli._curvature", "cli._quantize_values",
+        "cli._build_code", "cli._evaluate", "cli._encode", "cli._fine_tune",
+        "coding.decode_assignments",
+    ]  # fmt: skip
+    names = [f"{layer}.{attr}" for layer, attr in _load_tool("stage_rss").STAGES]
+    assert [name for name in names if name in pipeline] == pipeline

@@ -13,16 +13,19 @@ process's ``ru_maxrss`` and its current resident set (from
 ``/proc/self/statm``) when the call returns. After the command it prints
 one ``stage  peak MB  now MB`` line per completed call to stderr, between an
 ``import`` line for the baseline before the command ran and an ``end``
-line for the whole command. Stages nest (``_open_model_dir`` runs inside
-``_prepare_inputs``, ``_curvature_pass`` inside either curvature backend,
+line for the whole command. Stages nest (``_open_with_dataset``,
+``_compact`` and ``_curvature`` run inside ``_prepare_inputs``,
+``_open_model_dir`` inside ``_open_with_dataset``, ``_curvature_pass``
+inside either curvature backend and those inside ``_curvature``,
 ``scatter_dequantize`` and ``eval_accuracy`` inside ``_evaluate``, and
 ``eval_accuracy`` inside ``train_adam`` too), so a line reads as "the peak
 so far when this call returned". The exit code is the command's.
 
 ``cli._open_model_dir`` opens the model directory and reads only
 ``manifest.json`` and ``refnet.json``; each payload is read later, when the
-command asks for it (``quantize`` inside ``_prepare_inputs``). The CLI does
-not call ``params.load_model``, so that function is not a stage.
+command asks for it (``quantize`` inside ``_compact`` and ``_curvature``).
+The CLI does not call ``params.load_model``, so that function is not a
+stage.
 
 ``ru_maxrss`` is a high-water mark, so a stage's peak also carries every
 earlier stage's transients; the current figure falls when a stage frees
@@ -41,19 +44,23 @@ import os
 import resource
 import sys
 
-# (module, function) pairs in pipeline order; absent names are skipped, so
+# (module, function) pairs in pipeline order: each of the CLI's stage
+# functions follows the library calls it makes. Absent names are skipped, so
 # the tool runs unchanged against older or newer trees (tests/test_tools.py
 # checks that the current package defines every one).
 STAGES = (
     ("refnet", "train_adam"),
     ("refnet", "adam_curvature"),
     ("cli", "_open_model_dir"),
+    ("cli", "_open_with_dataset"),
     ("refnet", "prune_magnitude"),
     ("params", "save_model"),
     ("quantizers", "gather_kept"),
+    ("cli", "_compact"),
     ("refnet", "_curvature_pass"),
     ("refnet", "hessian_diag_exact"),
     ("refnet", "hessian_diag_gn"),
+    ("cli", "_curvature"),
     ("cli", "_prepare_inputs"),
     ("quantizers", "uniform_quantize"),
     ("quantizers", "kmeans_sweep"),
@@ -61,11 +68,14 @@ STAGES = (
     ("quantizers", "solve_lambda"),
     ("cli", "_quantize_values"),
     ("coding", "build_huffman"),
-    ("coding", "encode_assignments"),
-    ("refnet", "fine_tune_centers"),
+    ("cli", "_build_code"),
     ("quantizers", "scatter_dequantize"),
     ("refnet", "eval_accuracy"),
     ("cli", "_evaluate"),
+    ("coding", "encode_assignments"),
+    ("cli", "_encode"),
+    ("refnet", "fine_tune_centers"),
+    ("cli", "_fine_tune"),
     ("coding", "decode_assignments"),
 )
 
