@@ -46,8 +46,8 @@ print(f"\ntrained net: {model.params.n} parameters, "
 
 
 def quantized_accuracy(result):
-    assignment, codebook = nq.compact_codebook(result.assignment, result.codebook)
-    return nq.eval_accuracy(spec, nq.dequantize(assignment, codebook), eval_x, eval_y)
+    w = nq.dequantize(result.assignment, result.codebook)
+    return nq.eval_accuracy(spec, w, eval_x, eval_y)
 
 
 km = nq.kmeans_sweep(model.params, None, [8])[0]

@@ -21,8 +21,8 @@ h = rng.uniform(0.5, 2.0, v.size)
 print("lam sweep at k=16 (entropy falls, distortion rises):")
 print(f"{'lam':>10} {'k_eff':>6} {'entropy':>9} {'distortion':>11}")
 for lam in [0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]:
-    res = nq.ecsq_iterate(v, h, 16, lam)
-    assignment, codebook = nq.compact_codebook(res.assignment, res.codebook)
+    # retired clusters are dropped: the result keeps only clusters in use
+    assignment, codebook, _ = nq.ecsq_iterate(v, h, 16, lam)
     entropy = nq.entropy_bits(codebook)
     distortion = nq.hw_distortion(v, h, assignment, codebook)
     print(f"{lam:>10.1e} {codebook.k:>6d} {entropy:>9.3f} {distortion:>11.1f}")
@@ -41,9 +41,7 @@ print(f"\nbudget {budget:.2f} bits: lam={found.lam:.3e}, "
       f"achieved entropy {found.entropy:.3f} bits, met={found.met}")
 
 # With a Huffman code the realized average codeword length hugs the entropy.
-assignment, codebook = nq.compact_codebook(
-    found.result.assignment, found.result.codebook
-)
+assignment, codebook, _ = found.result
 code = nq.build_huffman(codebook)
 print(f"Huffman average length {code.avg_bits(codebook.counts):.3f} bits "
       f"(entropy {nq.entropy_bits(codebook):.3f})")

@@ -35,9 +35,9 @@ print(f"pruned to {survivors.size} survivors, accuracy {acc_pruned:.3f} "
       f"(no retraining here, so some loss is expected)")
 
 # 3. quantize the survivors into 8 uniform bins
-res = nq.uniform_quantize(survivors, surv_curvature, k=8,
-                          center_rule="hessian_weighted_mean")
-assignment, codebook = nq.compact_codebook(res.assignment, res.codebook)
+# (empty bins are dropped, so every shared value has members)
+assignment, codebook, _ = nq.uniform_quantize(survivors, surv_curvature, k=8,
+                                              center_rule="hessian_weighted_mean")
 # centers are stored at 32-bit precision; round once so accuracy numbers
 # describe exactly the model inside the bitstream
 codebook = nq.Codebook(

@@ -341,14 +341,9 @@ def _round_codebook_f32(codebook: quantizers.Codebook) -> quantizers.Codebook:
 
 
 def _solve_kmeans(values, curvature, quantizer: str, ks) -> dict:
-    """k -> exact ``quantizer`` result for each k in ``ks``, from one DP.
-
-    A k at or above the number of values already gives each distinct value
-    its own cluster, so the DP runs with k capped there.
-    """
+    """k -> exact ``quantizer`` result for each k in ``ks``, from one DP."""
     weights = curvature if quantizer == "hw-kmeans" else None
-    capped = [min(k, values.size) for k in ks]
-    return dict(zip(ks, quantizers.kmeans_sweep(values, weights, capped)))
+    return dict(zip(ks, quantizers.kmeans_sweep(values, weights, ks)))
 
 
 def _ecsq_count(cfg: dict, n_values: int) -> int:
@@ -398,8 +393,7 @@ def _quantize_values(values, curvature, cfg: dict, solved=None):
             k = _ecsq_count(cfg, values.size)
             extras["lambda"] = lam
             res = quantizers.ecsq_iterate(values, curvature, k, lam)
-    assignment, codebook = quantizers.compact_codebook(res.assignment, res.codebook)
-    return assignment, _round_codebook_f32(codebook), extras
+    return res.assignment, _round_codebook_f32(res.codebook), extras
 
 
 def _build_code(scheme: str, codebook: quantizers.Codebook) -> coding.PrefixCode:
@@ -641,9 +635,14 @@ def cmd_prune(args) -> int:
 def cmd_quantize(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "quantize"))
-    if cfg["quantizer"] == "ecsq":
-        if (cfg["k"] is None) == (cfg["target_ratio"] is None):
-            raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
+    if cfg["quantizer"] != "ecsq":
+        for key in ("target_ratio", "lam"):
+            if cfg[key] is not None:
+                raise ConfigError(f"--{key.replace('_', '-')} needs --quantizer ecsq")
+    elif (cfg["k"] is None) == (cfg["target_ratio"] is None):
+        raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
+    elif cfg["lam"] is not None and cfg["target_ratio"] is not None:
+        raise ConfigError("ecsq takes --lam with --k, not with --target-ratio")
     inputs, values, curvature = _prepare_inputs(cfg)
     quantized = _quantize_values(values, curvature, cfg)
     del values, curvature  # the rest of the run needs only the assignment

@@ -254,9 +254,10 @@ def scatter_dequantize(
 def compact_codebook(assignment, codebook: Codebook) -> tuple[np.ndarray, Codebook]:
     """Drop zero-count clusters, renumbering the assignment to match.
 
-    The assignment comes back in :func:`index_dtype` of the kept cluster
-    count, renumbered ``_BLOCK_BYTES // 8`` entries at a time; one already
-    in that type with every cluster kept is returned as it is.
+    For hand-built codebooks: every solver's result is already compact.
+    The assignment comes back in :func:`index_dtype` of the kept count,
+    renumbered ``_BLOCK_BYTES // 8`` entries at a time; one already in that
+    type with every cluster kept is returned as it is.
     """
     a = np.asarray(assignment)
     keep = codebook.counts > 0
@@ -320,10 +321,9 @@ class _ClusterSums:
                 x = h[b] * x
             np.add.at(self.wval, a, x)
 
-    def codebook(self, fallback: np.ndarray) -> Codebook:
-        """Weighted means and counts; a cluster without weight keeps its
-        ``fallback`` center."""
-        centers = fallback.copy()
+    def codebook(self) -> Codebook:
+        """Weighted means and counts; a cluster without weight has center 0."""
+        centers = np.zeros(self.wsum.size)
         nz = self.wsum > 0
         centers[nz] = self.wval[nz] / self.wsum[nz]
         return Codebook(centers, self.counts)
@@ -375,8 +375,8 @@ def _move_delta(stats: _ClusterSums, lam: float, i: int, dst: int) -> float:
     return removal + add + (leave - lam * (_rate_gain(nd + 1) - _rate_gain(nd)))
 
 
-def _column_argmin(n: int, columns, block):
-    """Per-row argmin and minimum of scores over the cluster ``columns``.
+def _column_argmin(n: int, k: int, columns, block):
+    """Per-row argmin (in ``index_dtype(k)``) and minimum of scores over ``columns``.
 
     ``block(rows)`` takes a slice of row indices and returns the scorer of
     that row block: a function from a column index to that column's
@@ -386,7 +386,7 @@ def _column_argmin(n: int, columns, block):
     minimum NaN. Columns left out act as columns of ``inf``. No ``n x k``
     table is built, and the result does not depend on the block size.
     """
-    arg = np.zeros(n, dtype=np.int64)
+    arg = np.zeros(n, dtype=index_dtype(k))
     low = np.full(n, np.inf)
     for rows in block_slices(n):
         score, best, low_rows = block(rows), arg[rows], low[rows]
@@ -438,7 +438,7 @@ def _best_moves(stats: _ClusterSums, lam: float) -> tuple[np.ndarray, np.ndarray
         mean = W / S
         join = lam * (_rate_gain(counts + 1) - _rate_gain(counts))
         live = np.flatnonzero(counts).tolist()
-        return _column_argmin(stats.v.size, live, block)
+        return _column_argmin(stats.v.size, counts.size, live, block)
 
 
 def _stabilize(
@@ -589,13 +589,12 @@ def _optimal_bounds(x: np.ndarray, w: np.ndarray, ks) -> dict[int, np.ndarray]:
 def _exact_kmeans(v: np.ndarray, h: np.ndarray, ks) -> list[QuantizeResult]:
     """Exact curvature-weighted 1-D k-means, one result per entry of ``ks``.
 
-    Duplicate values merge (their curvature summed), so at most as many
-    clusters as distinct values are live; the rest keep zero counts, with
-    centers at the largest value. Labels follow the sorted value order and
-    ties between partitions go to the lowest split. The optimum is exact up
-    to float64 rounding of the prefix sums: partitions whose objectives
-    differ by less than about ``n * eps * sum(h (v - mean)^2)`` are not
-    told apart.
+    Duplicate values merge (their curvature summed), so a result has
+    ``min(k, distinct values)`` clusters, all with members, labelled in
+    :func:`index_dtype` of that count in sorted value order. Ties between
+    partitions go to the lowest split. The optimum is exact up to float64
+    rounding of the prefix sums: partitions whose objectives differ by less
+    than about ``n * eps * sum(h (v - mean)^2)`` are not told apart.
     """
     if v.size == 0:
         raise ValueError("cannot cluster an empty vector")
@@ -605,9 +604,9 @@ def _exact_kmeans(v: np.ndarray, h: np.ndarray, ks) -> list[QuantizeResult]:
     results = []
     for k in ks:
         live = min(k, x.size)
-        runs = np.repeat(np.arange(live), np.diff(bounds[live]))
-        assign = runs[inverse]
-        codebook = _ClusterSums(v, h, assign, k).codebook(np.full(k, x[-1]))
+        runs = np.arange(live, dtype=index_dtype(live))
+        assign = runs.repeat(np.diff(bounds[live]))[inverse]
+        codebook = _ClusterSums(v, h, assign, live).codebook()
         trace = np.asarray([_distortion(v, h, assign, codebook.centers)])
         results.append(QuantizeResult(assign, codebook, trace))
     return results
@@ -621,12 +620,12 @@ def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
     and centers are curvature-weighted means, so with constant curvature the
     assignments match plain k-means. Each result is the exact optimum over
     at most ``k`` clusters, whose indices follow value order; with fewer
-    distinct values than ``k`` each distinct value gets its own cluster and
-    the remaining slots keep zero counts. The trace is the one-element
-    ``[objective]``. Results come back in the order of ``ks``, which may be
-    unsorted and repeat entries, and each equals the call with ``[k]``
-    alone, bit for bit: the DP runs ``max(ks)`` layers once, whatever the
-    length of the list.
+    distinct values than ``k`` each gets its own cluster. No cluster is
+    empty, and the assignment is in :func:`index_dtype` of their count.
+    The trace is the one-element ``[objective]``. Results come back in the
+    order of ``ks``, which may be unsorted and repeat entries, and each
+    equals the call with ``[k]`` alone, bit for bit: the DP runs
+    ``max(ks)`` layers once, whatever the length of the list.
     """
     ks = [int(k) for k in ks]
     if not ks:
@@ -672,7 +671,7 @@ def uniform_quantize(
             assign = np.unique(assign, return_inverse=True)[1]
     k_bins = int(assign.max()) + 1
 
-    codebook = _ClusterSums(v, h, assign, k_bins).codebook(np.zeros(k_bins))
+    codebook = _ClusterSums(v, h, assign, k_bins).codebook()
     assign, codebook = compact_codebook(assign, codebook)
     return QuantizeResult(assign, codebook, np.asarray([], dtype=np.float64))
 
@@ -696,8 +695,8 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
     time, in row blocks of ``_BLOCK_BYTES // 8`` points; memory is O(n + k)
     and the result does not depend on the block size.
 
-    Returns the assignment, a codebook that may contain retired zero-count
-    slots (see :func:`compact_codebook`), and the non-increasing trace of
+    Returns the live clusters, renumbered in order, the assignment in
+    :func:`index_dtype` of their count, and the non-increasing trace of
     ``J``: the first assignment, each Lloyd step, then the polished result.
     """
     if k < 1:
@@ -730,21 +729,21 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
 
             return score
 
-        return _column_argmin(n, np.flatnonzero(p > 0).tolist(), block)[0]
+        return _column_argmin(n, k, np.flatnonzero(p > 0).tolist(), block)[0]
 
     def objective(assign, codebook):
         distortion = _distortion(v, h, assign, codebook.centers)
         return distortion / n + lam * entropy_bits(codebook)
 
     assign = assign_step(centers, np.full(k, 1.0 / k))
-    codebook = _ClusterSums(v, h, assign, k).codebook(centers)
+    codebook = _ClusterSums(v, h, assign, k).codebook()
     trace = [objective(assign, codebook)]
 
     for _ in range(_ECSQ_MAX_ITERS):
         new_assign = assign_step(codebook.centers, codebook.counts / n)
         if np.array_equal(new_assign, assign):
             break
-        new_codebook = _ClusterSums(v, h, new_assign, k).codebook(codebook.centers)
+        new_codebook = _ClusterSums(v, h, new_assign, k).codebook()
         new_obj = objective(new_assign, new_codebook)
         if new_obj > trace[-1]:
             break
@@ -752,10 +751,9 @@ def ecsq_iterate(values, curvature, k: int, lam: float) -> QuantizeResult:
         trace.append(new_obj)
 
     assign = _stabilize(v, h, assign, k, lam, trace[0] * n)[0]
-    codebook = _ClusterSums(v, h, assign, k).codebook(codebook.centers)
+    codebook = _ClusterSums(v, h, assign, k).codebook()
     trace.append(objective(assign, codebook))
-
-    return QuantizeResult(assign, codebook, np.asarray(trace))
+    return QuantizeResult(*compact_codebook(assign, codebook), np.asarray(trace))
 
 
 def solve_lambda(values, curvature, k: int, target_entropy: float) -> LambdaResult:

@@ -16,7 +16,6 @@ from netquant import (
     MlpSpec,
     TrainConfig,
     build_huffman,
-    compact_codebook,
     dequantize,
     ecsq_iterate,
     eval_accuracy,
@@ -83,7 +82,6 @@ def train_desk_model(cfg: DeskConfig, seed: int):
 
 
 def quantized_accuracy(spec, ds, assignment, codebook) -> float:
-    assignment, codebook = compact_codebook(assignment, codebook)
     codebook = rounded32(codebook)
     x, y = ds.split("eval")
     return eval_accuracy(spec, dequantize(assignment, codebook), x, y)
@@ -98,10 +96,9 @@ def kmeans_at_rate(values, target: float, k_range=range(2, 11)):
     best = None
     for k in k_range:
         res = kmeans_sweep(values, None, [k])[0]
-        a, cb = compact_codebook(res.assignment, res.codebook)
-        avg = build_huffman(cb).avg_bits(cb.counts)
+        avg = build_huffman(res.codebook).avg_bits(res.codebook.counts)
         if best is None or abs(avg - target) < abs(best[0] - target):
-            best = (avg, a, cb)
+            best = (avg, res.assignment, res.codebook)
     return best
 
 
@@ -122,8 +119,8 @@ def ecsq_at_rate(values, curvature, target: float, k: int = 16, rounds: int = 12
 
     def run(lam):
         res = ecsq_iterate(v, curvature, k, lam)
-        a, cb = compact_codebook(res.assignment, res.codebook)
-        return build_huffman(cb).avg_bits(cb.counts), a, cb
+        avg = build_huffman(res.codebook).avg_bits(res.codebook.counts)
+        return avg, res.assignment, res.codebook
 
     lo, lo_point = 0.0, run(0.0)
     if lo_point[0] <= target:

@@ -18,7 +18,6 @@ from netquant import (
     MlpSpec,
     adam_curvature,
     build_huffman,
-    compact_codebook,
     compression_ratio_exact,
     decode_assignments,
     ecsq_iterate,
@@ -335,8 +334,7 @@ def test_c09_pipeline_fidelity():
         kept_cv = curvature.values[positions]
 
         res = uniform_quantize(model.params.values[positions], kept_cv, k=8)
-        assignment, codebook = compact_codebook(res.assignment, res.codebook)
-        codebook = rounded32(codebook)
+        assignment, codebook = res.assignment, rounded32(res.codebook)
         code = build_huffman(codebook)
         em = encode_assignments(
             assignment, codebook, code, positions=positions, total_params=model.params.n

@@ -255,6 +255,11 @@ class TestQuantize:
             ["--quantizer", "kmeans", "--k", "4", {"synth_classes": 0}],
             ["--quantizer", "kmeans", "--k", "4", {"synth_samples": -3}],
             ["--quantizer", "kmeans", "--k", "4", {"synth_features": -2}],
+            # rate options only ecsq reads, and ecsq reads --lam only with --k
+            ["--quantizer", "kmeans", "--k", "8", "--target-ratio", "16"],
+            ["--quantizer", "uniform", "--k", "8", "--lam", "0.5"],
+            ["--quantizer", "ecsq", "--target-ratio", "16", "--lam", "0.5"],
+            ["--quantizer", "hw-kmeans", "--k", "8", {"lam": 0.5}],
         ],
     )
     def test_bad_option_value_is_config_error(self, model_dir, tmp_path, flags):

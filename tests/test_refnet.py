@@ -25,7 +25,6 @@ from netquant import (
     ParamSet,
     TrainConfig,
     adam_curvature,
-    compact_codebook,
     dequantize,
     eval_accuracy,
     fine_tune_centers,
@@ -585,7 +584,7 @@ class TestFineTuneCenters:
             model = train_adam(spec, ds, TrainConfig(steps=500, seed=seed))
             cv = hessian_diag_gn(spec, model.params, *ds.split("hessian"))
             res = kmeans_sweep(model.params, cv, [8])[0]
-            assignment, codebook = compact_codebook(res.assignment, res.codebook)
+            assignment, codebook = res.assignment, res.codebook
             x, y = ds.split("eval")
             pre_accs.append(
                 eval_accuracy(spec, dequantize(assignment, codebook), x, y)
