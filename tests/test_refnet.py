@@ -67,6 +67,44 @@ def factor_budget(spec, rows, cols=1):
     return 8 * max(spec.layer_widths) * cols * rows
 
 
+TINY = np.finfo(np.float64).tiny
+
+
+def unflushed_loss_and_delta(spec, logits, labels):
+    """The mean loss and output delta as written before subnormal entries
+    were flushed; squared error takes a target matrix."""
+    batch = logits.shape[0]
+    if spec.loss == "softmax_cross_entropy":
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        delta = np.exp(shifted)
+        total = delta.sum(axis=1, keepdims=True)
+        loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(batch), labels]))
+        delta /= total
+        delta[np.arange(batch), labels] -= 1.0
+        return loss, delta / batch
+    resid = logits - labels
+    return float(0.5 * np.sum(resid * resid) / batch), resid / batch
+
+
+def saturated_logits(rng, batch, classes):
+    """One logit per row on top, the others 700-745 below it: their
+    probabilities are subnormal or nearly so (``exp`` passes the smallest
+    subnormal near -744.4, so a margin of 800 would give an exact 0)."""
+    top = rng.normal(size=(batch, 1))
+    logits = top - rng.uniform(700.0, 745.0, (batch, classes))
+    logits[np.arange(batch), rng.integers(0, classes, batch)] = top[:, 0]
+    return logits
+
+
+def assert_flushed(got, want):
+    """``got`` is ``want`` with each subnormal entry a zero of its sign."""
+    assert not np.any((got != 0) & (np.abs(got) < TINY))
+    sub = np.abs(want) < TINY
+    assert got[~sub].tobytes() == want[~sub].tobytes()
+    assert np.all(got[sub] == 0)
+    assert np.array_equal(np.signbit(got[sub]), np.signbit(want[sub]))
+
+
 def rank_correlation(a, b):
     ra = np.argsort(np.argsort(a)).astype(np.float64)
     rb = np.argsort(np.argsort(b)).astype(np.float64)
@@ -158,6 +196,41 @@ class TestForwardLoss:
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         assert np.array_equal(got_grad, want_grad)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        loss=st.sampled_from(refnet.LOSSES),
+        batch=st.integers(1, 128),
+        classes=st.integers(2, 10),
+    )
+    def test_delta_has_no_subnormal_entry(self, seed, loss, batch, classes):
+        """Saturated logits (or, for squared error, residuals of subnormal
+        scale times the batch) give deltas that are subnormal after the
+        division by the batch. Those read zero, every other entry and the
+        loss keep their bits."""
+        rng = np.random.default_rng(seed)
+        spec = MlpSpec((1, classes), loss=loss)
+        if loss == "softmax_cross_entropy":
+            logits = saturated_logits(rng, batch, classes)
+            labels = rng.integers(0, classes, batch)
+        else:
+            shape = (batch, classes)
+            logits = np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-1040, -990, shape))
+            labels = np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-1040, -990, shape))
+        got_loss, got = refnet._loss_and_delta(spec, logits, labels)
+        want_loss, want = unflushed_loss_and_delta(spec, logits, labels)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert_flushed(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 128), classes=st.integers(2, 10)
+    )
+    def test_softmax_has_no_subnormal_entry(self, seed, batch, classes):
+        logits = saturated_logits(np.random.default_rng(seed), batch, classes)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert_flushed(refnet._softmax(logits), probs / probs.sum(axis=1, keepdims=True))
+
 
 class TestTraining:
     def test_separable_blobs_accuracy(self):
@@ -197,6 +270,31 @@ class TestTraining:
         spec = MlpSpec((4, 10, 3), activation, loss)
         model = train_adam(spec, ds, TrainConfig(steps=40, seed=9))
         assert model.final_loss == forward_loss(spec, wrapped[-1], *ds.split("train"))[0]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flush_leaves_saturated_training_unchanged(self, monkeypatch, seed):
+        """A net whose softmax saturates within its steps trains to the same
+        float32 parameters and final loss with the unflushed delta. Both
+        runs count the subnormal deltas they hand back: none as is, some
+        unflushed, so the flush had work to do."""
+        ds = make_blobs(400, 4, 8, seed=seed, center_spread=4.0, input_scale=30.0)
+        spec = MlpSpec((8, 32, 4))
+        cfg = TrainConfig(steps=300, lr=0.05, seed=seed)
+        runs = []
+        for form in (refnet._loss_and_delta, unflushed_loss_and_delta):
+            subnormal = [0]
+
+            def counted(spec, logits, labels, form=form, subnormal=subnormal):
+                loss, delta = form(spec, logits, labels)
+                subnormal[0] += int(np.count_nonzero((delta != 0) & (np.abs(delta) < TINY)))
+                return loss, delta
+
+            monkeypatch.setattr(refnet, "_loss_and_delta", counted)
+            runs.append((train_adam(spec, ds, cfg), subnormal[0]))
+        (flushed, none), (unflushed, some) = runs
+        assert none == 0 < some
+        assert flushed.params.values.tobytes() == unflushed.params.values.tobytes()
+        assert np.float64(flushed.final_loss).tobytes() == np.float64(unflushed.final_loss).tobytes()
 
     def test_divergent_lr_aborts(self):
         # Adam's update sizes are bounded by lr, so divergence means the
