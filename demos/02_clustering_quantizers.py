@@ -52,8 +52,7 @@ def quantized_accuracy(result):
 
 km = nq.kmeans_sweep(model.params, None, [8])[0]
 hw = nq.kmeans_sweep(model.params, curvature, [8])[0]
-uni = nq.uniform_quantize(model.params, curvature, k=8,
-                          center_rule="hessian_weighted_mean")
+uni = nq.uniform_quantize(model.params, curvature, k=8)
 print(f"k=8 shared values, accuracy after quantization:")
 print(f"  plain k-means        {quantized_accuracy(km):.3f}")
 print(f"  curvature-weighted   {quantized_accuracy(hw):.3f}")

@@ -7,8 +7,9 @@ Huffman-coded index gaps, then decode everything back and verify the
 reconstruction is exact. The same flow is available from the command line:
 
     netquant train-ref --out-dir model --dataset synth ...
-    netquant quantize --model-dir model --out-dir out \
-        --quantizer uniform --coding huffman --k 8 --prune-fraction 0.8
+    netquant prune --model-dir model --out-dir pruned --prune-fraction 0.8
+    netquant quantize --model-dir pruned --out-dir out --dataset synth \
+        --curvature gauss-newton --quantizer uniform --coding huffman --k 8
     netquant report --model-nq out/model.nq
 """
 
@@ -34,10 +35,10 @@ acc_pruned = nq.eval_accuracy(spec, pruned_w, eval_x, eval_y)
 print(f"pruned to {survivors.size} survivors, accuracy {acc_pruned:.3f} "
       f"(no retraining here, so some loss is expected)")
 
-# 3. quantize the survivors into 8 uniform bins
-# (empty bins are dropped, so every shared value has members)
-assignment, codebook, _ = nq.uniform_quantize(survivors, surv_curvature, k=8,
-                                              center_rule="hessian_weighted_mean")
+# 3. quantize the survivors into 8 uniform bins, centered at their
+# curvature-weighted means (empty bins are dropped, so every shared value
+# has members)
+assignment, codebook, _ = nq.uniform_quantize(survivors, surv_curvature, k=8)
 # centers are stored at 32-bit precision; round once so accuracy numbers
 # describe exactly the model inside the bitstream
 codebook = nq.Codebook(

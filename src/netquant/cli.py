@@ -142,10 +142,9 @@ OPTION_TABLE: dict[str, tuple[object, object]] = {
     # the entropy budget SOURCE_BITS / target_ratio must be finite
     "target_ratio": (None, _float_in(params.SOURCE_BITS / sys.float_info.max)),
     "lam": (None, _float_in(0.0, closed_low=True)),
-    "prune_fraction": (0.0, _float_in(0.0, 1.0, closed_low=True)),
+    "prune_fraction": (None, _float_in(0.0, 1.0)),
     "fine_tune": (False, _parse_bool),
     "seed": (0, _int_from(0)),
-    "center_rule": ("mean", _one_of(("mean", "hessian_weighted_mean"))),
     "hessian_samples": (0, _int_from(0)),
     "k_list": (None, _list_of(int)),
     "lambda_list": (None, _list_of(float)),
@@ -363,9 +362,7 @@ def _quantize_values(values, curvature, cfg: dict, solved=None):
     extras: dict = {}
     if quantizer == "uniform":
         k = _require(cfg, "k", "uniform")
-        res = quantizers.uniform_quantize(
-            values, curvature, k=k, center_rule=cfg["center_rule"]
-        )
+        res = quantizers.uniform_quantize(values, curvature, k=k)
     elif quantizer in KMEANS_QUANTIZERS:
         k = _require(cfg, "k", quantizer)
         if solved is None:
@@ -478,12 +475,10 @@ def _run_quantize_point(cfg: dict, inputs: Inputs, quantized) -> Point:
 
 
 def _compact(cfg: dict, model: params.ModelDir):
-    """The kept values as float64, their positions and mask (``None`` if
-    unpruned), and the full vector with pruned slots zeroed that a data
-    curvature evaluates. The float32 parameters are dropped on return."""
-    ps = model.params()
-    fraction = cfg["prune_fraction"]
-    mask = refnet.prune_magnitude(ps, fraction) if fraction else model.mask()
+    """The kept values as float64, their positions and the directory's mask
+    (``None`` if unpruned), and the full vector with pruned slots zeroed that
+    a data curvature evaluates. The float32 parameters are dropped on return."""
+    ps, mask = model.params(), model.mask()
     if mask is None:
         values = ps.as_f64()
         return values, None, None, values
@@ -521,10 +516,14 @@ def _curvature(cfg: dict, model, spec, dataset, full, mask) -> params.CurvatureD
     return params.CurvatureDiag(kept, curvature.source)
 
 
-def _prepare_inputs(cfg: dict) -> tuple[Inputs, np.ndarray, params.CurvatureDiag | None]:
-    """Load -> prune+compact -> curvature: the model directory's
-    :class:`Inputs`, and the kept values the quantizer clusters with their
+def _prepare_inputs(cfg: dict, used) -> tuple[Inputs, np.ndarray, params.CurvatureDiag | None]:
+    """Load -> compact -> curvature: the model directory's :class:`Inputs`,
+    and the kept values the quantizers ``used`` cluster with their
     curvature, which a command drops once it has clustered."""
+    if cfg["prune_fraction"] is not None:
+        raise ConfigError("prune_fraction is read by prune alone; prune the model dir first")
+    if cfg["curvature"] != "identity" and set(used) == {"kmeans"}:
+        raise ConfigError(f"curvature={cfg['curvature']} is unread: kmeans weights nothing")
     model_dir = Path(_require(cfg, "model_dir", "this command"))
     model, spec, dataset = _open_with_dataset(cfg, model_dir)
     if cfg["fine_tune"] and dataset is None:
@@ -549,7 +548,6 @@ def _report_doc(cfg: dict, inputs: Inputs, point: Point) -> dict:
         "coding": cfg["coding"],
         "seed": cfg["seed"],
         "pruned": inputs.positions is not None,
-        "prune_fraction": cfg["prune_fraction"],
         "accuracy_pre_finetune": point.accuracy_pre,
         "accuracy_post_finetune": point.accuracy_post,
     }
@@ -616,9 +614,7 @@ def cmd_train_ref(args) -> int:
 def cmd_prune(args) -> int:
     cfg = _resolve_config(args)
     model_dir = Path(_require(cfg, "model_dir", "prune"))
-    fraction = cfg["prune_fraction"]
-    if fraction == 0.0:
-        raise ConfigError("prune needs a --prune-fraction above 0")
+    fraction = _require(cfg, "prune_fraction", "prune")
     model, refnet_doc, _ = _open_model_dir(model_dir)
     ps, name = model.params(), model.manifest.model_name
     mask = refnet.prune_magnitude(ps, fraction)
@@ -643,7 +639,7 @@ def cmd_quantize(args) -> int:
         raise ConfigError("ecsq needs exactly one of --k or --target-ratio")
     elif cfg["lam"] is not None and cfg["target_ratio"] is not None:
         raise ConfigError("ecsq takes --lam with --k, not with --target-ratio")
-    inputs, values, curvature = _prepare_inputs(cfg)
+    inputs, values, curvature = _prepare_inputs(cfg, [cfg["quantizer"]])
     quantized = _quantize_values(values, curvature, cfg)
     del values, curvature  # the rest of the run needs only the assignment
     point = _run_quantize_point(cfg, inputs, quantized)
@@ -681,7 +677,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     out_dir = Path(_require(cfg, "out_dir", "sweep"))
     points = _sweep_points(cfg)
-    inputs, values, curvature = _prepare_inputs(cfg)
+    inputs, values, curvature = _prepare_inputs(cfg, cfg["quantizers"])
     # An ecsq k too large for the values fails the whole sweep.
     if any(q == "ecsq" for q, _ in points) and cfg["k"] is not None:
         _ecsq_count(cfg, values.size)
@@ -788,8 +784,8 @@ _DATASET_KEYS = (
 # and synth_seed, a stored synthetic dataset by its own block.
 _SCORED = ("model_dir", "dataset", "eval_frac", "synth_seed")
 _QUANT = (
-    "curvature", "coding", "k", "prune_fraction", "fine_tune", "center_rule",
-    "hessian_samples", "ft_steps", "ft_batch_size", "ft_lr",
+    "curvature", "coding", "k", "fine_tune", "hessian_samples", "ft_steps",
+    "ft_batch_size", "ft_lr",
 )  # fmt: skip
 
 # command -> (help, the keys it reads): each key is a flag of that command

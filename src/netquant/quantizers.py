@@ -636,25 +636,18 @@ def kmeans_sweep(values, curvature, ks) -> list[QuantizeResult]:
     return _exact_kmeans(v, _curvature64(curvature, v.size), ks)
 
 
-def uniform_quantize(
-    values, curvature=None, k: int = 8, center_rule: str = "mean"
-) -> QuantizeResult:
+def uniform_quantize(values, curvature=None, k: int = 8) -> QuantizeResult:
     """Equal-width binning over ``[min, max]`` with per-bin centers.
 
-    ``center_rule`` picks plain means or curvature-weighted means; with
-    ``curvature`` None the two are one rule, bit for bit, and build no
-    weights. Empty bins are dropped and the codebook compacted, so the
-    effective cluster count may be below ``k``. A degenerate all-equal
-    input collapses to a single cluster.
+    Centers are curvature-weighted means, and with ``curvature`` None plain
+    means, for which no weights are built. Empty bins are dropped and the
+    codebook compacted, so the effective cluster count may be below ``k``.
+    A degenerate all-equal input collapses to a single cluster.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if center_rule not in ("mean", "hessian_weighted_mean"):
-        raise ValueError(f"unknown center_rule {center_rule!r}")
     v = _values64(values)
-    h = None  # plain means
-    if center_rule == "hessian_weighted_mean" and curvature is not None:
-        h = _curvature64(curvature, v.size)
+    h = None if curvature is None else _curvature64(curvature, v.size)
 
     lo, hi = float(v.min()), float(v.max())
     # Bin numbers reach k - 1; with more bins than values, the occupied

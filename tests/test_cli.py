@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import codebook_whole
 
 from netquant import (
     cli,
@@ -28,6 +29,7 @@ from netquant import (
     kmeans_sweep,
     load_model,
     params,
+    uniform_quantize,
 )
 
 TRAIN_ARGS = [
@@ -50,6 +52,16 @@ def model_dir(tmp_path_factory):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def pruned(model_dir, tmp_path_factory):
+    """``model_dir`` with half its parameters pruned by ``prune``."""
+    out = tmp_path_factory.mktemp("pruned") / "model"
+    assert run([
+        "prune", "--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5",
+    ]) == 0
+    return out
 
 
 def with_config(tmp_path, argv: list) -> list:
@@ -224,8 +236,8 @@ class TestQuantize:
             ["--quantizer", "hw-kmeans", "--k", "-3"],
             ["--quantizer", "uniform", "--k", "0"],
             ["--quantizer", "ecsq", "--k", "0", "--lam", "0.1"],
-            ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "1.5"],
-            ["--quantizer", "kmeans", "--k", "4", "--prune-fraction", "-0.1"],
+            ["--quantizer", "kmeans", "--k", "4", {"prune_fraction": 1.5}],
+            ["--quantizer", "kmeans", "--k", "4", {"prune_fraction": -0.1}],
             ["--quantizer", "ecsq", "--target-ratio", "0"],
             ["--quantizer", "ecsq", "--target-ratio", "-4"],
             ["--quantizer", "ecsq", "--target-ratio", "1e-320"],
@@ -242,14 +254,14 @@ class TestQuantize:
              "--fine-tune", "true", "--ft-lr=-1e-5"],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--ft-lr", "nan"],
-            ["--quantizer", "uniform", "--k", "4", "--center-rule", "foo"],
+            ["--quantizer", "uniform", "--k", "4", {"center_rule": "foo"}],
             ["--quantizer", "ecsq", "--k", str(2**62), "--lam", "0.1"],
             ["--quantizer", "uniform", "--k", str(2**64)],
             ["--quantizer", "kmeans", "--k", "4", "--dataset", "synth",
              "--fine-tune", "true", "--seed", "-5"],
             ["--quantizer", "kmeans", "--k", "4", "--target-ratio", "-1"],
             ["--quantizer", "kmeans", "--k", "4", "--lam", "nan"],
-            ["--quantizer", "kmeans", "--k", "4", "--center-rule", "foo"],
+            ["--quantizer", "kmeans", "--k", "4", {"curvature": "gauss-newton"}],
             # synthetic-dataset keys are checked without --dataset too
             ["--quantizer", "kmeans", "--k", "4", "--synth-seed=-1"],
             ["--quantizer", "kmeans", "--k", "4", {"synth_classes": 0}],
@@ -273,10 +285,10 @@ class TestQuantize:
         "args",
         [
             ["quantize", "--quantizer", "kmeans", "--k", "4"],
-            ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "exact"],
+            ["quantize", "--quantizer", "hw-kmeans", "--k", "4", "--curvature", "exact"],
             ["quantize", "--quantizer", "kmeans", "--k", "4", "--fine-tune", "true"],
             ["sweep", "--quantizers", "kmeans", "--k-list", "4"],
-            ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton"],
+            ["quantize", "--quantizer", "hw-kmeans", "--k", "4", "--curvature", "gauss-newton"],
         ],
         ids=["quantize", "exact-curvature", "fine-tune", "sweep", "gauss-newton-curvature"],
     )
@@ -363,37 +375,66 @@ class TestQuantize:
 
 class TestPrunedPipeline:
     def test_prune_quantize_decode_roundtrip(self, model_dir, tmp_path):
-        out = tmp_path / "q"
+        """The report describes the model, not a flag: ``pruned`` and the
+        parameter counts, and no ``prune_fraction``."""
+        pruned, out = tmp_path / "pruned", tmp_path / "q"
         assert run([
-            "quantize", "--model-dir", model_dir, "--out-dir", out,
+            "prune", "--model-dir", model_dir, "--out-dir", pruned, "--prune-fraction", "0.8",
+        ]) == 0
+        assert run([
+            "quantize", "--model-dir", pruned, "--out-dir", out,
             "--quantizer", "uniform", "--coding", "huffman", "--k", "8",
-            "--prune-fraction", "0.8",
         ]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["pruned"] is True
+        assert "prune_fraction" not in report
         assert report["bit_breakdown"]["index_section"] > 0
         decoded = decode_assignments((out / "model.nq").read_bytes())
         ps, _, _ = load_model(model_dir)
         assert decoded.total_params == ps.n
-        assert decoded.positions.size == report["n_params"]
+        assert decoded.positions.size == report["n_params"] == ps.n - int(0.8 * ps.n)
+
+    def test_uniform_centers_are_curvature_weighted(self, pruned, tmp_path):
+        """A curvature weights uniform's bin centers: model.nq stores the
+        float32-rounded centers of ``uniform_quantize`` on the kept values
+        and their stored Adam curvature."""
+        out = tmp_path / "q"
+        assert run([
+            "quantize", "--model-dir", pruned, "--out-dir", out,
+            "--quantizer", "uniform", "--k", "8", "--curvature", "adam",
+        ]) == 0
+        ps, curvature, mask = load_model(pruned)
+        kept, h = ps.as_f64()[mask.kept], curvature.as_f64()[mask.kept]
+        want = uniform_quantize(kept, h, 8).codebook.centers.astype(np.float32).astype(float)
+        decoded = decode_assignments((out / "model.nq").read_bytes())
+        assert decoded.codebook.centers.tobytes() == want.tobytes()
+        k = decoded.codebook.k
+        means = codebook_whole(kept, h, decoded.assignment, k, np.zeros(k)).centers
+        assert np.array_equal(want, means.astype(np.float32))
 
 
 class TestPrepareInputs:
     """A pruned model directory compacts to its survivors, in order."""
 
     @staticmethod
-    def _inputs(tmp_path, values, kept):
+    def _prepare(argv):
+        """``cli._prepare_inputs`` for the command line ``argv``, with the
+        quantizers that command runs."""
+        cfg = cli._resolve_config(cli._build_parser().parse_args([str(a) for a in argv]))
+        used = cfg["quantizers"] if argv[0] == "sweep" else [cfg["quantizer"]]
+        return cli._prepare_inputs(cfg, used)
+
+    def _inputs(self, tmp_path, values, kept):
         model = tmp_path / "pruned"
         curvature = params.CurvatureDiag(
             np.arange(1, len(values) + 1), params.CurvatureSource.ADAM_SQRT_MOMENT
         )
         ps = params.ParamSet.from_flat(values)
         params.save_model(ps, model, curvature, params.PruneMask(kept))
-        args = cli._build_parser().parse_args([
-            "quantize", "--model-dir", str(model), "--out-dir", str(tmp_path / "q"),
-            "--curvature", "adam",
+        return ps, self._prepare([
+            "quantize", "--model-dir", model, "--out-dir", tmp_path / "q",
+            "--quantizer", "hw-kmeans", "--curvature", "adam",
         ])
-        return ps, cli._prepare_inputs(cli._resolve_config(args))
 
     def test_definition(self, tmp_path):
         _, (inputs, values, curvature) = self._inputs(
@@ -428,23 +469,17 @@ class TestPrepareInputs:
         ids=["exact", "gauss-newton"],
     )
     def test_data_curvature_is_masked_full_vector_at_positions(
-        self, model_dir, tmp_path, source, diag
+        self, model_dir, pruned, tmp_path, source, diag
     ):
         """On a pruned directory, a data curvature is the one of the pruned
         net, the full vector with pruned slots zeroed, read at the kept
         positions; on an unpruned one it is the full vector's, and there are
         no positions."""
-        pruned = tmp_path / "pruned"
-        assert run([
-            "prune", "--model-dir", model_dir, "--out-dir", pruned,
-            "--prune-fraction", "0.5",
-        ]) == 0
         for directory in (pruned, model_dir):
-            args = cli._build_parser().parse_args([
-                "quantize", "--model-dir", str(directory), "--out-dir", str(tmp_path / "q"),
-                "--curvature", source, "--dataset", "synth",
+            inputs, _, curvature = self._prepare([
+                "quantize", "--model-dir", directory, "--out-dir", tmp_path / "q",
+                "--quantizer", "hw-kmeans", "--curvature", source, "--dataset", "synth",
             ])
-            inputs, _, curvature = cli._prepare_inputs(cli._resolve_config(args))
             ps, _, mask = load_model(directory)
             kept = np.ones(ps.n, dtype=bool) if mask is None else mask.kept
             full = diag(inputs.spec, ps.as_f64() * kept, *inputs.dataset.split("hessian"))
@@ -459,13 +494,14 @@ class TestPrepareInputs:
     @pytest.mark.parametrize(
         "argv, reads",
         [
-            (["quantize", "--quantizer", "uniform"], False),
+            (["sweep", "--quantizers", "kmeans"], False),
             (["quantize", "--quantizer", "kmeans"], False),
-            (["sweep", "--quantizers", "kmeans,uniform"], False),
-            (["quantize", "--quantizer", "uniform", "--center-rule", "hessian_weighted_mean"], True),
+            (["quantize", "--quantizer", "kmeans", "--curvature", "identity"], False),
+            (["quantize", "--quantizer", "uniform"], True),
             (["quantize", "--quantizer", "hw-kmeans"], True),
             (["quantize", "--quantizer", "ecsq"], True),
             (["sweep", "--quantizers", "kmeans,hw-kmeans"], True),
+            (["sweep", "--quantizers", "kmeans,uniform"], True),
         ],
     )
     def test_identity_curvature_only_where_read(self, tmp_path, argv, reads):
@@ -475,10 +511,9 @@ class TestPrepareInputs:
         model = tmp_path / "pruned"
         ps = params.ParamSet.from_flat([1.0, 2.0, 3.0, 4.0])
         params.save_model(ps, model, None, params.PruneMask([True, False, True, True]))
-        args = cli._build_parser().parse_args(
-            [*argv, "--model-dir", str(model), "--out-dir", str(tmp_path / "q")]
+        _, values, curvature = self._prepare(
+            [*argv, "--model-dir", model, "--out-dir", tmp_path / "q"]
         )
-        _, values, curvature = cli._prepare_inputs(cli._resolve_config(args))
         assert curvature is None
         if reads:
             unit = cli.quantizers._curvature64(curvature, values.size)
@@ -533,10 +568,12 @@ class TestSweep:
         assert [(r["quantizer"], r["status"]) for r in rows] == [("kmeans", "ok")]
 
     def test_kmeans_rows_match_quantize(self, model_dir, tmp_path):
+        """kmeans reads no curvature, so its rows under ``adam`` are the
+        quantize runs without one."""
         ks = [8, 3, 500, 3, 1]  # unsorted, repeated, above the distinct count
-        common = ["--model-dir", model_dir, "--curvature", "adam", "--coding", "huffman"]
+        common = ["--model-dir", model_dir, "--coding", "huffman"]
         assert run([
-            "sweep", *common, "--out-dir", tmp_path / "s",
+            "sweep", *common, "--out-dir", tmp_path / "s", "--curvature", "adam",
             "--quantizers", "kmeans,hw-kmeans", "--k-list", ",".join(map(str, ks)),
         ]) == 0
         text = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
@@ -546,8 +583,9 @@ class TestSweep:
         ]
         for row in rows:
             out = tmp_path / f"q-{row['quantizer']}-{row['knob']}"
+            curvature = "identity" if row["quantizer"] == "kmeans" else "adam"
             assert run([
-                "quantize", *common, "--out-dir", out,
+                "quantize", *common, "--out-dir", out, "--curvature", curvature,
                 "--quantizer", row["quantizer"], "--k", row["knob"],
             ]) == 0
             report = json.loads((out / "report.json").read_text())
@@ -558,13 +596,12 @@ class TestSweep:
 
     def test_rows_match_quantize(self, model_dir, tmp_path):
         """Each row is the quantize run with that row's settings; ecsq rows
-        take k=8 without --k and ignore a configured target_ratio."""
-        common = [
-            "--model-dir", model_dir, "--dataset", "synth", "--curvature", "adam",
-            "--coding", "huffman",
-        ]  # fmt: skip
+        take k=8 without --k and ignore a configured target_ratio, and
+        kmeans rows are the runs without a curvature, which kmeans does not
+        read."""
+        common = ["--model-dir", model_dir, "--dataset", "synth", "--coding", "huffman"]
         assert run(with_config(tmp_path, [
-            "sweep", *common, "--out-dir", tmp_path / "s",
+            "sweep", *common, "--curvature", "adam", "--out-dir", tmp_path / "s",
             "--quantizers", "kmeans,hw-kmeans,uniform,ecsq", "--k-list", "3,8",
             "--lambda-list", "0,1e-3", {"target_ratio": 4},
         ])) == 0  # fmt: skip
@@ -585,9 +622,10 @@ class TestSweep:
             else:
                 knob = ["--k", row["knob"]]
             out = tmp_path / f"q-{row['index']}"
+            curvature = "identity" if row["quantizer"] == "kmeans" else "adam"
             assert run([
                 "quantize", *common, "--out-dir", out, "--quantizer", row["quantizer"],
-                *knob,
+                "--curvature", curvature, *knob,
             ]) == 0
             report = json.loads((out / "report.json").read_text())
             assert row["status"] == "ok"
@@ -639,7 +677,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--quantizers", "uniform", "--k-list", "4", "--center-rule", "foo"],
+            ["--quantizers", "uniform", "--k-list", "4", {"center_rule": "foo"}],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", "0"],
             ["--quantizers", "kmeans", "--k-list", "4", "--fine-tune", "true"],
             ["--quantizers", "ecsq", "--lambda-list", "0,0.1", "--k", str(2**62)],
@@ -715,17 +753,17 @@ class TestReport:
         doc = json.loads(rpt.read_text())
         assert doc["accuracy"] is None
 
-    def test_accuracy_present_with_dataset(self, model_dir, tmp_path):
+    def test_accuracy_present_with_dataset(self, model_dir, pruned, tmp_path):
         """report scores model.nq with the function quantize scored it with,
         on the same float32 centers, so the accuracies are equal."""
-        for name, flags, key in [
-            ("plain", [], "accuracy_pre_finetune"),
-            ("pruned-tuned", ["--prune-fraction", "0.5", "--fine-tune", "true",
-                              "--ft-steps", "20"], "accuracy_post_finetune"),
+        for name, source, flags, key in [
+            ("plain", model_dir, [], "accuracy_pre_finetune"),
+            ("pruned-tuned", pruned, ["--fine-tune", "true", "--ft-steps", "20"],
+             "accuracy_post_finetune"),
         ]:  # fmt: skip
             out = tmp_path / name
             assert run([
-                "quantize", "--model-dir", model_dir, "--out-dir", out,
+                "quantize", "--model-dir", source, "--out-dir", out,
                 "--quantizer", "kmeans", "--coding", "fixed", "--k", "8",
                 "--dataset", "synth", *flags,
             ]) == 0
@@ -789,20 +827,20 @@ class TestReport:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--coding", "fixed"],
-            ["--coding", "huffman"],
-            ["--coding", "fixed", "--prune-fraction", "0.5"],
-            ["--coding", "huffman", "--prune-fraction", "0.5"],
-            ["--coding", "huffman", "--prune-fraction", "0.5", "--dataset", "synth",
+            ["--model-dir", "MODEL", "--coding", "fixed"],
+            ["--model-dir", "MODEL", "--coding", "huffman"],
+            ["--model-dir", "PRUNED", "--coding", "fixed"],
+            ["--model-dir", "PRUNED", "--coding", "huffman"],
+            ["--model-dir", "PRUNED", "--coding", "huffman", "--dataset", "synth",
              "--fine-tune", "true", "--ft-steps", "20"],
         ],
     )  # fmt: skip
-    def test_document_matches_quantize_report(self, model_dir, tmp_path, flags):
+    def test_document_matches_quantize_report(self, model_dir, pruned, tmp_path, flags):
         """Every key report derives from model.nq has the value quantize wrote."""
         out = tmp_path / "q"
+        flags = [{"MODEL": model_dir, "PRUNED": pruned}.get(a, a) for a in flags]
         assert run([
-            "quantize", "--model-dir", model_dir, "--out-dir", out,
-            "--quantizer", "kmeans", "--k", "6", *flags,
+            "quantize", "--out-dir", out, "--quantizer", "kmeans", "--k", "6", *flags,
         ]) == 0
         rpt = tmp_path / "r.json"
         assert run(["report", "--model-nq", out / "model.nq", "--out", rpt]) == 0
@@ -893,20 +931,18 @@ class TestConfigRoundTrip:
             (["train-ref", *TRAIN_ARGS, "--steps", "20", "--lr", "0.02",
               "--activation", "tanh", "--synth-spread", "2.5"],
              ["params.f32le", "refnet.json"]),
-            (["quantize", "--quantizer", "uniform", "--k", "6",
-              "--center-rule", "hessian_weighted_mean", "--curvature", "gauss-newton",
-              "--dataset", "synth", "--prune-fraction", "0.3", "--fine-tune", "true",
+            (["quantize", "--model-dir", "PRUNED", "--quantizer", "uniform", "--k", "6",
+              "--curvature", "gauss-newton", "--dataset", "synth", "--fine-tune", "true",
               "--ft-steps", "5", "--seed", "2"],
              ["model.nq", "report.json"]),
-            (["sweep", "--quantizers", "kmeans,ecsq", "--k-list", "3,5",
-              "--lambda-list", "0,1e-4", "--k", "6", "--coding", "fixed"],
+            (["sweep", "--model-dir", "MODEL", "--quantizers", "kmeans,ecsq",
+              "--k-list", "3,5", "--lambda-list", "0,1e-4", "--k", "6", "--coding", "fixed"],
              ["sweep.csv"]),
         ],
         ids=["train-ref", "quantize", "sweep"],
     )  # fmt: skip
-    def test_rerun_from_config_txt(self, model_dir, tmp_path, args, artifacts):
-        if args[0] != "train-ref":
-            args = [*args, "--model-dir", model_dir]
+    def test_rerun_from_config_txt(self, model_dir, pruned, tmp_path, args, artifacts):
+        args = [{"MODEL": model_dir, "PRUNED": pruned}.get(a, a) for a in args]
         first, second = tmp_path / "a", tmp_path / "b"
         assert run([*args, "--out-dir", first]) == 0
         config = first / "config.txt"
@@ -956,7 +992,7 @@ class TestCommands:
         flags = _parser_keys()
         assert flags == {name: list(keys) for name, (_, keys) in cli.COMMANDS.items()}
         counts = {name: len(keys) for name, keys in flags.items()}
-        assert counts == {"train-ref": 18, "prune": 3, "quantize": 19, "sweep": 19, "report": 6}
+        assert counts == {"train-ref": 18, "prune": 3, "quantize": 17, "sweep": 17, "report": 6}
         assert all(set(keys) <= cli.OPTION_TABLE.keys() for keys in flags.values())
 
     @pytest.fixture(scope="class")
@@ -1005,6 +1041,55 @@ class TestCommands:
         for name in ("model.nq", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert "synth_features=9\n" in (tmp_path / "b" / "config.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # kmeans weights nothing, so it refuses a curvature, from a flag or a file
+            (["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "adam"],
+             "error: curvature=adam is unread: kmeans weights nothing\n"),
+            (["quantize", "--quantizer", "kmeans", "--k", "4", {"curvature": "exact"}],
+             "error: curvature=exact is unread: kmeans weights nothing\n"),
+            (["sweep", "--quantizers", "kmeans", "--k-list", "4,8", "--curvature", "adam"],
+             "error: curvature=adam is unread: kmeans weights nothing\n"),
+            # prune alone prunes; an old config file's fraction is not dropped silently
+            (["quantize", "--quantizer", "uniform", "--k", "4", {"prune_fraction": 0.5}],
+             "error: prune_fraction is read by prune alone; prune the model dir first\n"),
+            (["sweep", "--quantizers", "uniform", "--k-list", "4", {"prune_fraction": 0.5}],
+             "error: prune_fraction is read by prune alone; prune the model dir first\n"),
+            (["prune"], "error: prune requires --prune-fraction\n"),
+            # removed flags and keys
+            (["quantize", "--quantizer", "uniform", "--k", "4", {"center_rule": "mean"}],
+             "unknown key 'center_rule'\n"),
+            (["quantize", "--quantizer", "uniform", "--k", "4", "--prune-fraction", "0.5"],
+             "error: unrecognized arguments: --prune-fraction 0.5\n"),
+            (["sweep", "--quantizers", "uniform", "--k-list", "4", "--prune-fraction", "0.5"],
+             "error: unrecognized arguments: --prune-fraction 0.5\n"),
+            (["quantize", "--quantizer", "uniform", "--k", "4", "--center-rule", "mean"],
+             "error: unrecognized arguments: --center-rule mean\n"),
+            (["sweep", "--quantizers", "uniform", "--k-list", "4",
+              "--center-rule", "hessian_weighted_mean"],
+             "error: unrecognized arguments: --center-rule hessian_weighted_mean\n"),
+        ],
+        ids=[
+            "kmeans-curvature-flag", "kmeans-curvature-config", "sweep-kmeans-curvature",
+            "quantize-prune-fraction-config", "sweep-prune-fraction-config",
+            "prune-without-fraction", "center-rule-config", "quantize-prune-fraction-flag",
+            "sweep-prune-fraction-flag", "quantize-center-rule-flag", "sweep-center-rule-flag",
+        ],
+    )  # fmt: skip
+    def test_removed_or_unread_input_is_refused(self, model_dir, tmp_path, capfd, argv, message):
+        """One place prunes and a curvature alone weights: an input that
+        would be ignored, or that selected the other place, exits 2."""
+        out = tmp_path / "out"
+        argv = [argv[0], "--model-dir", model_dir, "--out-dir", out, *argv[1:]]
+        try:
+            code = run(with_config(tmp_path, argv))
+        except SystemExit as exc:  # argparse refuses a flag it does not know
+            code = exc.code
+        assert code == cli.EXIT_CONFIG
+        assert capfd.readouterr().err.endswith(message)
+        assert not out.exists()
 
     def test_readme_names_each_commands_flags(self):
         """README has one line per command that lists its flags in table order."""
@@ -1262,7 +1347,7 @@ class TestDamagedModelDir:
     def _run(command, damaged, encoded, out) -> tuple[int, str]:
         args = {
             "quantize": ["--model-dir", damaged, "--out-dir", out / "q",
-                         "--dataset", "synth", "--quantizer", "kmeans", "--k", "4",
+                         "--dataset", "synth", "--quantizer", "hw-kmeans", "--k", "4",
                          "--curvature", "exact", "--fine-tune", "true", "--ft-steps", "2"],
             "prune": ["--model-dir", damaged, "--out-dir", out / "q",
                       "--prune-fraction", "0.5"],
@@ -1324,14 +1409,6 @@ class TestModelDirReads:
     """A command reads each file of a model directory at most once, and a
     payload only when its run uses it."""
 
-    @pytest.fixture(scope="class")
-    def pruned(self, model_dir, tmp_path_factory):
-        out = tmp_path_factory.mktemp("reads") / "pruned"
-        assert run([
-            "prune", "--model-dir", model_dir, "--out-dir", out, "--prune-fraction", "0.5",
-        ]) == 0
-        return out
-
     @staticmethod
     def _reads(monkeypatch, args) -> collections.Counter:
         """File name -> the ``Path.read_bytes``/``read_text`` calls of one
@@ -1353,7 +1430,7 @@ class TestModelDirReads:
     def test_quantize(self, pruned, tmp_path, monkeypatch, curvature):
         reads = self._reads(monkeypatch, [
             "quantize", "--model-dir", pruned, "--out-dir", tmp_path / "q",
-            "--dataset", "synth", "--quantizer", "kmeans", "--k", "4",
+            "--dataset", "synth", "--quantizer", "hw-kmeans", "--k", "4",
             "--curvature", curvature,
         ])  # fmt: skip
         used = ["manifest.json", "refnet.json", "params.f32le", "mask.u8"]
@@ -1388,7 +1465,7 @@ class TestModelDirReads:
         payload = bytearray((damaged / "curvature.f32le").read_bytes())
         payload[5] ^= 0xFF
         (damaged / "curvature.f32le").write_bytes(bytes(payload))
-        quantize = ["quantize", "--quantizer", "kmeans", "--k", "4"]
+        quantize = ["quantize", "--quantizer", "hw-kmeans", "--k", "4"]
         assert run([*quantize, "--model-dir", pruned, "--out-dir", tmp_path / "a"]) == 0
         assert run([*quantize, "--model-dir", damaged, "--out-dir", tmp_path / "b"]) == 0
         model_nq = [(tmp_path / side / "model.nq").read_bytes() for side in "ab"]
@@ -1441,9 +1518,9 @@ class TestDamagedDataset:
     COMMANDS = {
         "train-ref": ["train-ref", "--hidden", "8", "--steps", "50"],
         "identity": ["quantize", "--quantizer", "kmeans", "--k", "4"],
-        "exact": ["quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "exact"],
+        "exact": ["quantize", "--quantizer", "hw-kmeans", "--k", "4", "--curvature", "exact"],
         "gauss-newton": [
-            "quantize", "--quantizer", "kmeans", "--k", "4", "--curvature", "gauss-newton",
+            "quantize", "--quantizer", "hw-kmeans", "--k", "4", "--curvature", "gauss-newton",
         ],
         "fine-tune": [
             "quantize", "--quantizer", "kmeans", "--k", "4", "--fine-tune", "true",

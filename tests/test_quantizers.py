@@ -241,23 +241,41 @@ class TestUniform:
         res = uniform_quantize(np.full(5, 2.0), k=8)
         assert res.codebook.k == 1
 
-    def test_weighted_center_rule(self):
-        res = uniform_quantize(
-            [0.0, 4.0, 100.0],
-            [1.0, 3.0, 1.0],
-            k=2,
-            center_rule="hessian_weighted_mean",
-        )
-        assert res.codebook.centers[0] == pytest.approx(3.0)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(draws=st.data())
+    def test_weighted_center_rule(self, draws):
+        """A curvature makes each center its bin's curvature-weighted mean,
+        bit for bit the one of whole-array ``np.bincount`` sums, whatever
+        the block size."""
+        res = uniform_quantize([0.0, 4.0, 100.0], [1.0, 3.0, 1.0], k=2)
+        assert res.codebook.centers[0] == 3.0
+
+        n = draws.draw(st.integers(1, 200), label="n")
+        rng = np.random.default_rng(draws.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = rng.normal(size=n) * 10.0 ** draws.draw(st.integers(-3, 3), label="scale")
+        h = rng.lognormal(0.0, 2.0, n)
+        k = draws.draw(st.integers(1, 40), label="k")
+        block = draws.draw(st.integers(1, n), label="block rows")
+        with mock.patch.object(quantizers, "_BLOCK_BYTES", 8 * block):
+            res = uniform_quantize(v, h, k)
+        live = res.codebook.k
+        want = codebook_whole(v, h, res.assignment, live, np.zeros(live))
+        assert res.codebook.centers.tobytes() == want.centers.tobytes()
+        assert np.array_equal(res.codebook.counts, want.counts)
 
     def test_weighted_rule_requires_curvature(self):
-        """Without curvature the weighted rule weights by ones: the mean rule."""
-        v = np.random.default_rng(8).normal(size=500)
-        weighted = uniform_quantize(v, k=7, center_rule="hessian_weighted_mean")
-        plain = uniform_quantize(v, k=7)
+        """A curvature moves the centers only: the bins, assignment and
+        counts are those of the run without one, whose centers are plain
+        means."""
+        rng = np.random.default_rng(8)
+        v, h = rng.normal(size=500), rng.uniform(0.1, 5.0, 500)
+        weighted, plain = uniform_quantize(v, h, k=7), uniform_quantize(v, k=7)
         assert weighted.assignment.tobytes() == plain.assignment.tobytes()
-        assert weighted.codebook.centers.tobytes() == plain.codebook.centers.tobytes()
         assert np.array_equal(weighted.codebook.counts, plain.codebook.counts)
+        assert np.all(weighted.codebook.centers != plain.codebook.centers)
+        live = plain.codebook.k
+        means = codebook_whole(v, None, plain.assignment, live, np.zeros(live))
+        assert plain.codebook.centers.tobytes() == means.centers.tobytes()
 
 
 class TestUnitCurvature:
@@ -289,8 +307,7 @@ class TestUnitCurvature:
             assert hw_distortion(v, None, a.assignment, a.codebook) == hw_distortion(
                 v, ones, a.assignment, a.codebook
             )
-        rule = "hessian_weighted_mean"
-        self.assert_same(uniform_quantize(v, None, k, rule), uniform_quantize(v, ones, k, rule))
+        self.assert_same(uniform_quantize(v, None, k), uniform_quantize(v, ones, k))
         lam = 10.0 ** draws.draw(st.floats(-6.0, -1.0), label="lam") * (np.ptp(v) ** 2 or 1.0)
         self.assert_same(ecsq_iterate(v, None, k, lam), ecsq_iterate(v, ones, k, lam))
         target = draws.draw(st.floats(0.1, 3.0), label="target entropy")
@@ -855,7 +872,7 @@ class TestNonFiniteValues:
             lambda v, h: kmeans_sweep(v, None, [2]),
             lambda v, h: kmeans_sweep(v, h, [2, 3]),
             lambda v, h: uniform_quantize(v, k=4),
-            lambda v, h: uniform_quantize(v, h, k=4, center_rule="hessian_weighted_mean"),
+            lambda v, h: uniform_quantize(v, h, k=4),
             lambda v, h: ecsq_iterate(v, h, 4, 0.0),
             lambda v, h: ecsq_iterate(v, h, 4, 1e-3),
             lambda v, h: solve_lambda(v, h, 4, 1.0),
@@ -1019,7 +1036,7 @@ class TestResultContract:
         for res in kmeans_sweep(v, None, [k, 2 * k]) + kmeans_sweep(v, h, [k]):
             self._check(res)
         self._check(uniform_quantize(v, None, k))
-        self._check(uniform_quantize(v, h, k, "hessian_weighted_mean"))
+        self._check(uniform_quantize(v, h, k))
         # From a small rate penalty to one that retires all but a cluster.
         scale = float(h.max()) * (float(np.ptp(v)) ** 2 or 1.0)
         for lam in (0.0, 1e-4 * scale, 10.0 * scale):

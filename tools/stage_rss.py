@@ -25,7 +25,9 @@ so far when this call returned". The exit code is the command's.
 ``manifest.json`` and ``refnet.json``; each payload is read later, when the
 command asks for it (``quantize`` inside ``_compact`` and ``_curvature``).
 The CLI does not call ``params.load_model``, so that function is not a
-stage.
+stage. Only ``prune`` prunes: its ``prune_magnitude`` line is followed by
+``save_model``, while ``_compact`` gathers the kept values under the mask
+that ``prune`` stored and computes none.
 
 ``ru_maxrss`` is a high-water mark, so a stage's peak also carries every
 earlier stage's transients; the current figure falls when a stage frees
